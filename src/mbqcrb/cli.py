@@ -29,7 +29,7 @@ from .engine import (
     run_protocol,
     sequence_fidelity_estimate,
 )
-from .fitting import bootstrap_ci, fit_decay
+from .fitting import MIN_RESAMPLES, bootstrap_ci, fit_decay
 from .gatesets import (
     CLIFFORD_ANGLE_TABLE,
     VerificationError,
@@ -79,9 +79,37 @@ def _noise_to_dict(noise: NoiseModel) -> dict:
     return d
 
 
-def _noise_from_dict(d: dict) -> NoiseModel:
+_CONFIG_KEYS = frozenset(
+    {
+        "protocol", "lengths", "sequences_per_length", "shots_per_sequence", "seed",
+        "clifford_mode", "design_phis", "noise", "noise_inv", "instrument", "spam",
+        "output", "verify_first",
+    }
+)
+_NOISE_KEYS = frozenset({"kind", "strength", "placement", "parts"})
+_INSTRUMENT_KEYS = frozenset({"bias", "inject_randomness"})
+_SPAM_KEYS = frozenset({"prep_shrink", "effect_bias"})
+
+
+def _checked_section(d, allowed: frozenset, where: str) -> dict:
+    """``d`` itself, after checking that it is a mapping with only known keys.
+
+    A misspelled key would otherwise fall back silently to its default.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a key/value mapping")
+    unknown = [str(k) for k in d if k not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key in {where}: {', '.join(unknown)}")
+    return d
+
+
+def _noise_from_dict(d: dict, where: str) -> NoiseModel:
+    _checked_section(d, _NOISE_KEYS, where)
     kind = d.get("kind", "none")
-    parts = tuple(_noise_from_dict(p) for p in d.get("parts", []))
+    parts = tuple(
+        _noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(d.get("parts", []))
+    )
     return NoiseModel(
         kind=kind,
         strength=float(d.get("strength", 0.0)),
@@ -116,19 +144,20 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    _checked_section(d, _CONFIG_KEYS, "config")
     required = ("protocol", "lengths", "sequences_per_length", "shots_per_sequence")
     missing = [k for k in required if k not in d]
     if missing:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
-    instrument = d.get("instrument", {})
-    spam = d.get("spam", {})
+    instrument = _checked_section(d.get("instrument", {}), _INSTRUMENT_KEYS, "instrument")
+    spam = _checked_section(d.get("spam", {}), _SPAM_KEYS, "spam")
     rb = RBConfig(
         protocol=d["protocol"],
         lengths=tuple(d["lengths"]),
         sequences_per_length=int(d["sequences_per_length"]),
         shots_per_sequence=int(d["shots_per_sequence"]),
-        noise=_noise_from_dict(d.get("noise", {"kind": "none"})),
-        noise_inv=_noise_from_dict(d["noise_inv"]) if "noise_inv" in d else None,
+        noise=_noise_from_dict(d.get("noise", {"kind": "none"}), "noise"),
+        noise_inv=_noise_from_dict(d["noise_inv"], "noise_inv") if "noise_inv" in d else None,
         instrument=InstrumentConfig(
             bias=float(instrument.get("bias", 0.0)),
             inject_randomness=bool(instrument.get("inject_randomness", False)),
@@ -208,7 +237,20 @@ def read_dataset(path: str) -> RBDataset:
         )
         for r in rows[1:]
     )
-    return RBDataset(config=config.rb, records=records, warnings=warnings)
+    rb = config.rb
+    seen = set()
+    for r in records:
+        where = f"{path}: row s={r.s}, sequence_index={r.index}"
+        if (r.s, r.index) in seen:
+            raise ValueError(f"{where} appears more than once")
+        seen.add((r.s, r.index))
+        if r.s not in rb.lengths:
+            raise ValueError(f"{where}: length {r.s} is not in the config lengths")
+        if r.shots != rb.shots_per_sequence:
+            raise ValueError(
+                f"{where}: {r.shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
+            )
+    return RBDataset(config=rb, records=records, warnings=warnings)
 
 
 def write_fit_report(path: str, report: dict):
@@ -311,7 +353,7 @@ def cmd_run(args) -> int:
                 print(f"FAIL {name}: {exc}", file=sys.stderr)
                 return EXIT_VALIDATION
     try:
-        dataset = run_protocol(rb, threads=args.threads)
+        dataset = run_protocol(rb)
     except ValueError as exc:
         print(f"invalid experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -335,6 +377,12 @@ def _fit_points(dataset: RBDataset):
 
 
 def cmd_fit(args) -> int:
+    if args.resamples != 0 and args.resamples < MIN_RESAMPLES:
+        print(
+            f"invalid --resamples {args.resamples}: use 0 (no bootstrap) or >= {MIN_RESAMPLES}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     try:
         dataset = read_dataset(args.dataset)
     except OSError as exc:
@@ -444,14 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="YAML experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="dataset output path")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
     p_run.set_defaults(func=cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit the decay model to a dataset")
     p_fit.add_argument("dataset", help="dataset CSV produced by run")
     p_fit.add_argument("--out", default=None, help="fit report output path")
     p_fit.add_argument(
-        "--resamples", type=int, default=200, help="bootstrap resamples (0 disables)"
+        "--resamples", type=int, default=200, help=f"bootstrap resamples (0, or >= {MIN_RESAMPLES})"
     )
     p_fit.set_defaults(func=cmd_fit)
 

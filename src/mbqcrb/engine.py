@@ -15,7 +15,7 @@ paths.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,11 +31,11 @@ from .channels import (
     _PAULIS,
 )
 from .gatesets import (
+    OUTCOME_TRIPLES,
     CliffordElement,
     DerandomizedDesign,
     clifford_group,
-    clifford_index,
-    coset_reps,
+    clifford_table,
     derandomized_design,
 )
 from .wire import (
@@ -44,7 +44,6 @@ from .wire import (
     NO_NOISE,
     InstrumentConfig,
     NoiseModel,
-    conjugation_bits,
     step_unitary,
 )
 
@@ -178,8 +177,14 @@ def gen_clifford_sequence(
         raise ValueError(f"unknown sequence mode {mode!r}")
     if rng is None:
         raise ValueError("an explicit random generator is required")
-    pool = coset_reps() if mode == "coset" else clifford_group()
-    return [pool[k] for k in rng.integers(0, len(pool), size=s)]
+    group = clifford_group()
+    return [group[g] for g in _draw_gate_indices(s, mode, rng)]
+
+
+def _draw_gate_indices(s: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """Group indices of ``s`` gates drawn uniformly from the group or its coset reps."""
+    pool = clifford_table().coset_reps if mode == "coset" else np.arange(len(clifford_group()))
+    return pool[rng.integers(0, len(pool), size=s)]
 
 
 def sequence_inverse(realized: list[Unitary2]) -> Unitary2:
@@ -228,16 +233,10 @@ def _outcome_bits(rng, shots, nsteps, instrument: InstrumentConfig) -> np.ndarra
     return raw
 
 
-_FRAME_PTMS = {
-    (fx, fz): channel_from_unitary(
-        Unitary2(
-            np.linalg.matrix_power(np.array([[0, 1], [1, 0]], dtype=complex), fx)
-            @ np.linalg.matrix_power(np.array([[1, 0], [0, -1]], dtype=complex), fz)
-        )
-    ).ptm
-    for fx in (0, 1)
-    for fz in (0, 1)
-}
+def _outcome_index(mbits: np.ndarray) -> np.ndarray:
+    """Each row of outcome bits as an integer, the first outcome most significant."""
+    q = mbits.shape[1]
+    return mbits.astype(np.int64) @ (1 << np.arange(q - 1, -1, -1))
 
 
 def _digest(array) -> str:
@@ -247,17 +246,16 @@ def _digest(array) -> str:
 
 def _run_circuit_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
     rng = _item_rng(cfg.seed, cfg.protocol, s, i)
-    elements = gen_clifford_sequence(s, "full", rng)
-    gate_indices = tuple(clifford_index(e.unitary) for e in elements)
+    table = clifford_table()
+    gates = _draw_gate_indices(s, "full", rng)
 
     noise_ptm = cfg.noise.realize().ptm if not cfg.noise.trivial else None
     bloch = cfg.spam.prep().bloch.copy()
-    for e in elements:
-        bloch = channel_from_unitary(e.unitary).ptm @ bloch
+    for g in gates:
+        bloch = table.ptm[g] @ bloch
         if noise_ptm is not None:
             bloch = noise_ptm @ bloch
-    inv = sequence_inverse([e.unitary for e in elements])
-    bloch = channel_from_unitary(inv).ptm @ bloch
+    bloch = table.ptm[table.sequence_inverse(gates)] @ bloch
     dinv = cfg.resolved_noise_inv()
     if not dinv.trivial:
         bloch = dinv.realize().ptm @ bloch
@@ -268,20 +266,19 @@ def _run_circuit_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
     return SequenceRecord(
         s=s,
         index=i,
-        gate_indices=gate_indices,
+        gate_indices=tuple(int(g) for g in gates),
         survivals=survivals,
         shots=cfg.shots_per_sequence,
-        digest=_digest(np.asarray(gate_indices)),
+        digest=_digest(gates),
     )
 
 
 def _run_clifford_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
     rng = _item_rng(cfg.seed, cfg.protocol, s, i)
     group = clifford_group()
-    elements = gen_clifford_sequence(s, cfg.clifford_mode, rng)
-    gate_indices = tuple(clifford_index(e.unitary) for e in elements)
-    inv_el = group[clifford_index(sequence_inverse([e.unitary for e in elements]))]
-    blocks = elements + [inv_el]
+    table = clifford_table()
+    gates = _draw_gate_indices(s, cfg.clifford_mode, rng)
+    blocks = [*gates, table.sequence_inverse(gates)]
     noises = [cfg.noise] * s + [cfg.resolved_noise_inv()]
 
     shots = cfg.shots_per_sequence
@@ -291,41 +288,30 @@ def _run_clifford_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
     states = np.tile(cfg.spam.prep().bloch, (shots, 1))
     fx = np.zeros(shots, dtype=np.int64)
     fz = np.zeros(shots, dtype=np.int64)
-    col = 0
-    for element, noise in zip(blocks, noises):
+    for col, (g, noise) in enumerate(zip(blocks, noises)):
+        element = group[g]
         per_step = (not noise.trivial) and noise.placement == AFTER_EACH_STEP
-        mcols = bits[:, col : col + 3]
-        col += 3
+        mcols = bits[:, 3 * col : 3 * col + 3]
         for k, theta in enumerate(element.angles):
             m0 = _step_ptm(theta, 0, noise, per_step)
             m1 = _step_ptm(theta, 1, noise, per_step)
             states = np.where(mcols[:, k : k + 1], states @ m1.T, states @ m0.T)
         if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
             states = _apply_block_noise(states, noise, element.angles, mcols)
-        _, n2, n3 = (k % 2 for k in element.quarter_turns)
-        m1b = mcols[:, 0].astype(np.int64)
-        m2b = mcols[:, 1].astype(np.int64)
-        m3b = mcols[:, 2].astype(np.int64)
-        b1 = (m3b + m2b * n3 + m1b * (n2 * n3 + 1)) % 2
-        b2 = (m2b + m1b * n2) % 2
-        a = conjugation_bits(element.unitary)
-        fx, fz = (
-            (b1 + a[0, 0] * fx + a[0, 1] * fz) % 2,
-            (b2 + a[1, 0] * fx + a[1, 1] * fz) % 2,
-        )
-    for (gx, gz), ptm in _FRAME_PTMS.items():
+        fx, fz = table.next_frame(g, _outcome_index(mcols), fx, fz)
+    for gx, gz in np.ndindex(2, 2):
         mask = (fx == gx) & (fz == gz)
         if mask.any():
-            states[mask] = states[mask] @ ptm.T
+            states[mask] = states[mask] @ table.frame_ptm[gx, gz].T
     probs = np.clip(states @ cfg.spam.effect().bloch_coeffs, 0.0, 1.0)
     survivals = int((born < probs).sum())
     return SequenceRecord(
         s=s,
         index=i,
-        gate_indices=gate_indices,
+        gate_indices=tuple(int(g) for g in gates),
         survivals=survivals,
         shots=shots,
-        digest=_digest(np.asarray(gate_indices)),
+        digest=_digest(gates),
     )
 
 
@@ -333,9 +319,6 @@ def _ptm_batch(mats: np.ndarray) -> np.ndarray:
     """PTMs of a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4, 4)."""
     conj = np.einsum("sab,jbc,sdc->sjad", mats, _PAULIS, mats.conj())
     return np.real(np.einsum("iab,sjba->sij", _PAULIS, conj)) / 2.0
-
-
-_OUTCOME_WEIGHTS = np.array([16, 8, 4, 2, 1])
 
 
 def _run_derandomized_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
@@ -361,7 +344,7 @@ def _run_derandomized_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
             states = np.where(mcols[:, k : k + 1], states @ m1.T, states @ m0.T)
         if (not cfg.noise.trivial) and cfg.noise.placement == AFTER_EACH_GATE_BLOCK:
             states = _apply_block_noise(states, cfg.noise, design.angles, mcols)
-        idx = mcols.astype(np.int64) @ _OUTCOME_WEIGHTS
+        idx = _outcome_index(mcols)
         realized[:, j] = idx
         totals = element_mats[idx] @ totals
 
@@ -395,11 +378,12 @@ _RUNNERS = {
 }
 
 
-def run_protocol(config: RBConfig, threads: int = 1) -> RBDataset:
+def run_protocol(config: RBConfig) -> RBDataset:
     """Run the configured experiment and collect per-sequence survivals.
 
     Work items (one per length and sequence index) carry independent,
-    seed-derived random streams, so results do not depend on ``threads``.
+    seed-derived random streams, so each record depends only on the seed,
+    its length and its index.
     """
     if not isinstance(config, RBConfig):
         raise ValueError("config must be an RBConfig")
@@ -412,12 +396,9 @@ def run_protocol(config: RBConfig, threads: int = 1) -> RBDataset:
         warnings = (_BIAS_WARNING,)
 
     runner = _RUNNERS[config.protocol]
-    items = [(s, i) for s in config.lengths for i in range(config.sequences_per_length)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda si: runner(config, *si), items))
-    else:
-        records = [runner(config, s, i) for s, i in items]
+    records = [
+        runner(config, s, i) for s in config.lengths for i in range(config.sequences_per_length)
+    ]
     return RBDataset(config=config, records=tuple(records), warnings=warnings)
 
 
@@ -452,27 +433,6 @@ class ExactSequenceFidelity:
     analytic: float
 
 
-def _gate_ptms() -> list[np.ndarray]:
-    return [channel_from_unitary(e.unitary).ptm for e in clifford_group()]
-
-
-@lru_cache(maxsize=None)
-def _product_table() -> np.ndarray:
-    """table[g, v] = index of gate g composed after product v."""
-    group = clifford_group()
-    table = np.zeros((24, 24), dtype=np.int64)
-    for g, eg in enumerate(group):
-        for v, ev in enumerate(group):
-            table[g, v] = clifford_index(eg.unitary @ ev.unitary)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _inverse_table() -> np.ndarray:
-    group = clifford_group()
-    return np.array([clifford_index(e.unitary.dagger()) for e in group], dtype=np.int64)
-
-
 def _block_chain_ptm(angles, outcomes, noise: NoiseModel) -> np.ndarray:
     """PTM of one measured gate block, mirroring the wire-step semantics."""
     ptm = np.eye(4)
@@ -486,10 +446,6 @@ def _block_chain_ptm(angles, outcomes, noise: NoiseModel) -> np.ndarray:
     return ptm
 
 
-def _outcome_tuples(q: int):
-    return [tuple((idx >> (q - 1 - k)) & 1 for k in range(q)) for idx in range(2**q)]
-
-
 def _outcome_weight(outcomes, bias: float) -> float:
     w = 1.0
     for b in outcomes:
@@ -499,15 +455,13 @@ def _outcome_weight(outcomes, bias: float) -> float:
 
 def _enumerate_circuit(s, step_ptms, dinv_ptm, prep, effect) -> float:
     """Average survival over all Clifford sequences via product-class folding."""
-    table = _product_table()
-    inv_of = _inverse_table()
-    gate_ptms = _gate_ptms()
+    table = clifford_table()
     acc = {0: np.eye(4)}
     for _ in range(s):
         nxt: dict[int, np.ndarray] = {}
         for v, mat in acc.items():
             for g in range(24):
-                key = int(table[g, v])
+                key = int(table.product[g, v])
                 term = step_ptms[g] @ mat
                 if key in nxt:
                     nxt[key] += term
@@ -516,7 +470,7 @@ def _enumerate_circuit(s, step_ptms, dinv_ptm, prep, effect) -> float:
         acc = {k: m / 24.0 for k, m in nxt.items()}
     total = 0.0
     for v, mat in acc.items():
-        chain = dinv_ptm @ gate_ptms[int(inv_of[v])] @ mat
+        chain = dinv_ptm @ table.ptm[table.inverse[v]] @ mat
         total += float(effect @ chain @ prep)
     return total
 
@@ -529,67 +483,43 @@ def _enumerate_clifford_wire(s, noise, noise_inv, bias, mode, prep, effect) -> f
     final rotation depend on the branch only through that pair.
     """
     group = clifford_group()
-    pool = coset_reps() if mode == "coset" else group
-    table = _product_table()
-    inv_of = _inverse_table()
-    triples = _outcome_tuples(3)
-
-    block_ptm = {}
-    block_bits = {}
-    frame_act = {}
-    for e in group:
-        gi = clifford_index(e.unitary)
-        frame_act[gi] = conjugation_bits(e.unitary)
-        for m in triples:
-            block_ptm[gi, m] = _block_chain_ptm(e.angles, m, noise)
-            n = tuple(k % 2 for k in e.quarter_turns)
-            b1 = (m[2] + m[1] * n[2] + m[0] * (n[1] * n[2] + 1)) % 2
-            b2 = (m[1] + m[0] * n[1]) % 2
-            block_bits[gi, m] = (b1, b2)
+    table = clifford_table()
+    pool = table.coset_reps if mode == "coset" else range(len(group))
+    weights = [_outcome_weight(m, bias) for m in OUTCOME_TRIPLES]
+    block_ptm = {
+        (g, m): _block_chain_ptm(group[g].angles, triple, noise)
+        for g in pool
+        for m, triple in enumerate(OUTCOME_TRIPLES)
+    }
 
     acc = {(0, 0, 0): np.eye(4)}
     inv_pool = 1.0 / len(pool)
     for _ in range(s):
         nxt: dict[tuple[int, int, int], np.ndarray] = {}
         for (v, fx, fz), mat in acc.items():
-            for element in pool:
-                gi = clifford_index(element.unitary)
-                a = frame_act[gi]
-                v_new = int(table[gi, v])
-                for m in triples:
-                    w = inv_pool * _outcome_weight(m, bias)
-                    b1, b2 = block_bits[gi, m]
-                    key = (
-                        v_new,
-                        (b1 + a[0, 0] * fx + a[0, 1] * fz) % 2,
-                        (b2 + a[1, 0] * fx + a[1, 1] * fz) % 2,
-                    )
-                    term = w * (block_ptm[gi, m] @ mat)
+            for g in pool:
+                v_new = int(table.product[g, v])
+                for m, weight in enumerate(weights):
+                    w = inv_pool * weight
+                    key = (v_new, *(int(f) for f in table.next_frame(g, m, fx, fz)))
+                    term = w * (block_ptm[g, m] @ mat)
                     if key in nxt:
                         nxt[key] += term
                     else:
                         nxt[key] = term
         acc = nxt
 
-    inv_block_ptm = {}
-    for gi in set(int(inv_of[v]) for v, _, _ in acc):
-        for m in triples:
-            inv_block_ptm[gi, m] = _block_chain_ptm(group[gi].angles, m, noise_inv)
+    inv_block_ptm = {
+        (g, m): _block_chain_ptm(group[g].angles, triple, noise_inv)
+        for g in {int(table.inverse[v]) for v, _, _ in acc}
+        for m, triple in enumerate(OUTCOME_TRIPLES)
+    }
 
     total = 0.0
     for (v, fx, fz), mat in acc.items():
-        gi = int(inv_of[v])
-        a = frame_act[gi]
-        n = tuple(k % 2 for k in group[gi].quarter_turns)
-        for m in triples:
-            w = _outcome_weight(m, bias)
-            b1 = (m[2] + m[1] * n[2] + m[0] * (n[1] * n[2] + 1)) % 2
-            b2 = (m[1] + m[0] * n[1]) % 2
-            f_final = (
-                (b1 + a[0, 0] * fx + a[0, 1] * fz) % 2,
-                (b2 + a[1, 0] * fx + a[1, 1] * fz) % 2,
-            )
-            chain = _FRAME_PTMS[f_final] @ inv_block_ptm[gi, m] @ mat
+        g = int(table.inverse[v])
+        for m, w in enumerate(weights):
+            chain = table.frame_ptm[table.next_frame(g, m, fx, fz)] @ inv_block_ptm[g, m] @ mat
             total += w * float(effect @ chain @ prep)
     return total
 
@@ -597,7 +527,7 @@ def _enumerate_clifford_wire(s, noise, noise_inv, bias, mode, prep, effect) -> f
 def _enumerate_derandomized(s, noise, noise_inv, bias, phis, prep, effect) -> float:
     """Average over all outcome strings of the fixed five-angle pattern."""
     design = _cached_design(tuple(phis))
-    quints = _outcome_tuples(5)
+    quints = list(itertools.product((0, 1), repeat=5))
     block_ptms = np.stack([_block_chain_ptm(design.angles, m, noise) for m in quints])
     element_mats = np.stack([u.matrix for u in design.elements])
     weights = np.array([_outcome_weight(m, bias) for m in quints])
@@ -673,7 +603,7 @@ def exact_sequence_fidelity(
 
     if protocol == "circuit":
         noise_ptm = noise.realize().ptm
-        steps = [noise_ptm @ g for g in _gate_ptms()]
+        steps = [noise_ptm @ g for g in clifford_table().ptm]
         dinv_ptm = dinv.realize().ptm
         value = _enumerate_circuit(s, steps, dinv_ptm, prep, effect)
     elif protocol == "clifford-mbqc":

@@ -15,6 +15,7 @@ import numpy as np
 PARAM_LOWER = np.array([-1.0, 0.0, 0.0])  # a0, b0, p
 PARAM_UPPER = np.array([1.0, 1.0, 1.0])
 _DEGENERATE_SPREAD = 1e-12
+MIN_RESAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ def bootstrap_ci(
     ``dataset`` is any object exposing ``lengths()`` and
     ``survival_fractions(s)`` (see the engine's RBDataset).
     """
-    if resamples < 100:
-        raise ValueError("bootstrap needs at least 100 resamples")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"bootstrap needs at least {MIN_RESAMPLES} resamples")
     lengths = dataset.lengths()
     fractions = {s: dataset.survival_fractions(s) for s in lengths}
     ps = np.empty(resamples)

@@ -9,6 +9,7 @@ outcome bits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ from .channels import (
     X,
     Y,
     Z,
+    _frozen,
+    channel_from_unitary,
     frame_potential,
     random_cptp_channel,
     twirl,
@@ -266,6 +269,108 @@ def verify_byproduct_bits() -> float:
     if failures:
         raise VerificationError(f"byproduct formulas failed for {len(failures)} cases")
     return worst
+
+
+_PAULI_BITS = {(1, 0): X, (1, 1): Y, (0, 1): Z}
+
+
+def conjugation_bits(u: Unitary2) -> np.ndarray:
+    """GF(2) action of frame conjugation by a Clifford ``u``.
+
+    Returns the 2x2 bit matrix A with u X^fx Z^fz u^dag = X^fx' Z^fz' up to
+    phase, (fx', fz') = A (fx, fz).
+    """
+    cols = []
+    for w in (X, Z):
+        conj = Unitary2(u.matrix @ w.matrix @ u.matrix.conj().T)
+        for bits, pauli in _PAULI_BITS.items():
+            if conj.equals_up_to_phase(pauli):
+                cols.append(bits)
+                break
+        else:
+            raise ValueError("unitary does not normalize the Pauli group")
+    return np.array(cols, dtype=int).T
+
+
+def frame_unitary(frame) -> Unitary2:
+    """The Pauli X^fx Z^fz recorded in a frame."""
+    fx, fz = frame
+    m = np.eye(2, dtype=complex)
+    if fz:
+        m = Z.matrix @ m
+    if fx:
+        m = X.matrix @ m
+    return Unitary2(m)
+
+
+def fold_frame(action, bits, fx, fz):
+    """Pauli frame after one gate block: (b + A f) mod 2.
+
+    The old frame (fx, fz) is conjugated through the block's all-zeros gate,
+    whose GF(2) action is ``action``, and the block's byproduct ``bits``
+    (b1, b2) are XORed on top. Broadcasts over arrays of frames and bits.
+    """
+    return (
+        (bits[..., 0] + action[0, 0] * fx + action[0, 1] * fz) % 2,
+        (bits[..., 1] + action[1, 0] * fx + action[1, 1] * fz) % 2,
+    )
+
+
+OUTCOME_TRIPLES = tuple(itertools.product((0, 1), repeat=3))
+
+
+@dataclass(frozen=True)
+class CliffordTable:
+    """Read-only arrays indexed by position in :func:`clifford_group` (0 is I).
+
+    ``byproducts[g, m]`` holds row g's byproduct bits for outcome triple
+    ``OUTCOME_TRIPLES[m]``; ``triple_element[n]`` is the element any
+    quarter-turn triple n realizes with all outcomes zero.
+    """
+
+    product: np.ndarray  # [g, v]: element g applied after v
+    inverse: np.ndarray
+    ptm: np.ndarray
+    frame_action: np.ndarray  # conjugation_bits of each element
+    byproducts: np.ndarray
+    coset_reps: np.ndarray
+    triple_element: np.ndarray
+    frame_ptm: np.ndarray  # [fx, fz]: PTM of X^fx Z^fz
+
+    def sequence_inverse(self, indices) -> int:
+        """Element undoing the gates ``indices``, the first applied first."""
+        v = 0
+        for g in indices:
+            v = self.product[g, v]
+        return int(self.inverse[v])
+
+    def next_frame(self, g, m, fx, fz):
+        """Frame after row g's block with outcome index (or indices) ``m``."""
+        return fold_frame(self.frame_action[g], self.byproducts[g, m], fx, fz)
+
+
+@lru_cache(maxsize=None)
+def clifford_table() -> CliffordTable:
+    """The shared :class:`CliffordTable`, built on first use."""
+    group = clifford_group()
+    index = _index_by_key()
+    mats = [e.unitary.matrix for e in group]
+    return CliffordTable(
+        product=_frozen([[index[_phase_key(a @ b)] for b in mats] for a in mats]),
+        inverse=_frozen([index[_phase_key(a.conj().T)] for a in mats]),
+        ptm=_frozen([channel_from_unitary(e.unitary).ptm for e in group]),
+        frame_action=_frozen([conjugation_bits(e.unitary) for e in group]),
+        byproducts=_frozen(
+            [[byproduct_bits(e.quarter_turns, m) for m in OUTCOME_TRIPLES] for e in group]
+        ),
+        coset_reps=_frozen([clifford_index(e.unitary) for e in coset_reps()]),
+        triple_element=_frozen(
+            [clifford_index(angles_to_clifford(np.array(n) * HALF_PI)) for n in np.ndindex(4, 4, 4)]
+        ).reshape(4, 4, 4),
+        frame_ptm=_frozen(
+            [[channel_from_unitary(frame_unitary((fx, fz))).ptm for fz in (0, 1)] for fx in (0, 1)]
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from .channels import (
     State,
     Unitary2,
     X,
-    Y,
-    Z,
     amplitude_damping,
     apply,
     channel_from_unitary,
@@ -36,7 +34,8 @@ from .channels import (
     z_rotation,
     I2,
 )
-from .gatesets import angles_to_clifford, byproduct_bits
+# conjugation_bits and frame_unitary live with the gate set; they stay importable from here.
+from .gatesets import byproduct_bits, clifford_table, conjugation_bits, fold_frame, frame_unitary
 
 AFTER_EACH_STEP = "after-each-step"
 AFTER_EACH_GATE_BLOCK = "after-each-gate-block"
@@ -222,33 +221,6 @@ def run_gate_block(
     return run, outcomes
 
 
-_PAULI_BITS = {(1, 0): X, (1, 1): Y, (0, 1): Z}
-
-
-def conjugation_bits(u: Unitary2) -> np.ndarray:
-    """GF(2) action of frame conjugation by a Clifford ``u``.
-
-    Returns the 2x2 bit matrix A with u X^fx Z^fz u^dag = X^fx' Z^fz' up to
-    phase, (fx', fz') = A (fx, fz).
-    """
-    cols = []
-    for w in (X, Z):
-        conj = Unitary2(u.matrix @ w.matrix @ u.matrix.conj().T)
-        for bits, pauli in _PAULI_BITS.items():
-            if conj.equals_up_to_phase(pauli):
-                cols.append(bits)
-                break
-        else:
-            raise ValueError("unitary does not normalize the Pauli group")
-    return np.array(cols, dtype=int).T
-
-
-@lru_cache(maxsize=None)
-def _clifford_frame_action(n: tuple[int, int, int]) -> np.ndarray:
-    u = angles_to_clifford(tuple(k * np.pi / 2 for k in n))
-    return conjugation_bits(u)
-
-
 def update_pauli_frame(frame, n, m) -> tuple[int, int]:
     """Fold one Clifford block's byproducts into an existing Pauli frame.
 
@@ -259,22 +231,10 @@ def update_pauli_frame(frame, n, m) -> tuple[int, int]:
     if fx not in (0, 1) or fz not in (0, 1):
         raise ValueError("frame entries must be bits")
     n = tuple(int(k) for k in n)
-    b1, b2 = byproduct_bits(n, m)
-    a = _clifford_frame_action(n)
-    fx_new = (b1 + a[0, 0] * fx + a[0, 1] * fz) % 2
-    fz_new = (b2 + a[1, 0] * fx + a[1, 1] * fz) % 2
+    bits = np.array(byproduct_bits(n, m))
+    table = clifford_table()
+    fx_new, fz_new = fold_frame(table.frame_action[table.triple_element[n]], bits, fx, fz)
     return int(fx_new), int(fz_new)
-
-
-def frame_unitary(frame) -> Unitary2:
-    """The Pauli X^fx Z^fz recorded in a frame."""
-    fx, fz = frame
-    m = np.eye(2, dtype=complex)
-    if fz:
-        m = Z.matrix @ m
-    if fx:
-        m = X.matrix @ m
-    return Unitary2(m)
 
 
 def final_measurement(

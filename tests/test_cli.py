@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -61,6 +63,21 @@ class TestConfigRoundTrip:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
             config_from_dict({"protocol": "circuit"})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sequences": 8},
+            {"spam": {"prep_shrink": 1.0, "effect_bais": 0.0}},
+            {"instrument": {"bias": 0.0, "inject": True}},
+            {"noise_inv": {"kind": "none", "placment": "after-each-step"}},
+            {"noise": {"kind": "composite", "parts": [{"kind": "dephasing", "strengh": 0.1}]}},
+            {"spam": 0.98},
+        ],
+    )
+    def test_unknown_keys_rejected_at_every_level(self, overrides):
+        with pytest.raises(ValueError):
+            config_from_dict({**SAMPLE, **overrides})
 
     def test_dependence_not_serializable(self):
         rb = RBConfig(
@@ -168,6 +185,17 @@ class TestRunCommand:
         write_sample_config(cfg_path, protocol="quantum-volume")
         assert main(["run", "--config", str(cfg_path)]) == 1
 
+    def test_misspelled_noise_key_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(
+            cfg_path,
+            noise={"kind": "depolarizing", "strenght": 0.96, "placement": "after-each-gate-block"},
+        )
+        for argv in (["run", "--out", str(tmp_path / "x.csv")], ["oracle", "--length", "2"]):
+            assert main([*argv, "--config", str(cfg_path)]) == 1
+            assert "strenght" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -232,6 +260,48 @@ class TestFitCommand:
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "none.csv")]) == 2
 
+    def test_too_few_resamples_rejected(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        assert main(["fit", str(out), "--resamples", "50"]) == 1
+        err = capsys.readouterr().err
+        assert "--resamples" in err and len(err.strip().splitlines()) == 1
+
+    def test_negative_resamples_rejected(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        assert main(["fit", str(out), "--resamples", "-3"]) == 1
+        assert "--resamples" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
+    def _edit_rows(self, path, edit):
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("s,sequence_index,survivals,shots,gate_digest\n") + 1
+        path.write_text("".join(lines[:body] + edit(lines[body:])))
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        out = self._make_dataset(tmp_path)
+        self._edit_rows(out, lambda rows: rows + rows[:3])
+        with pytest.raises(ValueError, match="more than once"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+
+    def test_shots_mismatch_rejected(self, tmp_path):
+        out = self._make_dataset(tmp_path)
+        def fewer_shots(rows):
+            s, index, survivals, _, digest = rows[0].split(",")
+            return [f"{s},{index},{min(int(survivals), 39)},39,{digest}"] + rows[1:]
+
+        self._edit_rows(out, fewer_shots)
+        with pytest.raises(ValueError, match="shots_per_sequence"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+
+    def test_length_outside_config_rejected(self, tmp_path):
+        out = self._make_dataset(tmp_path)
+        self._edit_rows(out, lambda rows: rows + ["99,0,20,40,000000000000\n"])
+        with pytest.raises(ValueError, match="not in the config"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+
 
 class TestOracleCommand:
     def test_prints_values(self, tmp_path, capsys):
@@ -269,3 +339,54 @@ class TestEndToEnd:
         with open(str(out) + ".fit.yaml") as fh:
             report = yaml.safe_load(fh)
         assert report["avg_fidelity"] == pytest.approx(0.98, abs=0.01)
+
+
+# SHA-256 of `mbqcrb run` output for small configs of every protocol and
+# Clifford mode, recorded before the Clifford table existed. Any change to
+# the random stream or to the state arithmetic shows up here; a change that
+# alters either on purpose must record new digests.
+GOLDEN_BASE = {
+    "lengths": [1, 2, 3, 5],
+    "sequences_per_length": 4,
+    "shots_per_sequence": 64,
+    "seed": 2016,
+    "noise": {"kind": "amplitude-damping", "strength": 0.03, "placement": "after-each-step"},
+    "noise_inv": {"kind": "depolarizing", "strength": 0.98, "placement": "after-each-gate-block"},
+    "instrument": {"bias": 0.1, "inject_randomness": False},
+    "spam": {"prep_shrink": 0.98, "effect_bias": 0.01},
+}
+GOLDEN_RUNS = {
+    "circuit": (
+        {"protocol": "circuit"},
+        "47bf670108916018f659e26b1342a4ece718c2d4923bbf5bc2c73dee653b0f06",
+    ),
+    "clifford-coset": (
+        {"protocol": "clifford-mbqc", "clifford_mode": "coset"},
+        "bb332e878436aa2f958bac7baab60544add0e4db421677dac846e2cdd5fa0dcf",
+    ),
+    "clifford-full": (
+        {"protocol": "clifford-mbqc", "clifford_mode": "full"},
+        "aca7c8836212417e9abb79be9089c169cb00f823881507befe08684546af0d88",
+    ),
+    "derandomized": (
+        {
+            "protocol": "derandomized-mbqc",
+            "design_phis": [0.25, 0.0],
+            "instrument": {"bias": 0.05, "inject_randomness": True},
+        },
+        "8c27aecfe96dc871376f4e109fa3d3a1562785c7ccf4be6442fa4791ed91dbf4",
+    ),
+}
+
+
+def golden_run_digest(tmp_path, name) -> str:
+    cfg_path = tmp_path / f"{name}.yaml"
+    write_sample_config(cfg_path, **{**GOLDEN_BASE, **GOLDEN_RUNS[name][0]})
+    out = tmp_path / f"{name}.csv"
+    assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_dataset_bytes(tmp_path, name):
+    assert golden_run_digest(tmp_path, name) == GOLDEN_RUNS[name][1]

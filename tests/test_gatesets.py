@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from mbqcrb.channels import H, I2, P, Unitary2, X, Z, frame_potential, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping
+from mbqcrb.channels import H, I2, P, Unitary2, X, Z, frame_potential, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
+    COSET_REP_WORDS,
+    OUTCOME_TRIPLES,
     VerificationError,
     angles_to_clifford,
     byproduct_bits,
     clifford_group,
     clifford_index,
+    clifford_table,
+    conjugation_bits,
     coset_reps,
     derandomized_design,
     element_from_outcomes,
@@ -20,7 +24,7 @@ from mbqcrb.gatesets import (
     verify_design_reference,
     word_to_unitary,
 )
-from mbqcrb.wire import step_unitary
+from mbqcrb.wire import block_unitary, frame_unitary, step_unitary
 
 HALF_PI = np.pi / 2
 
@@ -156,6 +160,68 @@ class TestByproductBits:
             byproduct_bits((4, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             byproduct_bits((0, 0, 0), (2, 0, 0))
+
+
+class TestCliffordTable:
+    def test_entries_match_matrix_computation(self):
+        group = clifford_group()
+        table = clifford_table()
+        for i, a in enumerate(group):
+            for j, b in enumerate(group):
+                assert table.product[i, j] == clifford_index(a.unitary @ b.unitary)
+            assert table.inverse[i] == clifford_index(a.unitary.dagger())
+            assert np.allclose(table.ptm[i], channel_from_unitary(a.unitary).ptm, atol=1e-12)
+            assert np.array_equal(table.frame_action[i], conjugation_bits(a.unitary))
+            for m, triple in enumerate(OUTCOME_TRIPLES):
+                # the realized block is the stored byproduct Pauli times the gate
+                realized = block_unitary(a.angles, triple)
+                predicted = frame_unitary(table.byproducts[i, m]) @ a.unitary
+                assert realized.equals_up_to_phase(predicted), (a.word, triple)
+                assert tuple(table.byproducts[i, m]) == byproduct_bits(a.quarter_turns, triple)
+        assert [group[k].word for k in table.coset_reps] == list(COSET_REP_WORDS)
+        for n in np.ndindex(4, 4, 4):
+            u = angles_to_clifford(tuple(k * HALF_PI for k in n))
+            assert table.triple_element[n] == clifford_index(u)
+        for fx in (0, 1):
+            for fz in (0, 1):
+                ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
+                assert np.array_equal(table.frame_ptm[fx, fz], ptm)
+
+    def test_sequence_inverse_folds_products(self, rng):
+        from mbqcrb.engine import sequence_inverse
+
+        group = clifford_group()
+        table = clifford_table()
+        for s in (1, 2, 7):
+            gates = rng.integers(0, 24, size=s)
+            expected = clifford_index(sequence_inverse([group[g].unitary for g in gates]))
+            assert table.sequence_inverse(gates) == expected
+
+    def test_arrays_are_read_only(self):
+        table = clifford_table()
+        with pytest.raises(ValueError):
+            table.product[0, 0] = 1
+        with pytest.raises(ValueError):
+            table.triple_element[0, 0, 0] = 1
+
+    def test_not_built_by_import_group_or_verify(self):
+        import os
+        import subprocess
+        import sys
+
+        import mbqcrb
+
+        # the child imports the same package as this test process
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
+        code = (
+            "import mbqcrb.cli as cli\n"
+            "cli.clifford_group(); cli.derandomized_design()\n"
+            "assert cli.main(['--quiet', 'verify']) == 0\n"
+            "from mbqcrb.gatesets import clifford_table\n"
+            "assert clifford_table.cache_info().currsize == 0\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
 
 
 class TestDerandomizedDesign:
