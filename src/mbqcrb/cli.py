@@ -104,17 +104,44 @@ def _checked_section(d, allowed: frozenset, where: str) -> dict:
     return d
 
 
+def _convert(kind, value, what: str):
+    """``kind(value)``, for a number of that kind.
+
+    Anything else, such as null, a list, a flag or a fractional count, would
+    raise a TypeError or be silently truncated; it is a config error.
+    """
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError):
+        converted = None
+    if converted is None or isinstance(value, bool) or (kind is int and converted != value):
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    return converted
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _convert_list(kind, value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(_convert(kind, x, f"{what} entry") for x in value)
+
+
 def _noise_from_dict(d: dict, where: str) -> NoiseModel:
     _checked_section(d, _NOISE_KEYS, where)
     kind = d.get("kind", "none")
-    parts = tuple(
-        _noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(d.get("parts", []))
-    )
+    parts = d.get("parts", [])
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError(f"{where} parts must be a list, got {parts!r}")
     return NoiseModel(
         kind=kind,
-        strength=float(d.get("strength", 0.0)),
+        strength=_convert(float, d.get("strength", 0.0), f"{where} strength"),
         placement=d.get("placement", "after-each-gate-block"),
-        parts=parts,
+        parts=tuple(_noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(parts)),
     )
 
 
@@ -151,27 +178,34 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
     instrument = _checked_section(d.get("instrument", {}), _INSTRUMENT_KEYS, "instrument")
     spam = _checked_section(d.get("spam", {}), _SPAM_KEYS, "spam")
+    output = d.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"output must be a file name, got {output!r}")
     rb = RBConfig(
         protocol=d["protocol"],
-        lengths=tuple(d["lengths"]),
-        sequences_per_length=int(d["sequences_per_length"]),
-        shots_per_sequence=int(d["shots_per_sequence"]),
+        lengths=_convert_list(int, d["lengths"], "lengths"),
+        sequences_per_length=_convert(int, d["sequences_per_length"], "sequences_per_length"),
+        shots_per_sequence=_convert(int, d["shots_per_sequence"], "shots_per_sequence"),
         noise=_noise_from_dict(d.get("noise", {"kind": "none"}), "noise"),
         noise_inv=_noise_from_dict(d["noise_inv"], "noise_inv") if "noise_inv" in d else None,
         instrument=InstrumentConfig(
-            bias=float(instrument.get("bias", 0.0)),
-            inject_randomness=bool(instrument.get("inject_randomness", False)),
+            bias=_convert(float, instrument.get("bias", 0.0), "instrument bias"),
+            inject_randomness=_flag(
+                instrument.get("inject_randomness", False), "instrument inject_randomness"
+            ),
         ),
         spam=SpamModel(
-            prep_shrink=float(spam.get("prep_shrink", 1.0)),
-            effect_bias=float(spam.get("effect_bias", 0.0)),
+            prep_shrink=_convert(float, spam.get("prep_shrink", 1.0), "spam prep_shrink"),
+            effect_bias=_convert(float, spam.get("effect_bias", 0.0), "spam effect_bias"),
         ),
-        seed=int(d.get("seed", 0)),
-        design_phis=tuple(float(x) * np.pi for x in d.get("design_phis", [0.0, 0.0])),
+        seed=_convert(int, d.get("seed", 0), "seed"),
+        design_phis=tuple(
+            x * np.pi for x in _convert_list(float, d.get("design_phis", [0.0, 0.0]), "design_phis")
+        ),
         clifford_mode=d.get("clifford_mode", "coset"),
     )
     return ExperimentConfig(
-        rb=rb, output=d.get("output"), verify_first=bool(d.get("verify_first", False))
+        rb=rb, output=output, verify_first=_flag(d.get("verify_first", False), "verify_first")
     )
 
 
@@ -226,17 +260,23 @@ def read_dataset(path: str) -> RBDataset:
         raise ValueError(f"{path} has no embedded config")
     config = config_from_dict(json.loads(meta["config"]))
     warnings = tuple(json.loads(meta.get("warnings", "[]")))
-    records = tuple(
-        SequenceRecord(
-            s=int(r[0]),
-            index=int(r[1]),
-            gate_indices=(),
-            survivals=int(r[2]),
-            shots=int(r[3]),
-            digest=r[4],
+    records = []
+    for k, r in enumerate(rows[1:], start=1):
+        if len(r) != len(_DATASET_FIELDS):
+            raise ValueError(
+                f"{path}: data row {k} ({','.join(r)}) has {len(r)} fields, "
+                f"expected {len(_DATASET_FIELDS)}"
+            )
+        records.append(
+            SequenceRecord(
+                s=int(r[0]),
+                index=int(r[1]),
+                gate_indices=(),
+                survivals=int(r[2]),
+                shots=int(r[3]),
+                digest=r[4],
+            )
         )
-        for r in rows[1:]
-    )
     rb = config.rb
     seen = set()
     for r in records:
@@ -250,7 +290,7 @@ def read_dataset(path: str) -> RBDataset:
             raise ValueError(
                 f"{where}: {r.shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
             )
-    return RBDataset(config=rb, records=records, warnings=warnings)
+    return RBDataset(config=rb, records=tuple(records), warnings=warnings)
 
 
 def write_fit_report(path: str, report: dict):

@@ -7,9 +7,13 @@ as one extra gate block), and the derandomized fixed-pattern protocol (five
 measurements per gate, realized elements read off the outcomes, inverse
 absorbed into a rotated final measurement).
 
-Sampling is vectorized over shots; exact enumeration sums every sequence and
-outcome branch at small lengths and doubles as the oracle for the sampled
-paths.
+A measured block's channel depends only on its gate and outcome pattern, so
+both wire protocols read it from one table of block PTMs per noise model,
+indexed by (gate, outcome index) and shared with the exact oracles. The wire
+samplers run whole items of one length together, every shot a row, and
+advance all rows one block column at a time by a gather from that table.
+Exact enumeration sums every sequence and outcome branch at small lengths and
+doubles as the oracle for the sampled paths.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .channels import (
     plus_state,
     survival_effect,
     _PAULIS,
+    _frozen,
 )
 from .gatesets import (
     OUTCOME_TRIPLES,
@@ -198,8 +203,85 @@ def sequence_inverse(realized: list[Unitary2]) -> Unitary2:
 
 
 # ---------------------------------------------------------------------------
-# sampled protocol runners (vectorized over shots)
+# measured-block table
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _step_ptm(theta: float, m: int, noise: NoiseModel) -> np.ndarray:
+    """PTM of one wire step, followed by the noise when it is placed after each step."""
+    ptm = channel_from_unitary(step_unitary(theta, m)).ptm
+    if (not noise.trivial) and noise.placement == AFTER_EACH_STEP:
+        ptm = noise.realize(theta, m).ptm @ ptm
+    return ptm
+
+
+def _block_chain_ptm(angles, outcomes, noise: NoiseModel) -> np.ndarray:
+    """PTM of one measured gate block, mirroring the wire-step semantics."""
+    ptm = np.eye(4)
+    for theta, bit in zip(angles, outcomes):
+        ptm = _step_ptm(theta, bit, noise) @ ptm
+    if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
+        ptm = noise.realize(tuple(angles), tuple(outcomes)).ptm @ ptm
+    return ptm
+
+
+@lru_cache(maxsize=32)
+def _block_table(patterns: tuple[tuple[float, ...], ...], noise: NoiseModel) -> np.ndarray:
+    """Every measured block's PTM, flat over (pattern, outcome index).
+
+    Row ``k * 2**q + m`` is the block of angle pattern ``patterns[k]`` whose
+    q outcomes spell m, the first outcome most significant.
+    """
+    q = len(patterns[0])
+    return _frozen(
+        [
+            _block_chain_ptm(angles, outcomes, noise)
+            for angles in patterns
+            for outcomes in itertools.product((0, 1), repeat=q)
+        ]
+    )
+
+
+def _clifford_blocks(noise: NoiseModel) -> np.ndarray:
+    """Block PTMs of the 24 Clifford rows, indexed [g, outcome index]."""
+    patterns = tuple(e.angles for e in clifford_group())
+    return _block_table(patterns, noise).reshape(24, len(OUTCOME_TRIPLES), 4, 4)
+
+
+def _design_blocks(noise: NoiseModel, phis: tuple[float, float]) -> np.ndarray:
+    """Block PTMs of the derandomized pattern, indexed by outcome index."""
+    return _block_table((_cached_design(phis).angles,), noise)
+
+
+@lru_cache(maxsize=8)
+def _cached_design(phis: tuple[float, float]) -> DerandomizedDesign:
+    return derandomized_design(*phis)
+
+
+def _ptm_batch(mats: np.ndarray) -> np.ndarray:
+    """PTMs of a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4, 4)."""
+    out = np.empty((len(mats), 4, 4))
+    step = _CHUNK_ENTRIES // 16  # the contraction holds 4 x 2 x 2 complex entries per row
+    for start in range(0, len(mats), step):
+        chunk = mats[start : start + step]
+        conj = np.einsum("sab,jbc,sdc->sjad", chunk, _PAULIS, chunk.conj(), optimize=True)
+        out[start : start + step] = np.real(np.einsum("iab,sjba->sij", _PAULIS, conj)) / 2.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sampled protocol runners
+# ---------------------------------------------------------------------------
+
+# Rows (items x shots) a wire batch may hold. Batches take whole items, so
+# an item with more shots than this runs alone.
+_ROW_BUDGET = 1 << 14
+
+# Array entries in the temporaries of one chunk of random draws or PTMs.
+# Large temporaries, once freed, let the allocator keep far more memory
+# resident than the run ever holds at once.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
@@ -207,36 +289,29 @@ def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-@lru_cache(maxsize=4096)
-def _step_ptm(theta: float, m: int, noise: NoiseModel, per_step: bool) -> np.ndarray:
-    ptm = channel_from_unitary(step_unitary(theta, m)).ptm
-    if per_step:
-        ptm = noise.realize(theta, m).ptm @ ptm
-    return ptm
-
-
-def _apply_block_noise(states, noise: NoiseModel, angles, mbits) -> np.ndarray:
-    """Apply block-placed noise, grouping shots when it depends on outcomes."""
-    if noise.dependence is None:
-        return states @ noise.base_channel().ptm.T
-    for pattern in np.unique(mbits, axis=0):
-        mask = (mbits == pattern).all(axis=1)
-        ptm = noise.realize(tuple(angles), tuple(int(b) for b in pattern)).ptm
-        states[mask] = states[mask] @ ptm.T
-    return states
+def _coins(rng, shots: int, nsteps: int, p: float) -> np.ndarray:
+    """``rng.random((shots, nsteps)) < p``, drawing the same stream in row chunks."""
+    out = np.empty((shots, nsteps), dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // nsteps)
+    for start in range(0, shots, step):
+        out[start : start + step] = rng.random((min(step, shots - start), nsteps)) < p
+    return out
 
 
 def _outcome_bits(rng, shots, nsteps, instrument: InstrumentConfig) -> np.ndarray:
-    raw = rng.random((shots, nsteps)) < 0.5 + instrument.bias
+    raw = _coins(rng, shots, nsteps, 0.5 + instrument.bias)
     if instrument.inject_randomness:
-        raw = raw ^ (rng.random((shots, nsteps)) < 0.5)
+        raw ^= _coins(rng, shots, nsteps, 0.5)
     return raw
 
 
 def _outcome_index(mbits: np.ndarray) -> np.ndarray:
-    """Each row of outcome bits as an integer, the first outcome most significant."""
-    q = mbits.shape[1]
-    return mbits.astype(np.int64) @ (1 << np.arange(q - 1, -1, -1))
+    """Outcome bits along the last axis as an integer, the first outcome most significant."""
+    index = np.zeros(mbits.shape[:-1], dtype=np.int64)
+    for k in range(mbits.shape[-1]):
+        index <<= 1
+        index |= mbits[..., k]
+    return index
 
 
 def _digest(array) -> str:
@@ -273,109 +348,134 @@ def _run_circuit_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
     )
 
 
-def _run_clifford_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
-    rng = _item_rng(cfg.seed, cfg.protocol, s, i)
-    group = clifford_group()
-    table = clifford_table()
-    gates = _draw_gate_indices(s, cfg.clifford_mode, rng)
-    blocks = [*gates, table.sequence_inverse(gates)]
-    noises = [cfg.noise] * s + [cfg.resolved_noise_inv()]
+@dataclass(frozen=True)
+class _WireSetup:
+    """The parts of a wire run that depend only on its config.
 
-    shots = cfg.shots_per_sequence
-    bits = _outcome_bits(rng, shots, 3 * (s + 1), cfg.instrument)
-    born = rng.random(shots)
+    Clifford frames are coded 2 fx + fz; ``frames[k, f]`` is the frame after
+    the block in row k of ``blocks`` when f was the frame before.
+    """
 
-    states = np.tile(cfg.spam.prep().bloch, (shots, 1))
-    fx = np.zeros(shots, dtype=np.int64)
-    fz = np.zeros(shots, dtype=np.int64)
-    for col, (g, noise) in enumerate(zip(blocks, noises)):
-        element = group[g]
-        per_step = (not noise.trivial) and noise.placement == AFTER_EACH_STEP
-        mcols = bits[:, 3 * col : 3 * col + 3]
-        for k, theta in enumerate(element.angles):
-            m0 = _step_ptm(theta, 0, noise, per_step)
-            m1 = _step_ptm(theta, 1, noise, per_step)
-            states = np.where(mcols[:, k : k + 1], states @ m1.T, states @ m0.T)
-        if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
-            states = _apply_block_noise(states, noise, element.angles, mcols)
-        fx, fz = table.next_frame(g, _outcome_index(mcols), fx, fz)
-    for gx, gz in np.ndindex(2, 2):
-        mask = (fx == gx) & (fz == gz)
-        if mask.any():
-            states[mask] = states[mask] @ table.frame_ptm[gx, gz].T
-    probs = np.clip(states @ cfg.spam.effect().bloch_coeffs, 0.0, 1.0)
-    survivals = int((born < probs).sum())
-    return SequenceRecord(
-        s=s,
-        index=i,
-        gate_indices=tuple(int(g) for g in gates),
-        survivals=survivals,
-        shots=shots,
-        digest=_digest(gates),
-    )
+    q: int  # measurements per gate block
+    blocks: np.ndarray  # flat block-PTM table the kernel gathers from
+    prep: np.ndarray
+    readout: np.ndarray  # effect after the last block (Clifford: one per final frame)
+    frames: np.ndarray | None = None  # Clifford only
+    elements: np.ndarray | None = None  # derandomized only: design elements by outcome index
 
 
-def _ptm_batch(mats: np.ndarray) -> np.ndarray:
-    """PTMs of a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4, 4)."""
-    conj = np.einsum("sab,jbc,sdc->sjad", mats, _PAULIS, mats.conj())
-    return np.real(np.einsum("iab,sjba->sij", _PAULIS, conj)) / 2.0
-
-
-def _run_derandomized_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
-    rng = _item_rng(cfg.seed, cfg.protocol, s, i)
-    design = _cached_design(cfg.design_phis)
-    element_mats = np.stack([u.matrix for u in design.elements])
-
-    shots = cfg.shots_per_sequence
-    bits = _outcome_bits(rng, shots, 5 * s, cfg.instrument)
-    born = rng.random(shots)
-
-    states = np.tile(cfg.spam.prep().bloch, (shots, 1))
-    totals = np.tile(np.eye(2, dtype=complex), (shots, 1, 1))
-    realized = np.zeros((shots, s), dtype=np.int64)
-    per_step = (not cfg.noise.trivial) and cfg.noise.placement == AFTER_EACH_STEP
-    col = 0
-    for j in range(s):
-        mcols = bits[:, col : col + 5]
-        col += 5
-        for k, theta in enumerate(design.angles):
-            m0 = _step_ptm(theta, 0, cfg.noise, per_step)
-            m1 = _step_ptm(theta, 1, cfg.noise, per_step)
-            states = np.where(mcols[:, k : k + 1], states @ m1.T, states @ m0.T)
-        if (not cfg.noise.trivial) and cfg.noise.placement == AFTER_EACH_GATE_BLOCK:
-            states = _apply_block_noise(states, cfg.noise, design.angles, mcols)
-        idx = _outcome_index(mcols)
-        realized[:, j] = idx
-        totals = element_mats[idx] @ totals
-
-    # inverse via a rotated final measurement on the tracked product
-    rot = _ptm_batch(np.conj(np.transpose(totals, (0, 2, 1))))
-    states = np.einsum("sij,sj->si", rot, states)
+def _wire_setup(cfg: RBConfig) -> _WireSetup:
+    prep = cfg.spam.prep().bloch
+    effect = cfg.spam.effect().bloch_coeffs
+    if cfg.protocol == "clifford-mbqc":
+        # gate blocks, then inverse blocks with their own noise; the final
+        # frame's PTM folds into the effect
+        table = clifford_table()
+        blocks = np.concatenate(
+            [_clifford_blocks(cfg.noise), _clifford_blocks(cfg.resolved_noise_inv())]
+        )
+        m, fx, fz = np.ix_(range(len(OUTCOME_TRIPLES)), (0, 1), (0, 1))
+        frames = [2 * nfx + nfz for nfx, nfz in (table.next_frame(g, m, fx, fz) for g in range(24))]
+        return _WireSetup(
+            q=3,
+            blocks=blocks.reshape(-1, 4, 4),
+            prep=prep,
+            readout=(effect @ table.frame_ptm).reshape(4, 4),
+            frames=np.tile(np.reshape(frames, (-1, 4)), (2, 1)),  # both halves of blocks
+        )
     dinv = cfg.resolved_noise_inv()
-    if not dinv.trivial:
-        states = states @ dinv.realize().ptm.T
-    probs = np.clip(states @ cfg.spam.effect().bloch_coeffs, 0.0, 1.0)
-    survivals = int((born < probs).sum())
-    return SequenceRecord(
-        s=s,
-        index=i,
-        gate_indices=(),
-        survivals=survivals,
-        shots=shots,
-        digest=_digest(realized),
+    return _WireSetup(
+        q=5,
+        blocks=_design_blocks(cfg.noise, cfg.design_phis),
+        prep=prep,
+        readout=effect if dinv.trivial else effect @ dinv.realize().ptm,
+        elements=np.stack([u.matrix for u in _cached_design(cfg.design_phis).elements]),
     )
 
 
-@lru_cache(maxsize=8)
-def _cached_design(phis: tuple[float, float]) -> DerandomizedDesign:
-    return derandomized_design(*phis)
+def _block_kernel(prep: np.ndarray, blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bloch vector of each row after one measured block per column of ``index``.
+
+    ``index[r, j]`` picks row r's block in column j from the flat table
+    ``blocks``: one gather and one batched matvec per column.
+    """
+    states = np.broadcast_to(prep, (len(index), 4))
+    for col in index.T:
+        states = np.einsum("rij,rj->ri", blocks.take(col, axis=0), states)
+    return states
 
 
-_RUNNERS = {
-    "circuit": _run_circuit_item,
-    "clifford-mbqc": _run_clifford_item,
-    "derandomized-mbqc": _run_derandomized_item,
-}
+def _design_products(elements: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Each row's product of realized design elements, the first applied first.
+
+    The batched 2x2 complex product is written out entry by entry, which is
+    several times faster than matmul on stacks of 2x2 matrices.
+    """
+    e00, e01, e10, e11 = (elements[:, i, j] for i in (0, 1) for j in (0, 1))
+    one, zero = np.ones(len(outcomes), dtype=complex), np.zeros(len(outcomes), dtype=complex)
+    t00, t01, t10, t11 = one, zero, zero, one
+    for m in outcomes.T:
+        a, b, c, d = e00[m], e01[m], e10[m], e11[m]
+        t00, t01, t10, t11 = (
+            a * t00 + b * t10, a * t01 + b * t11, c * t00 + d * t10, c * t01 + d * t11
+        )
+    return np.stack([t00, t01, t10, t11], axis=-1).reshape(-1, 2, 2)
+
+
+def _run_wire_batch(cfg: RBConfig, setup: _WireSetup, s: int, items) -> list[SequenceRecord]:
+    """Records of whole wire items at length ``s``, their shots simulated as rows.
+
+    Each item draws from its own stream in a fixed order (gates, outcome
+    bits, injection coins, Born coins), so its record does not depend on
+    which other items share the batch.
+    """
+    clifford = cfg.protocol == "clifford-mbqc"
+    nblocks = s + 1 if clifford else s  # the Clifford inverse is a block too
+    shots = cfg.shots_per_sequence
+    gates, bits, born = [], [], []
+    for i in items:
+        rng = _item_rng(cfg.seed, cfg.protocol, s, i)
+        if clifford:
+            gates.append(_draw_gate_indices(s, cfg.clifford_mode, rng))
+        bits.append(_outcome_bits(rng, shots, setup.q * nblocks, cfg.instrument))
+        born.append(rng.random(shots))
+    outcomes = _outcome_index(np.concatenate(bits).reshape(-1, nblocks, setup.q))
+
+    if clifford:
+        gates = np.array(gates)
+        sequences = np.column_stack([gates, clifford_table().sequence_inverse(gates)])
+        # row of each shot's block in setup.blocks: gate * 2**q + outcome index,
+        # in the second half (the inverse's noise) for the inverse block
+        index = outcomes
+        index += np.repeat(sequences << setup.q, shots, axis=0)
+        index[:, -1] += len(setup.blocks) // 2
+        states = _block_kernel(setup.prep, setup.blocks, index)
+        frame = np.zeros(len(index), dtype=np.int64)
+        for col in index.T:
+            frame = setup.frames[col, frame]
+        readout = setup.readout[frame]
+        digests = [_digest(g) for g in gates]
+    else:
+        # the inverse is a rotated final measurement on the tracked product
+        states = _block_kernel(setup.prep, setup.blocks, outcomes)
+        totals = _design_products(setup.elements, outcomes)
+        rot = _ptm_batch(np.conj(np.transpose(totals, (0, 2, 1))))
+        readout = setup.readout @ rot
+        digests = [_digest(realized) for realized in np.split(outcomes, len(items))]
+
+    probs = np.clip(np.einsum("ri,ri->r", readout, states), 0.0, 1.0)
+    survivals = (np.concatenate(born) < probs).reshape(len(items), shots).sum(axis=1)
+    return [
+        SequenceRecord(
+            s=s,
+            index=i,
+            gate_indices=tuple(int(g) for g in gates[k]) if clifford else (),
+            survivals=int(survivals[k]),
+            shots=shots,
+            digest=digests[k],
+        )
+        for k, i in enumerate(items)
+    ]
 
 
 def run_protocol(config: RBConfig) -> RBDataset:
@@ -395,10 +495,18 @@ def run_protocol(config: RBConfig) -> RBDataset:
     ):
         warnings = (_BIAS_WARNING,)
 
-    runner = _RUNNERS[config.protocol]
-    records = [
-        runner(config, s, i) for s in config.lengths for i in range(config.sequences_per_length)
-    ]
+    n = config.sequences_per_length
+    if config.protocol == "circuit":
+        records = [_run_circuit_item(config, s, i) for s in config.lengths for i in range(n)]
+    else:
+        setup = _wire_setup(config)
+        per_batch = max(1, _ROW_BUDGET // config.shots_per_sequence)
+        records = [
+            record
+            for s in config.lengths
+            for start in range(0, n, per_batch)
+            for record in _run_wire_batch(config, setup, s, range(start, min(n, start + per_batch)))
+        ]
     return RBDataset(config=config, records=tuple(records), warnings=warnings)
 
 
@@ -431,19 +539,6 @@ class ExactSequenceFidelity:
 
     enumerated: float
     analytic: float
-
-
-def _block_chain_ptm(angles, outcomes, noise: NoiseModel) -> np.ndarray:
-    """PTM of one measured gate block, mirroring the wire-step semantics."""
-    ptm = np.eye(4)
-    per_step = (not noise.trivial) and noise.placement == AFTER_EACH_STEP
-    for theta, bit in zip(angles, outcomes):
-        ptm = channel_from_unitary(step_unitary(theta, bit)).ptm @ ptm
-        if per_step:
-            ptm = noise.realize(theta, bit).ptm @ ptm
-    if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
-        ptm = noise.realize(tuple(angles), tuple(outcomes)).ptm @ ptm
-    return ptm
 
 
 def _outcome_weight(outcomes, bias: float) -> float:
@@ -482,15 +577,10 @@ def _enumerate_clifford_wire(s, noise, noise_inv, bias, mode, prep, effect) -> f
     are summed per class, which is exact because the inverse block and the
     final rotation depend on the branch only through that pair.
     """
-    group = clifford_group()
     table = clifford_table()
-    pool = table.coset_reps if mode == "coset" else range(len(group))
+    pool = table.coset_reps if mode == "coset" else range(24)
     weights = [_outcome_weight(m, bias) for m in OUTCOME_TRIPLES]
-    block_ptm = {
-        (g, m): _block_chain_ptm(group[g].angles, triple, noise)
-        for g in pool
-        for m, triple in enumerate(OUTCOME_TRIPLES)
-    }
+    block_ptm = _clifford_blocks(noise)
 
     acc = {(0, 0, 0): np.eye(4)}
     inv_pool = 1.0 / len(pool)
@@ -509,11 +599,7 @@ def _enumerate_clifford_wire(s, noise, noise_inv, bias, mode, prep, effect) -> f
                         nxt[key] = term
         acc = nxt
 
-    inv_block_ptm = {
-        (g, m): _block_chain_ptm(group[g].angles, triple, noise_inv)
-        for g in {int(table.inverse[v]) for v, _, _ in acc}
-        for m, triple in enumerate(OUTCOME_TRIPLES)
-    }
+    inv_block_ptm = _clifford_blocks(noise_inv)
 
     total = 0.0
     for (v, fx, fz), mat in acc.items():
@@ -528,7 +614,7 @@ def _enumerate_derandomized(s, noise, noise_inv, bias, phis, prep, effect) -> fl
     """Average over all outcome strings of the fixed five-angle pattern."""
     design = _cached_design(tuple(phis))
     quints = list(itertools.product((0, 1), repeat=5))
-    block_ptms = np.stack([_block_chain_ptm(design.angles, m, noise) for m in quints])
+    block_ptms = _design_blocks(noise, tuple(phis))
     element_mats = np.stack([u.matrix for u in design.elements])
     weights = np.array([_outcome_weight(m, bias) for m in quints])
 

@@ -337,12 +337,12 @@ class CliffordTable:
     triple_element: np.ndarray
     frame_ptm: np.ndarray  # [fx, fz]: PTM of X^fx Z^fz
 
-    def sequence_inverse(self, indices) -> int:
-        """Element undoing the gates ``indices``, the first applied first."""
+    def sequence_inverse(self, indices):
+        """Element undoing the gates along the last axis of ``indices``, the first applied first."""
         v = 0
-        for g in indices:
+        for g in np.asarray(indices).T:
             v = self.product[g, v]
-        return int(self.inverse[v])
+        return self.inverse[v]
 
     def next_frame(self, g, m, fx, fz):
         """Frame after row g's block with outcome index (or indices) ``m``."""

@@ -196,6 +196,35 @@ class TestRunCommand:
             assert "strenght" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"lengths": 5}, "lengths"),
+            ({"lengths": [1, None]}, "lengths entry"),
+            ({"sequences_per_length": None}, "sequences_per_length"),
+            ({"shots_per_sequence": "many"}, "shots_per_sequence"),
+            ({"noise": {"kind": "depolarizing", "strength": None}}, "noise strength"),
+            ({"noise": {"kind": "composite", "parts": 3}}, "noise parts"),
+            ({"design_phis": [None, 0.0]}, "design_phis entry"),
+            ({"sequences_per_length": 2.5}, "sequences_per_length"),
+            ({"noise": {"kind": "depolarizing", "strength": True}}, "noise strength"),
+            ({"instrument": {"inject_randomness": "false"}}, "instrument inject_randomness"),
+            ({"output": 5}, "output"),
+        ],
+        ids=[
+            "lengths", "length-entry", "sequences", "shots", "strength", "parts", "phis",
+            "fractional-count", "flag-as-number", "string-flag", "output",
+        ],
+    )
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, overrides, key):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, **overrides)
+        out = tmp_path / "ds.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and key in err
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -283,6 +312,15 @@ class TestFitCommand:
         with pytest.raises(ValueError, match="more than once"):
             read_dataset(str(out))
         assert main(["fit", str(out), "--resamples", "0"]) == 1
+
+    @pytest.mark.parametrize("row", ["2,1,10", "2,1,10,40,000000000000,7"])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, capsys, row):
+        out = self._make_dataset(tmp_path)
+        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
+        with pytest.raises(ValueError, match=rf"data row 2 \({row}\) has \d fields, expected 5"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err.startswith("invalid dataset: ")
 
     def test_shots_mismatch_rejected(self, tmp_path):
         out = self._make_dataset(tmp_path)

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from mbqcrb import engine
 from mbqcrb.channels import I2, Unitary2, plus_state
 from mbqcrb.engine import (
     RBConfig,
@@ -13,6 +16,7 @@ from mbqcrb.engine import (
     run_protocol,
     sequence_fidelity_estimate,
     sequence_inverse,
+    _ROW_BUDGET,
     _outcome_bits,
 )
 from mbqcrb.gatesets import (
@@ -227,6 +231,46 @@ class TestRunProtocolStatistics:
         counts = np.bincount(idx, minlength=32)
         sigma = np.sqrt(n * (1 / 32) * (31 / 32))
         assert np.all(np.abs(counts - n / 32) < 3 * sigma)
+
+
+class TestRecordsIndependentOfBatching:
+    """Each record depends only on the seed, its length and its index."""
+
+    @pytest.mark.parametrize("shots", [50, _ROW_BUDGET // 3 + 1], ids=["one-batch", "many-batches"])
+    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
+    def test_first_records_equal_for_more_sequences(self, protocol, shots):
+        k = 3
+        base = dict(
+            protocol=protocol,
+            lengths=(1, 4),
+            shots_per_sequence=shots,
+            noise=DEP,
+            instrument=InstrumentConfig(bias=0.1, inject_randomness=True),
+            seed=61,
+        )
+        few = run_protocol(RBConfig(sequences_per_length=k, **base))
+        many = run_protocol(RBConfig(sequences_per_length=3 * k, **base))
+        for s in base["lengths"]:
+            assert [r for r in few.records if r.s == s] == [r for r in many.records if r.s == s][:k]
+        alone = run_protocol(RBConfig(sequences_per_length=k, **{**base, "lengths": (4,)}))
+        assert alone.records == tuple(r for r in few.records if r.s == 4)
+
+    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
+    def test_records_equal_for_any_row_budget(self, protocol, monkeypatch):
+        cfg = RBConfig(
+            protocol=protocol,
+            lengths=(2, 5),
+            sequences_per_length=5,
+            shots_per_sequence=40,
+            noise=DEP,
+            instrument=InstrumentConfig(bias=0.1, inject_randomness=True),
+            seed=67,
+        )
+        whole_lengths = run_protocol(cfg).records
+        # one item per batch; three items per batch, the last batch short
+        for budget in (1, 120):
+            monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
+            assert run_protocol(cfg).records == whole_lengths, budget
 
 
 class TestSequenceFidelityEstimate:
@@ -471,3 +515,70 @@ class TestSampledRunnerAgainstScalarWire:
                 p = survival_probability(run, frame_unitary(run.pauli_frame))
                 sigma = np.sqrt(max(p * (1 - p), 1e-12) / 500)
                 assert abs(record.survivals / record.shots - p) < max(4 * sigma, 1e-9)
+
+
+# Outcome-dependent noise cannot be written to a config file, so the CLI
+# goldens never reach it. These SHA-256 digests of run_protocol records were
+# recorded with the per-shot, step-by-step runner, before measured blocks
+# became a shared (gate, outcome) table; they pin that the table folds both
+# kinds of dependence in exactly as the step-by-step simulation did.
+def _block_dependence(angles, outcomes):
+    """Damping that grows with the 1 outcomes and the block's total angle."""
+    strength = 0.01 * (1 + sum(outcomes)) + 0.002 * float(sum(angles))
+    return NoiseModel(kind="amplitude-damping", strength=strength)
+
+
+def _step_dependence(theta, m):
+    """Damping after a 1 outcome, an angle-dependent overrotation after a 0."""
+    if m:
+        return NoiseModel(kind="amplitude-damping", strength=0.04)
+    return NoiseModel(kind="unitary-overrotation", strength=0.05 * (1.0 + theta))
+
+
+DEPENDENCE_NOISE = {
+    "block": NoiseModel(dependence=_block_dependence),
+    "step": NoiseModel(placement=AFTER_EACH_STEP, dependence=_step_dependence),
+}
+DEPENDENCE_RUNS = {
+    "clifford-coset": dict(protocol="clifford-mbqc", clifford_mode="coset"),
+    "clifford-full": dict(protocol="clifford-mbqc", clifford_mode="full"),
+    "derandomized": dict(
+        protocol="derandomized-mbqc",
+        design_phis=(0.25 * np.pi, 0.0),
+        instrument=InstrumentConfig(bias=0.05, inject_randomness=True),
+    ),
+}
+DEPENDENCE_GOLDEN = {
+    "clifford-coset/block": "bb52d6d68a6554a5a8d1d3cc9668cbd213b623e5aab4da5184ab755db255d53e",
+    "clifford-coset/step": "1f9bb2477968bb493467f53098d9079d527e3bd6e25d9b89127fc6750f107758",
+    "clifford-full/block": "58b4189649dea38da8be2b044d9d978fb418a84f53b38c81bc0545fab8643a70",
+    "clifford-full/step": "2b7e172745a24fdb4a94f81dc43d9406d4e4a42b481a16aad14b77f09a82b8b4",
+    "derandomized/block": "296ee86d38e6734caf3bf7c90fb688acdba77135a3f2ebf93d21d1aa5721f8c7",
+    "derandomized/step": "29d63ca1ab17c94f5cbc3931957c7cc29377ac8906f60aafed3391fdc42a8add",
+}
+
+
+def records_digest(dataset) -> str:
+    rows = [
+        [r.s, r.index, list(r.gate_indices), r.survivals, r.shots, r.digest]
+        for r in dataset.records
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("noise", sorted(DEPENDENCE_NOISE))
+@pytest.mark.parametrize("run", sorted(DEPENDENCE_RUNS))
+def test_dependence_noise_golden_records(run, noise):
+    settings = {
+        "lengths": (1, 2, 3, 5),
+        "sequences_per_length": 4,
+        "shots_per_sequence": 64,
+        "noise": DEPENDENCE_NOISE[noise],
+        "noise_inv": NoiseModel(kind="depolarizing", strength=0.98),
+        "instrument": InstrumentConfig(bias=0.1),
+        "spam": SpamModel(prep_shrink=0.98, effect_bias=0.01),
+        "seed": 2016,
+        **DEPENDENCE_RUNS[run],
+    }
+    digest = records_digest(run_protocol(RBConfig(**settings)))
+    assert digest == DEPENDENCE_GOLDEN[f"{run}/{noise}"]
