@@ -267,14 +267,18 @@ def read_dataset(path: str) -> RBDataset:
                 f"{path}: data row {k} ({','.join(r)}) has {len(r)} fields, "
                 f"expected {len(_DATASET_FIELDS)}"
             )
+        counts = []
+        for name, text in zip(_DATASET_FIELDS[:4], r):
+            try:
+                counts.append(int(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: data row {k} ({','.join(r)}) field {name} is not an integer: {text!r}"
+                ) from None
+        s, index, survivals, shots = counts
         records.append(
             SequenceRecord(
-                s=int(r[0]),
-                index=int(r[1]),
-                gate_indices=(),
-                survivals=int(r[2]),
-                shots=int(r[3]),
-                digest=r[4],
+                s=s, index=index, gate_indices=(), survivals=survivals, shots=shots, digest=r[4]
             )
         )
     rb = config.rb
@@ -494,24 +498,25 @@ def cmd_oracle(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     rb = config.rb
+    lengths = rb.lengths if args.length is None else (args.length,)
+    options = dict(
+        noise=rb.noise,
+        spam=rb.spam,
+        noise_inv=rb.noise_inv,
+        bias=rb.instrument.outcome_bias,
+        clifford_mode=rb.clifford_mode,
+        design_phis=rb.design_phis,
+    )
     try:
-        exact = exact_sequence_fidelity(
-            rb.protocol,
-            args.length,
-            noise=rb.noise,
-            spam=rb.spam,
-            noise_inv=rb.noise_inv,
-            bias=rb.instrument.bias,
-            clifford_mode=rb.clifford_mode,
-            design_phis=rb.design_phis,
-        )
+        results = [(s, exact_sequence_fidelity(rb.protocol, s, **options)) for s in lengths]
     except ValueError as exc:
-        print(f"cannot enumerate: {exc}", file=sys.stderr)
+        print(f"cannot evaluate the oracle: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"protocol: {rb.protocol}")
-    print(f"s: {args.length}")
-    print(f"enumerated: {exact.enumerated!r}")
-    print(f"analytic: {exact.analytic!r}")
+    for s, exact in results:
+        print(f"s: {s}")
+        print(f"enumerated: {exact.enumerated!r}")
+        print(f"analytic: {exact.analytic!r}")
     return EXIT_OK
 
 
@@ -542,9 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.set_defaults(func=cmd_fit)
 
-    p_oracle = sub.add_parser("oracle", help="exact sequence fidelity at small length")
+    p_oracle = sub.add_parser("oracle", help="exact sequence fidelity at any length")
     p_oracle.add_argument("--config", required=True, help="YAML experiment config")
-    p_oracle.add_argument("--length", type=int, required=True, help="sequence length")
+    p_oracle.add_argument(
+        "--length", type=int, default=None, help="sequence length (default: every configured length)"
+    )
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -12,8 +12,10 @@ both wire protocols read it from one table of block PTMs per noise model,
 indexed by (gate, outcome index) and shared with the exact oracles. The wire
 samplers run whole items of one length together, every shot a row, and
 advance all rows one block column at a time by a gather from that table.
-Exact enumeration sums every sequence and outcome branch at small lengths and
-doubles as the oracle for the sampled paths.
+Because outcomes are drawn independently block by block, the exact average
+over sequences and outcomes is a linear recursion, F(s) = readout . M^s x0,
+for a small transfer operator M per protocol; it gives the exact oracle for
+the sampled paths at every length.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ PROTOCOLS = ("circuit", "clifford-mbqc", "derandomized-mbqc")
 _PROTOCOL_TAGS = {name: k for k, name in enumerate(PROTOCOLS)}
 
 CLIFFORD_MODES = ("coset", "full")
-
-ENUMERATION_LIMITS = {"circuit": 4, "clifford-mbqc": 4, "derandomized-mbqc": 3}
 
 _BIAS_WARNING = "derandomized outcomes are biased and randomness injection is off"
 
@@ -364,6 +364,17 @@ class _WireSetup:
     elements: np.ndarray | None = None  # derandomized only: design elements by outcome index
 
 
+def _frame_steps() -> np.ndarray:
+    """Clifford frame after each block, ``[g * 8 + m, f]``, frames coded 2 fx + fz.
+
+    Row g * 8 + m is row g's block with outcome index m; f is the frame before it.
+    """
+    table = clifford_table()
+    m, fx, fz = np.ix_(range(len(OUTCOME_TRIPLES)), (0, 1), (0, 1))
+    steps = [table.next_frame(g, m, fx, fz) for g in range(24)]
+    return np.reshape([2 * nfx + nfz for nfx, nfz in steps], (-1, 4))
+
+
 def _wire_setup(cfg: RBConfig) -> _WireSetup:
     prep = cfg.spam.prep().bloch
     effect = cfg.spam.effect().bloch_coeffs
@@ -374,14 +385,12 @@ def _wire_setup(cfg: RBConfig) -> _WireSetup:
         blocks = np.concatenate(
             [_clifford_blocks(cfg.noise), _clifford_blocks(cfg.resolved_noise_inv())]
         )
-        m, fx, fz = np.ix_(range(len(OUTCOME_TRIPLES)), (0, 1), (0, 1))
-        frames = [2 * nfx + nfz for nfx, nfz in (table.next_frame(g, m, fx, fz) for g in range(24))]
         return _WireSetup(
             q=3,
             blocks=blocks.reshape(-1, 4, 4),
             prep=prep,
             readout=(effect @ table.frame_ptm).reshape(4, 4),
-            frames=np.tile(np.reshape(frames, (-1, 4)), (2, 1)),  # both halves of blocks
+            frames=np.tile(_frame_steps(), (2, 1)),  # both halves of blocks
         )
     dinv = cfg.resolved_noise_inv()
     return _WireSetup(
@@ -488,11 +497,7 @@ def run_protocol(config: RBConfig) -> RBDataset:
     if not isinstance(config, RBConfig):
         raise ValueError("config must be an RBConfig")
     warnings = ()
-    if (
-        config.protocol == "derandomized-mbqc"
-        and config.instrument.bias != 0.0
-        and not config.instrument.inject_randomness
-    ):
+    if config.protocol == "derandomized-mbqc" and config.instrument.outcome_bias != 0.0:
         warnings = (_BIAS_WARNING,)
 
     n = config.sequences_per_length
@@ -528,109 +533,113 @@ def sequence_fidelity_estimate(dataset: RBDataset, s: int) -> tuple[float, float
 
 @dataclass(frozen=True)
 class ExactSequenceFidelity:
-    """Exact sequence fidelity: full enumeration and the decay-model value.
+    """Exact sequence fidelity and the decay-model value.
 
     ``enumerated`` averages the survival probability over every sequence and
     (for the wire protocols) every outcome string at its probability.
-    ``analytic`` evaluates the gate-independent decay model
-    A0 p^s + B0 built from the twirled noise; the two agree when the noise is
-    gate independent.
+    ``analytic`` evaluates the gate-independent decay model A0 p^s + B0
+    built from the twirled noise; the two agree when the noise is gate
+    independent.
     """
 
     enumerated: float
     analytic: float
 
 
-def _outcome_weight(outcomes, bias: float) -> float:
-    w = 1.0
-    for b in outcomes:
-        w *= 0.5 + bias if b else 0.5 - bias
+def _outcome_weights(q: int, bias: float) -> np.ndarray:
+    """Probability of each outcome index of q outcomes, the first outcome most significant."""
+    w = np.ones(1)
+    for _ in range(q):
+        w = np.outer(w, (0.5 - bias, 0.5 + bias)).ravel()
     return w
 
 
-def _enumerate_circuit(s, step_ptms, dinv_ptm, prep, effect) -> float:
-    """Average survival over all Clifford sequences via product-class folding."""
-    table = clifford_table()
-    acc = {0: np.eye(4)}
-    for _ in range(s):
-        nxt: dict[int, np.ndarray] = {}
-        for v, mat in acc.items():
-            for g in range(24):
-                key = int(table.product[g, v])
-                term = step_ptms[g] @ mat
-                if key in nxt:
-                    nxt[key] += term
-                else:
-                    nxt[key] = term
-        acc = {k: m / 24.0 for k, m in nxt.items()}
-    total = 0.0
-    for v, mat in acc.items():
-        chain = dinv_ptm @ table.ptm[table.inverse[v]] @ mat
-        total += float(effect @ chain @ prep)
-    return total
+def _circuit_operator(steps, dinv_ptm, prep, effect):
+    """Transfer operator of the circuit model over (ideal product v, Bloch).
 
-
-def _enumerate_clifford_wire(s, noise, noise_inv, bias, mode, prep, effect) -> float:
-    """Average over sequences and outcome strings for the Clifford wire.
-
-    Folds branches on (ideal product, Pauli frame); the weighted chain PTMs
-    are summed per class, which is exact because the inverse block and the
-    final rotation depend on the branch only through that pair.
+    ``steps[g]`` is gate g's noisy PTM. The state holds, per product class,
+    the Bloch vector summed over the sequences in it; the readout folds the
+    inverse gate of the class, the inverse noise and the effect.
     """
     table = clifford_table()
-    pool = table.coset_reps if mode == "coset" else range(24)
-    weights = [_outcome_weight(m, bias) for m in OUTCOME_TRIPLES]
-    block_ptm = _clifford_blocks(noise)
-
-    acc = {(0, 0, 0): np.eye(4)}
-    inv_pool = 1.0 / len(pool)
-    for _ in range(s):
-        nxt: dict[tuple[int, int, int], np.ndarray] = {}
-        for (v, fx, fz), mat in acc.items():
-            for g in pool:
-                v_new = int(table.product[g, v])
-                for m, weight in enumerate(weights):
-                    w = inv_pool * weight
-                    key = (v_new, *(int(f) for f in table.next_frame(g, m, fx, fz)))
-                    term = w * (block_ptm[g, m] @ mat)
-                    if key in nxt:
-                        nxt[key] += term
-                    else:
-                        nxt[key] = term
-        acc = nxt
-
-    inv_block_ptm = _clifford_blocks(noise_inv)
-
-    total = 0.0
-    for (v, fx, fz), mat in acc.items():
-        g = int(table.inverse[v])
-        for m, w in enumerate(weights):
-            chain = table.frame_ptm[table.next_frame(g, m, fx, fz)] @ inv_block_ptm[g, m] @ mat
-            total += w * float(effect @ chain @ prep)
-    return total
+    op = np.zeros((24, 24, 4, 4))
+    # for fixed v, g -> product[g, v] is a bijection: every entry is set once
+    op[table.product, np.arange(24)] = np.asarray(steps)[:, None] / 24.0
+    x0 = np.zeros((24, 4))
+    x0[0] = prep
+    readout = effect @ dinv_ptm @ table.ptm[table.inverse]
+    return op.transpose(0, 2, 1, 3).reshape(96, 96), x0.ravel(), readout.ravel()
 
 
-def _enumerate_derandomized(s, noise, noise_inv, bias, phis, prep, effect) -> float:
-    """Average over all outcome strings of the fixed five-angle pattern."""
-    design = _cached_design(tuple(phis))
-    quints = list(itertools.product((0, 1), repeat=5))
-    block_ptms = _design_blocks(noise, tuple(phis))
-    element_mats = np.stack([u.matrix for u in design.elements])
-    weights = np.array([_outcome_weight(m, bias) for m in quints])
+def _clifford_wire_operator(noise, noise_inv, bias, mode, prep, effect):
+    """Transfer operator of the Clifford wire over (ideal product v, frame f, Bloch).
 
-    chains = np.eye(4)[None, :, :]
-    totals = np.eye(2, dtype=complex)[None, :, :]
-    branch_w = np.array([1.0])
-    for _ in range(s):
-        chains = np.einsum("mij,njk->nmik", block_ptms, chains).reshape(-1, 4, 4)
-        totals = np.einsum("mij,njk->nmik", element_mats, totals).reshape(-1, 2, 2)
-        branch_w = (branch_w[:, None] * weights[None, :]).reshape(-1)
+    The inverse block and the final frame rotation depend on a branch only
+    through (v, f), so the state holds, per class, the Bloch vector summed
+    over its branches at their weights. The readout folds the inverse block
+    with its outcome weights, the final frame's PTM and the effect.
+    """
+    table = clifford_table()
+    pool = table.coset_reps if mode == "coset" else np.arange(24)
+    w = _outcome_weights(3, bias)
+    frames = _frame_steps().reshape(24, 8, 4)  # [g, m, f]
+    # gather the outcomes that move frame f to frame f2 under gate g
+    moves = frames[pool][..., None] == np.arange(4)  # [g, m, f, f2]
+    blocks = np.einsum("gmfF,m,gmij->gfFij", moves, w / len(pool), _clifford_blocks(noise)[pool])
+    op = np.zeros((24, 4, 24, 4, 4, 4))  # [v2, f2, v, f, i, j]
+    g, v, f2, f = np.ix_(range(len(pool)), range(24), range(4), range(4))
+    # v2 = product[g, v] fixes g, so every entry is set once
+    op[table.product[pool[g], v], f2, v, f] = blocks[g, f, f2]
+    x0 = np.zeros((24, 4, 4))
+    x0[0, 0] = prep
+    final = (effect @ table.frame_ptm).reshape(4, 4)  # [frame, i]
+    inv = table.inverse
+    readout = np.einsum(
+        "m,vmfi,vmij->vfj", w, final[frames[inv]], _clifford_blocks(noise_inv)[inv]
+    )
+    return op.transpose(0, 1, 4, 2, 3, 5).reshape(384, 384), x0.ravel(), readout.ravel()
 
-    rot = _ptm_batch(np.conj(np.transpose(totals, (0, 2, 1))))
+
+def _derandomized_operator(noise, noise_inv, bias, phis, prep, effect):
+    """Transfer operator of the derandomized protocol on a flattened 4x4 Y.
+
+    Y = E[R(U_1)^T ... R(U_s)^T C_s ... C_1] over outcome strings, with C_m
+    the noisy block PTM and R(U_m) the ideal PTM of the element realized by
+    outcome index m. Peeling off the first block gives
+    Y <- sum_m w_m R(U_m)^T Y C_m, and the survival is effect . D_inv Y prep.
+    """
+    w = _outcome_weights(5, bias)
+    rot = _ptm_batch(np.stack([u.matrix for u in _cached_design(phis).elements]))
+    # the element matrices are unitary only to rounding, about 1e-14, and
+    # R(cU) = |c|^2 R(U): rescale so that the trace is kept over long powers
+    rot /= rot[:, :1, :1]
+    op = np.einsum("m,mia,mjb->abij", w, rot, _design_blocks(noise, phis))
     dinv_ptm = noise_inv.realize().ptm if not noise_inv.trivial else np.eye(4)
-    final = np.einsum("ij,njk,nkl->nil", dinv_ptm, rot, chains)
-    values = np.einsum("i,nij,j->n", effect, final, prep)
-    return float(branch_w @ values)
+    return op.reshape(16, 16), np.eye(4).ravel(), np.outer(effect @ dinv_ptm, prep).ravel()
+
+
+@lru_cache(maxsize=16)
+def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
+    """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0."""
+    prep = spam.prep().bloch
+    effect = spam.effect().bloch_coeffs
+    if protocol == "circuit":
+        steps = noise.realize().ptm @ clifford_table().ptm
+        parts = _circuit_operator(steps, noise_inv.realize().ptm, prep, effect)
+    elif protocol == "clifford-mbqc":
+        parts = _clifford_wire_operator(noise, noise_inv, bias, mode, prep, effect)
+    else:
+        parts = _derandomized_operator(noise, noise_inv, bias, phis, prep, effect)
+    return tuple(_frozen(a) for a in parts)
+
+
+def _transfer_value(operator, s: int) -> float:
+    """``readout . M^s x0`` by s matrix-vector products, which at benchmarking
+    lengths cost less and round less than ``np.linalg.matrix_power``."""
+    op, x, readout = operator
+    for _ in range(s):
+        x = op @ x
+    return float(readout @ x)
 
 
 def _twirled_decay_parameter(block_ptm: np.ndarray) -> float:
@@ -668,8 +677,9 @@ def exact_sequence_fidelity(
     clifford_mode: str = "coset",
     design_phis: tuple[float, float] = (0.0, 0.0),
 ) -> ExactSequenceFidelity:
-    """Exact sequence fidelity at small lengths, by full enumeration.
+    """Exact sequence fidelity at any length, from the protocol's transfer operator.
 
+    Exact also under gate- and outcome-dependent noise and biased outcomes.
     Also evaluates the zeroth-order decay value from the twirled noise; the
     two agree (to numerical precision) whenever the realized noise is gate
     independent and outcomes are unbiased.
@@ -678,24 +688,11 @@ def exact_sequence_fidelity(
         raise ValueError(f"unknown protocol {protocol!r}")
     if s < 1:
         raise ValueError("sequence length must be >= 1")
-    limit = ENUMERATION_LIMITS[protocol]
-    if s > limit:
-        raise ValueError(f"enumeration for {protocol} is limited to s <= {limit}")
     if spam is None:
         spam = IDEAL_SPAM
     dinv = noise if noise_inv is None else noise_inv
-    prep = spam.prep().bloch
-    effect = spam.effect().bloch_coeffs
-
-    if protocol == "circuit":
-        noise_ptm = noise.realize().ptm
-        steps = [noise_ptm @ g for g in clifford_table().ptm]
-        dinv_ptm = dinv.realize().ptm
-        value = _enumerate_circuit(s, steps, dinv_ptm, prep, effect)
-    elif protocol == "clifford-mbqc":
-        value = _enumerate_clifford_wire(s, noise, dinv, bias, clifford_mode, prep, effect)
-    else:
-        value = _enumerate_derandomized(s, noise, dinv, bias, design_phis, prep, effect)
-
+    operator = _transfer_operator(
+        protocol, noise, dinv, spam, float(bias), clifford_mode, tuple(design_phis)
+    )
     analytic = _analytic_value(protocol, s, noise, dinv, spam, design_phis)
-    return ExactSequenceFidelity(enumerated=value, analytic=analytic)
+    return ExactSequenceFidelity(enumerated=_transfer_value(operator, s), analytic=analytic)

@@ -130,6 +130,11 @@ class InstrumentConfig:
         if not -0.5 <= self.bias <= 0.5:
             raise ValueError(f"bias must lie in [-1/2, 1/2], got {self.bias}")
 
+    @property
+    def outcome_bias(self) -> float:
+        """Bias of the outcomes the wire acts on: 0 when randomness is injected."""
+        return 0.0 if self.inject_randomness else self.bias
+
 
 @dataclass
 class WireRun:

@@ -10,11 +10,18 @@ from mbqcrb.cli import (
     config_from_dict,
     config_to_dict,
     format_angle_pi,
+    load_config,
     main,
     read_dataset,
     write_dataset,
 )
-from mbqcrb.engine import RBConfig, SpamModel, run_protocol
+from mbqcrb.engine import (
+    RBConfig,
+    SpamModel,
+    exact_sequence_fidelity,
+    run_protocol,
+    sequence_fidelity_estimate,
+)
 from mbqcrb.wire import InstrumentConfig, NoiseModel
 
 SAMPLE = {
@@ -322,6 +329,18 @@ class TestFitCommand:
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err.startswith("invalid dataset: ")
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [("2,x,10,40,000000000000", "sequence_index"), ("2,1,10,4.0,000000000000", "shots")],
+    )
+    def test_row_with_non_integer_field_rejected(self, tmp_path, capsys, row, field):
+        out = self._make_dataset(tmp_path)
+        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
+        with pytest.raises(ValueError, match=rf"data row 2 \({row}\) field {field} is not an integer"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err.startswith("invalid dataset: ")
+
     def test_shots_mismatch_rejected(self, tmp_path):
         out = self._make_dataset(tmp_path)
         def fewer_shots(rows):
@@ -355,10 +374,64 @@ class TestOracleCommand:
         assert float(values["enumerated"]) == pytest.approx(0.5 * 0.9**2 + 0.5, abs=1e-9)
         assert float(values["analytic"]) == pytest.approx(float(values["enumerated"]), abs=1e-9)
 
-    def test_length_limit(self, tmp_path, capsys):
+    def _printed(self, capsys, cfg_path, *extra) -> str:
+        assert main(["oracle", "--config", str(cfg_path), *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_single_length_output_format(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
-        assert main(["oracle", "--config", str(cfg_path), "--length", "9"]) == 1
+        exact = exact_sequence_fidelity(
+            "clifford-mbqc", 9, noise=NoiseModel(kind="depolarizing", strength=0.9), noise_inv=NoiseModel()
+        )
+        assert self._printed(capsys, cfg_path, "--length", "9") == (
+            f"protocol: clifford-mbqc\ns: 9\n"
+            f"enumerated: {exact.enumerated!r}\nanalytic: {exact.analytic!r}\n"
+        )
+
+    def test_every_configured_length_without_length(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, lengths=[3, 1, 40])
+        lines = self._printed(capsys, cfg_path).splitlines()
+        assert lines[0] == "protocol: clifford-mbqc"
+        groups = [lines[k : k + 3] for k in range(1, len(lines), 3)]
+        assert [g[0] for g in groups] == ["s: 3", "s: 1", "s: 40"]
+        for s, group in zip((3, 1, 40), groups):
+            assert group == self._printed(capsys, cfg_path, "--length", str(s)).splitlines()[1:]
+
+    def test_length_below_one_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        for length in ("0", "-1"):
+            assert main(["oracle", "--config", str(cfg_path), "--length", length]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("cannot evaluate the oracle: ")
+
+    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
+    def test_injected_outcomes_use_the_unbiased_oracle(self, tmp_path, capsys, protocol):
+        # injection XORs every outcome with a fair coin, so the instrument
+        # bias must not weight the oracle's outcome branches
+        settings = dict(
+            protocol=protocol,
+            lengths=[1, 2],
+            sequences_per_length=200,
+            shots_per_sequence=200,
+            noise={"kind": "amplitude-damping", "strength": 0.15, "placement": "after-each-step"},
+        )
+        injected, unbiased = tmp_path / "injected.yaml", tmp_path / "unbiased.yaml"
+        write_sample_config(injected, **settings, instrument={"bias": -0.4, "inject_randomness": True})
+        write_sample_config(unbiased, **settings, instrument={"bias": 0.0, "inject_randomness": False})
+
+        def enumerated(cfg_path):
+            lines = self._printed(capsys, cfg_path).splitlines()
+            return [float(line.partition(": ")[2]) for line in lines if line.startswith("enumerated:")]
+
+        values = enumerated(injected)
+        assert values == enumerated(unbiased)
+        dataset = run_protocol(load_config(str(injected)).rb)
+        for s, exact in zip((1, 2), values):
+            mean, stderr = sequence_fidelity_estimate(dataset, s)
+            assert abs(mean - exact) < 5 * stderr, (s, mean, exact, stderr)
 
 
 class TestEndToEnd:

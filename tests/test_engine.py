@@ -340,11 +340,31 @@ class TestExactOracle:
             b = exact_sequence_fidelity("clifford-mbqc", s, noise=DEP, clifford_mode="full")
             assert a.enumerated == pytest.approx(b.enumerated, abs=1e-9)
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError):
-            exact_sequence_fidelity("clifford-mbqc", 5)
-        with pytest.raises(ValueError):
-            exact_sequence_fidelity("derandomized-mbqc", 4)
+    def test_any_length_from_one_accepted(self):
+        # lengths past the old enumeration caps (4, or 3 for derandomized) work
+        for protocol in ("circuit", "clifford-mbqc", "derandomized-mbqc"):
+            for s in (4, 5, 1000):
+                ex = exact_sequence_fidelity(protocol, s, noise=DEP, noise_inv=NONE)
+                assert 0.0 <= ex.enumerated <= 1.0
+            for s in (0, -1):
+                with pytest.raises(ValueError, match=">= 1"):
+                    exact_sequence_fidelity(protocol, s)
+
+    @pytest.mark.parametrize(
+        "protocol,mode",
+        [
+            ("circuit", "coset"),
+            ("clifford-mbqc", "coset"),
+            ("clifford-mbqc", "full"),
+            ("derandomized-mbqc", "coset"),
+        ],
+    )
+    @pytest.mark.parametrize("s", [5, 50, 1000])
+    @pytest.mark.parametrize("inv_p", [1.0, 0.95])
+    def test_depolarizing_closed_form_at_long_lengths(self, protocol, mode, s, inv_p):
+        dinv = NoiseModel(kind="depolarizing", strength=inv_p)
+        ex = exact_sequence_fidelity(protocol, s, noise=DEP, noise_inv=dinv, clifford_mode=mode)
+        assert ex.enumerated == pytest.approx(0.5 + 0.5 * inv_p * 0.9**s, abs=1e-12)
 
     def test_per_step_placement_closed_form(self):
         dep_step = NoiseModel(kind="depolarizing", strength=0.99, placement=AFTER_EACH_STEP)
@@ -357,7 +377,7 @@ class TestExactOracle:
         # per-gate depolarizing strengths varying +-10%: the enumeration
         # deviates from the gate-independent model; report the magnitude
         from mbqcrb.channels import depolarizing
-        from mbqcrb.engine import _enumerate_circuit
+        from mbqcrb.engine import _circuit_operator, _transfer_value
         from mbqcrb.gatesets import clifford_table
 
         group = clifford_group()
@@ -368,7 +388,7 @@ class TestExactOracle:
         ]
         prep = plus_state().bloch
         effect = SpamModel().effect().bloch_coeffs
-        value = _enumerate_circuit(2, steps, np.eye(4), prep, effect)
+        value = _transfer_value(_circuit_operator(steps, np.eye(4), prep, effect), 2)
         p_mean = float(np.mean(strengths))
         model = 0.5 * p_mean**2 + 0.5
         deviation = abs(value - model)
@@ -460,6 +480,24 @@ class TestExactVersusLiteralBruteForce:
         brute = self._derandomized_brute_force(1, noise, NONE, 0.15)
         fast = exact_sequence_fidelity(
             "derandomized-mbqc", 1, noise=noise, noise_inv=NONE, bias=0.15
+        )
+        assert fast.enumerated == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", ["block", "step"])
+    def test_clifford_outcome_dependent_noise(self, noise):
+        dinv = NoiseModel(kind="depolarizing", strength=0.98)
+        brute = self._clifford_brute_force(1, DEPENDENCE_NOISE[noise], dinv, 0.1, "coset")
+        fast = exact_sequence_fidelity(
+            "clifford-mbqc", 1, noise=DEPENDENCE_NOISE[noise], noise_inv=dinv, bias=0.1
+        )
+        assert fast.enumerated == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", ["block", "step"])
+    def test_derandomized_outcome_dependent_noise(self, noise):
+        dinv = NoiseModel(kind="depolarizing", strength=0.98)
+        brute = self._derandomized_brute_force(1, DEPENDENCE_NOISE[noise], dinv, 0.1)
+        fast = exact_sequence_fidelity(
+            "derandomized-mbqc", 1, noise=DEPENDENCE_NOISE[noise], noise_inv=dinv, bias=0.1
         )
         assert fast.enumerated == pytest.approx(brute, abs=1e-12)
 
