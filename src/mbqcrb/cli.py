@@ -137,12 +137,17 @@ def _noise_from_dict(d: dict, where: str) -> NoiseModel:
     parts = d.get("parts", [])
     if not isinstance(parts, (list, tuple)):
         raise ValueError(f"{where} parts must be a list, got {parts!r}")
-    return NoiseModel(
-        kind=kind,
-        strength=_convert(float, d.get("strength", 0.0), f"{where} strength"),
-        placement=d.get("placement", "after-each-gate-block"),
-        parts=tuple(_noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(parts)),
-    )
+    parts = tuple(_noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(parts))
+    strength = _convert(float, d.get("strength", 0.0), f"{where} strength")
+    try:
+        return NoiseModel(
+            kind=kind,
+            strength=strength,
+            placement=d.get("placement", "after-each-gate-block"),
+            parts=parts,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -221,14 +226,20 @@ def load_config(path: str) -> ExperimentConfig:
 # dataset and report files
 # ---------------------------------------------------------------------------
 
-_DATASET_MAGIC = "mbqcrb-dataset-v1"
+# v2: wire-protocol survivals are drawn at each sequence's outcome-averaged
+# survival, and derandomized digests hash no outcomes. Circuit records are
+# drawn as in v1, so circuit datasets keep the v1 header and their bytes.
+# read_dataset reads both.
+_DATASET_MAGIC = "mbqcrb-dataset-v2"
+_CIRCUIT_DATASET_MAGIC = "mbqcrb-dataset-v1"
 _DATASET_FIELDS = ("s", "sequence_index", "survivals", "shots", "gate_digest")
 
 
 def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None):
     config = ExperimentConfig(rb=dataset.config, output=output_name)
     buf = io.StringIO()
-    buf.write(f"# {_DATASET_MAGIC}\n")
+    circuit = dataset.config.protocol == "circuit"
+    buf.write(f"# {_CIRCUIT_DATASET_MAGIC if circuit else _DATASET_MAGIC}\n")
     buf.write(f"# version: {__version__}\n")
     buf.write(f"# config: {json.dumps(config_to_dict(config), sort_keys=True)}\n")
     buf.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")

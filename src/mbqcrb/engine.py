@@ -9,13 +9,16 @@ absorbed into a rotated final measurement).
 
 A measured block's channel depends only on its gate and outcome pattern, so
 both wire protocols read it from one table of block PTMs per noise model,
-indexed by (gate, outcome index) and shared with the exact oracles. The wire
-samplers run whole items of one length together, every shot a row, and
-advance all rows one block column at a time by a gather from that table.
-Because outcomes are drawn independently block by block, the exact average
-over sequences and outcomes is a linear recursion, F(s) = readout . M^s x0,
-for a small transfer operator M per protocol; it gives the exact oracle for
-the sampled paths at every length.
+indexed by (gate, outcome index). Outcomes are drawn independently block by
+block, so averages over them are linear. In the circuit model and the
+Clifford wire a sequence survives, averaged over its outcome strings, with
+probability readout[v] . B[g_s] ... B[g_1] x0 for per-gate operators B;
+averaging over sequences too gives F(s) = readout . M^s x0 for a transfer
+operator M built from the same B. In the derandomized protocol the outcomes
+are the sequence, and F(s) comes from a 16-dimensional transfer operator.
+Every shot draws fresh outcomes, so the sampler draws each sequence's
+survivals as Born coins at its outcome-averaged survival, which is exact in
+distribution.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .channels import (
     channel_from_unitary,
     plus_state,
     survival_effect,
-    _PAULIS,
     _frozen,
 )
 from .gatesets import (
@@ -120,6 +122,10 @@ class RBConfig:
             raise ValueError("shots_per_sequence must be >= 1")
         if self.clifford_mode not in CLIFFORD_MODES:
             raise ValueError(f"unknown clifford_mode {self.clifford_mode!r}")
+        if len(self.design_phis) != 2:
+            raise ValueError(
+                f"design_phis must hold exactly two angles, got {len(self.design_phis)}"
+            )
         object.__setattr__(
             self, "design_phis", tuple(float(x) for x in self.design_phis)
         )
@@ -188,7 +194,7 @@ def gen_clifford_sequence(
 
 def _draw_gate_indices(s: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     """Group indices of ``s`` gates drawn uniformly from the group or its coset reps."""
-    pool = clifford_table().coset_reps if mode == "coset" else np.arange(len(clifford_group()))
+    pool = _gate_pool(mode)
     return pool[rng.integers(0, len(pool), size=s)]
 
 
@@ -259,109 +265,12 @@ def _cached_design(phis: tuple[float, float]) -> DerandomizedDesign:
     return derandomized_design(*phis)
 
 
-def _ptm_batch(mats: np.ndarray) -> np.ndarray:
-    """PTMs of a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4, 4)."""
-    out = np.empty((len(mats), 4, 4))
-    step = _CHUNK_ENTRIES // 16  # the contraction holds 4 x 2 x 2 complex entries per row
-    for start in range(0, len(mats), step):
-        chunk = mats[start : start + step]
-        conj = np.einsum("sab,jbc,sdc->sjad", chunk, _PAULIS, chunk.conj(), optimize=True)
-        out[start : start + step] = np.real(np.einsum("iab,sjba->sij", _PAULIS, conj)) / 2.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sampled protocol runners
-# ---------------------------------------------------------------------------
-
-# Rows (items x shots) a wire batch may hold. Batches take whole items, so
-# an item with more shots than this runs alone.
-_ROW_BUDGET = 1 << 14
-
-# Array entries in the temporaries of one chunk of random draws or PTMs.
-# Large temporaries, once freed, let the allocator keep far more memory
-# resident than the run ever holds at once.
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, _PROTOCOL_TAGS[protocol], int(s), int(i))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def _coins(rng, shots: int, nsteps: int, p: float) -> np.ndarray:
-    """``rng.random((shots, nsteps)) < p``, drawing the same stream in row chunks."""
-    out = np.empty((shots, nsteps), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // nsteps)
-    for start in range(0, shots, step):
-        out[start : start + step] = rng.random((min(step, shots - start), nsteps)) < p
-    return out
-
-
-def _outcome_bits(rng, shots, nsteps, instrument: InstrumentConfig) -> np.ndarray:
-    raw = _coins(rng, shots, nsteps, 0.5 + instrument.bias)
-    if instrument.inject_randomness:
-        raw ^= _coins(rng, shots, nsteps, 0.5)
-    return raw
-
-
-def _outcome_index(mbits: np.ndarray) -> np.ndarray:
-    """Outcome bits along the last axis as an integer, the first outcome most significant."""
-    index = np.zeros(mbits.shape[:-1], dtype=np.int64)
-    for k in range(mbits.shape[-1]):
-        index <<= 1
-        index |= mbits[..., k]
-    return index
-
-
-def _digest(array) -> str:
-    data = np.ascontiguousarray(array, dtype=np.int64).tobytes()
-    return hashlib.sha256(data).hexdigest()[:12]
-
-
-def _run_circuit_item(cfg: RBConfig, s: int, i: int) -> SequenceRecord:
-    rng = _item_rng(cfg.seed, cfg.protocol, s, i)
-    table = clifford_table()
-    gates = _draw_gate_indices(s, "full", rng)
-
-    noise_ptm = cfg.noise.realize().ptm if not cfg.noise.trivial else None
-    bloch = cfg.spam.prep().bloch.copy()
-    for g in gates:
-        bloch = table.ptm[g] @ bloch
-        if noise_ptm is not None:
-            bloch = noise_ptm @ bloch
-    bloch = table.ptm[table.sequence_inverse(gates)] @ bloch
-    dinv = cfg.resolved_noise_inv()
-    if not dinv.trivial:
-        bloch = dinv.realize().ptm @ bloch
-    p = float(np.clip(cfg.spam.effect().bloch_coeffs @ bloch, 0.0, 1.0))
-
-    born = rng.random(cfg.shots_per_sequence)
-    survivals = int((born < p).sum())
-    return SequenceRecord(
-        s=s,
-        index=i,
-        gate_indices=tuple(int(g) for g in gates),
-        survivals=survivals,
-        shots=cfg.shots_per_sequence,
-        digest=_digest(gates),
-    )
-
-
-@dataclass(frozen=True)
-class _WireSetup:
-    """The parts of a wire run that depend only on its config.
-
-    Clifford frames are coded 2 fx + fz; ``frames[k, f]`` is the frame after
-    the block in row k of ``blocks`` when f was the frame before.
-    """
-
-    q: int  # measurements per gate block
-    blocks: np.ndarray  # flat block-PTM table the kernel gathers from
-    prep: np.ndarray
-    readout: np.ndarray  # effect after the last block (Clifford: one per final frame)
-    frames: np.ndarray | None = None  # Clifford only
-    elements: np.ndarray | None = None  # derandomized only: design elements by outcome index
+def _outcome_weights(q: int, bias: float) -> np.ndarray:
+    """Probability of each outcome index of q outcomes, the first outcome most significant."""
+    w = np.ones(1)
+    for _ in range(q):
+        w = np.outer(w, (0.5 - bias, 0.5 + bias)).ravel()
+    return w
 
 
 def _frame_steps() -> np.ndarray:
@@ -375,124 +284,88 @@ def _frame_steps() -> np.ndarray:
     return np.reshape([2 * nfx + nfz for nfx, nfz in steps], (-1, 4))
 
 
-def _wire_setup(cfg: RBConfig) -> _WireSetup:
-    prep = cfg.spam.prep().bloch
-    effect = cfg.spam.effect().bloch_coeffs
-    if cfg.protocol == "clifford-mbqc":
-        # gate blocks, then inverse blocks with their own noise; the final
-        # frame's PTM folds into the effect
-        table = clifford_table()
-        blocks = np.concatenate(
-            [_clifford_blocks(cfg.noise), _clifford_blocks(cfg.resolved_noise_inv())]
-        )
-        return _WireSetup(
-            q=3,
-            blocks=blocks.reshape(-1, 4, 4),
-            prep=prep,
-            readout=(effect @ table.frame_ptm).reshape(4, 4),
-            frames=np.tile(_frame_steps(), (2, 1)),  # both halves of blocks
-        )
-    dinv = cfg.resolved_noise_inv()
-    return _WireSetup(
-        q=5,
-        blocks=_design_blocks(cfg.noise, cfg.design_phis),
-        prep=prep,
-        readout=effect if dinv.trivial else effect @ dinv.realize().ptm,
-        elements=np.stack([u.matrix for u in _cached_design(cfg.design_phis).elements]),
+# ---------------------------------------------------------------------------
+# per-gate operators, shared by the sampler and the oracle
+# ---------------------------------------------------------------------------
+
+
+def _gate_pool(mode: str) -> np.ndarray:
+    """Group indices a gate is drawn from: the whole group, or the coset reps."""
+    return clifford_table().coset_reps if mode == "coset" else np.arange(24)
+
+
+def _gate_operators(protocol, noise, noise_inv, spam, bias):
+    """Per-gate operators ``(B, readout, x0)`` of the circuit model or the Clifford wire.
+
+    A sequence g_1 ... g_s with ideal product v survives, averaged over its
+    outcome strings, with probability readout[v] . B[g_s] ... B[g_1] x0.
+    Circuit: the state is a Bloch vector, B[g] the noisy gate's PTM and
+    readout[v] folds the inverse gate of v, the inverse noise and the effect.
+    Clifford wire: the state holds a Bloch vector per Pauli frame (coded
+    2 fx + fz), summed over the outcome strings that reach that frame at
+    their weights; B[g] is gate g's block over (frame, Bloch), averaged over
+    its outcomes, and readout[v] folds the inverse block of v with its
+    outcome weights, the final frame's PTM and the effect.
+    """
+    table = clifford_table()
+    prep = spam.prep().bloch
+    effect = spam.effect().bloch_coeffs
+    inv = table.inverse
+    if protocol == "circuit":
+        gates = noise.realize().ptm @ table.ptm
+        return gates, effect @ noise_inv.realize().ptm @ table.ptm[inv], prep
+    w = _outcome_weights(3, bias)
+    frames = _frame_steps().reshape(24, 8, 4)  # [g, m, f]
+    # gather the outcomes that move frame f to frame f2 under gate g
+    moves = frames[..., None] == np.arange(4)  # [g, m, f, f2]
+    gates = np.einsum("gmfF,m,gmij->gFifj", moves, w, _clifford_blocks(noise))
+    final = (effect @ table.frame_ptm).reshape(4, 4)  # [frame, i]
+    readout = np.einsum(
+        "m,vmfi,vmij->vfj", w, final[frames[inv]], _clifford_blocks(noise_inv)[inv]
     )
+    x0 = np.zeros((4, 4))
+    x0[0] = prep
+    return gates.reshape(24, 16, 16), readout.reshape(24, 16), x0.ravel()
 
 
-def _block_kernel(prep: np.ndarray, blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Bloch vector of each row after one measured block per column of ``index``.
-
-    ``index[r, j]`` picks row r's block in column j from the flat table
-    ``blocks``: one gather and one batched matvec per column.
-    """
-    states = np.broadcast_to(prep, (len(index), 4))
-    for col in index.T:
-        states = np.einsum("rij,rj->ri", blocks.take(col, axis=0), states)
-    return states
+# ---------------------------------------------------------------------------
+# sampled protocol runner
+# ---------------------------------------------------------------------------
 
 
-def _design_products(elements: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Each row's product of realized design elements, the first applied first.
-
-    The batched 2x2 complex product is written out entry by entry, which is
-    several times faster than matmul on stacks of 2x2 matrices.
-    """
-    e00, e01, e10, e11 = (elements[:, i, j] for i in (0, 1) for j in (0, 1))
-    one, zero = np.ones(len(outcomes), dtype=complex), np.zeros(len(outcomes), dtype=complex)
-    t00, t01, t10, t11 = one, zero, zero, one
-    for m in outcomes.T:
-        a, b, c, d = e00[m], e01[m], e10[m], e11[m]
-        t00, t01, t10, t11 = (
-            a * t00 + b * t10, a * t01 + b * t11, c * t00 + d * t10, c * t01 + d * t11
-        )
-    return np.stack([t00, t01, t10, t11], axis=-1).reshape(-1, 2, 2)
+def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
+    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, _PROTOCOL_TAGS[protocol], int(s), int(i))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _run_wire_batch(cfg: RBConfig, setup: _WireSetup, s: int, items) -> list[SequenceRecord]:
-    """Records of whole wire items at length ``s``, their shots simulated as rows.
+def _digest(array) -> str:
+    data = np.ascontiguousarray(array, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:12]
 
-    Each item draws from its own stream in a fixed order (gates, outcome
-    bits, injection coins, Born coins), so its record does not depend on
-    which other items share the batch.
-    """
-    clifford = cfg.protocol == "clifford-mbqc"
-    nblocks = s + 1 if clifford else s  # the Clifford inverse is a block too
-    shots = cfg.shots_per_sequence
-    gates, bits, born = [], [], []
-    for i in items:
-        rng = _item_rng(cfg.seed, cfg.protocol, s, i)
-        if clifford:
-            gates.append(_draw_gate_indices(s, cfg.clifford_mode, rng))
-        bits.append(_outcome_bits(rng, shots, setup.q * nblocks, cfg.instrument))
-        born.append(rng.random(shots))
-    outcomes = _outcome_index(np.concatenate(bits).reshape(-1, nblocks, setup.q))
 
-    if clifford:
-        gates = np.array(gates)
-        sequences = np.column_stack([gates, clifford_table().sequence_inverse(gates)])
-        # row of each shot's block in setup.blocks: gate * 2**q + outcome index,
-        # in the second half (the inverse's noise) for the inverse block
-        index = outcomes
-        index += np.repeat(sequences << setup.q, shots, axis=0)
-        index[:, -1] += len(setup.blocks) // 2
-        states = _block_kernel(setup.prep, setup.blocks, index)
-        frame = np.zeros(len(index), dtype=np.int64)
-        for col in index.T:
-            frame = setup.frames[col, frame]
-        readout = setup.readout[frame]
-        digests = [_digest(g) for g in gates]
-    else:
-        # the inverse is a rotated final measurement on the tracked product
-        states = _block_kernel(setup.prep, setup.blocks, outcomes)
-        totals = _design_products(setup.elements, outcomes)
-        rot = _ptm_batch(np.conj(np.transpose(totals, (0, 2, 1))))
-        readout = setup.readout @ rot
-        digests = [_digest(realized) for realized in np.split(outcomes, len(items))]
-
-    probs = np.clip(np.einsum("ri,ri->r", readout, states), 0.0, 1.0)
-    survivals = (np.concatenate(born) < probs).reshape(len(items), shots).sum(axis=1)
-    return [
-        SequenceRecord(
-            s=s,
-            index=i,
-            gate_indices=tuple(int(g) for g in gates[k]) if clifford else (),
-            survivals=int(survivals[k]),
-            shots=shots,
-            digest=digests[k],
-        )
-        for k, i in enumerate(items)
-    ]
+def _outcome_averaged_survival(operators, gates: np.ndarray) -> np.ndarray:
+    """Survival of each row of ``gates`` (the first gate applied first), averaged
+    over outcome strings: one batched fold through the per-gate operators."""
+    blocks, readout, x0 = operators
+    product = clifford_table().product
+    x = np.broadcast_to(x0, (len(gates), len(x0)))
+    v = np.zeros(len(gates), dtype=np.int64)
+    for g in gates.T:
+        x = np.einsum("nij,nj->ni", blocks[g], x)
+        v = product[g, v]
+    return np.einsum("ni,ni->n", readout[v], x)
 
 
 def run_protocol(config: RBConfig) -> RBDataset:
     """Run the configured experiment and collect per-sequence survivals.
 
-    Work items (one per length and sequence index) carry independent,
-    seed-derived random streams, so each record depends only on the seed,
-    its length and its index.
+    Every shot of an item draws fresh outcomes and a fresh Born coin, so
+    the item's survival count is Binomial(shots, p), with p its sequence's
+    survival averaged over outcome strings. p is computed exactly from the
+    oracle's per-gate operators; in the derandomized protocol the outcomes
+    are the sequence, so p = F(s). Each item draws its gates and then its
+    Born coins from its own seed-derived stream, so a record depends only
+    on the seed, its length and its index.
     """
     if not isinstance(config, RBConfig):
         raise ValueError("config must be an RBConfig")
@@ -500,17 +373,39 @@ def run_protocol(config: RBConfig) -> RBDataset:
     if config.protocol == "derandomized-mbqc" and config.instrument.outcome_bias != 0.0:
         warnings = (_BIAS_WARNING,)
 
-    n = config.sequences_per_length
-    if config.protocol == "circuit":
-        records = [_run_circuit_item(config, s, i) for s in config.lengths for i in range(n)]
+    settings = (
+        config.protocol,
+        config.noise,
+        config.resolved_noise_inv(),
+        config.spam,
+        config.instrument.outcome_bias,
+    )
+    derandomized = config.protocol == "derandomized-mbqc"
+    if derandomized:
+        operator = _transfer_operator(*settings, config.clifford_mode, config.design_phis)
     else:
-        setup = _wire_setup(config)
-        per_batch = max(1, _ROW_BUDGET // config.shots_per_sequence)
-        records = [
-            record
-            for s in config.lengths
-            for start in range(0, n, per_batch)
-            for record in _run_wire_batch(config, setup, s, range(start, min(n, start + per_batch)))
+        operators = _gate_operators(*settings)
+    mode = "full" if config.protocol == "circuit" else config.clifford_mode
+    shots = config.shots_per_sequence
+    records = []
+    for s in config.lengths:
+        rngs = [_item_rng(config.seed, config.protocol, s, i) for i in range(config.sequences_per_length)]
+        if derandomized:
+            gates = np.zeros((len(rngs), 0), dtype=np.int64)
+            survival = np.full(len(rngs), _transfer_value(operator, s))
+        else:
+            gates = np.array([_draw_gate_indices(s, mode, rng) for rng in rngs])
+            survival = _outcome_averaged_survival(operators, gates)
+        records += [
+            SequenceRecord(
+                s=s,
+                index=i,
+                gate_indices=tuple(int(g) for g in gates[i]),
+                survivals=int((rng.random(shots) < p).sum()),
+                shots=shots,
+                digest=_digest(gates[i]),
+            )
+            for i, (rng, p) in enumerate(zip(rngs, survival))
         ]
     return RBDataset(config=config, records=tuple(records), warnings=warnings)
 
@@ -546,61 +441,24 @@ class ExactSequenceFidelity:
     analytic: float
 
 
-def _outcome_weights(q: int, bias: float) -> np.ndarray:
-    """Probability of each outcome index of q outcomes, the first outcome most significant."""
-    w = np.ones(1)
-    for _ in range(q):
-        w = np.outer(w, (0.5 - bias, 0.5 + bias)).ravel()
-    return w
+def _group_operator(gates, readout, x0, pool):
+    """Transfer operator over (ideal product v, state): M = sum_g P_g (x) B[g] / |pool|.
 
-
-def _circuit_operator(steps, dinv_ptm, prep, effect):
-    """Transfer operator of the circuit model over (ideal product v, Bloch).
-
-    ``steps[g]`` is gate g's noisy PTM. The state holds, per product class,
-    the Bloch vector summed over the sequences in it; the readout folds the
-    inverse gate of the class, the inverse noise and the effect.
+    The sum runs over the gates of ``pool`` and P_g moves product class v to
+    product[g, v]. The state holds, per class, the per-gate state summed over
+    the sequences in it, and the readout applies readout[v] to class v.
     """
     table = clifford_table()
-    op = np.zeros((24, 24, 4, 4))
+    d = len(x0)
+    op = np.zeros((24, 24, d, d))
     # for fixed v, g -> product[g, v] is a bijection: every entry is set once
-    op[table.product, np.arange(24)] = np.asarray(steps)[:, None] / 24.0
-    x0 = np.zeros((24, 4))
-    x0[0] = prep
-    readout = effect @ dinv_ptm @ table.ptm[table.inverse]
-    return op.transpose(0, 2, 1, 3).reshape(96, 96), x0.ravel(), readout.ravel()
+    op[table.product[pool], np.arange(24)] = gates[pool][:, None] / len(pool)
+    start = np.zeros((24, d))
+    start[0] = x0
+    return op.transpose(0, 2, 1, 3).reshape(24 * d, 24 * d), start.ravel(), readout.ravel()
 
 
-def _clifford_wire_operator(noise, noise_inv, bias, mode, prep, effect):
-    """Transfer operator of the Clifford wire over (ideal product v, frame f, Bloch).
-
-    The inverse block and the final frame rotation depend on a branch only
-    through (v, f), so the state holds, per class, the Bloch vector summed
-    over its branches at their weights. The readout folds the inverse block
-    with its outcome weights, the final frame's PTM and the effect.
-    """
-    table = clifford_table()
-    pool = table.coset_reps if mode == "coset" else np.arange(24)
-    w = _outcome_weights(3, bias)
-    frames = _frame_steps().reshape(24, 8, 4)  # [g, m, f]
-    # gather the outcomes that move frame f to frame f2 under gate g
-    moves = frames[pool][..., None] == np.arange(4)  # [g, m, f, f2]
-    blocks = np.einsum("gmfF,m,gmij->gfFij", moves, w / len(pool), _clifford_blocks(noise)[pool])
-    op = np.zeros((24, 4, 24, 4, 4, 4))  # [v2, f2, v, f, i, j]
-    g, v, f2, f = np.ix_(range(len(pool)), range(24), range(4), range(4))
-    # v2 = product[g, v] fixes g, so every entry is set once
-    op[table.product[pool[g], v], f2, v, f] = blocks[g, f, f2]
-    x0 = np.zeros((24, 4, 4))
-    x0[0, 0] = prep
-    final = (effect @ table.frame_ptm).reshape(4, 4)  # [frame, i]
-    inv = table.inverse
-    readout = np.einsum(
-        "m,vmfi,vmij->vfj", w, final[frames[inv]], _clifford_blocks(noise_inv)[inv]
-    )
-    return op.transpose(0, 1, 4, 2, 3, 5).reshape(384, 384), x0.ravel(), readout.ravel()
-
-
-def _derandomized_operator(noise, noise_inv, bias, phis, prep, effect):
+def _derandomized_operator(noise, noise_inv, spam, bias, phis):
     """Transfer operator of the derandomized protocol on a flattened 4x4 Y.
 
     Y = E[R(U_1)^T ... R(U_s)^T C_s ... C_1] over outcome strings, with C_m
@@ -609,27 +467,20 @@ def _derandomized_operator(noise, noise_inv, bias, phis, prep, effect):
     Y <- sum_m w_m R(U_m)^T Y C_m, and the survival is effect . D_inv Y prep.
     """
     w = _outcome_weights(5, bias)
-    rot = _ptm_batch(np.stack([u.matrix for u in _cached_design(phis).elements]))
-    # the element matrices are unitary only to rounding, about 1e-14, and
-    # R(cU) = |c|^2 R(U): rescale so that the trace is kept over long powers
-    rot /= rot[:, :1, :1]
+    rot = np.stack([channel_from_unitary(u).ptm for u in _cached_design(phis).elements])
     op = np.einsum("m,mia,mjb->abij", w, rot, _design_blocks(noise, phis))
-    dinv_ptm = noise_inv.realize().ptm if not noise_inv.trivial else np.eye(4)
-    return op.reshape(16, 16), np.eye(4).ravel(), np.outer(effect @ dinv_ptm, prep).ravel()
+    readout = np.outer(spam.effect().bloch_coeffs @ noise_inv.realize().ptm, spam.prep().bloch)
+    return op.reshape(16, 16), np.eye(4).ravel(), readout.ravel()
 
 
 @lru_cache(maxsize=16)
 def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
     """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0."""
-    prep = spam.prep().bloch
-    effect = spam.effect().bloch_coeffs
-    if protocol == "circuit":
-        steps = noise.realize().ptm @ clifford_table().ptm
-        parts = _circuit_operator(steps, noise_inv.realize().ptm, prep, effect)
-    elif protocol == "clifford-mbqc":
-        parts = _clifford_wire_operator(noise, noise_inv, bias, mode, prep, effect)
+    if protocol == "derandomized-mbqc":
+        parts = _derandomized_operator(noise, noise_inv, spam, bias, phis)
     else:
-        parts = _derandomized_operator(noise, noise_inv, bias, phis, prep, effect)
+        pool = _gate_pool("full" if protocol == "circuit" else mode)
+        parts = _group_operator(*_gate_operators(protocol, noise, noise_inv, spam, bias), pool)
     return tuple(_frozen(a) for a in parts)
 
 

@@ -75,6 +75,10 @@ class NoiseModel:
             raise ValueError(f"unknown noise placement {self.placement!r}")
         if self.kind == "composite" and not self.parts:
             raise ValueError("composite noise requires parts")
+        if self.parts and self.kind != "composite":
+            raise ValueError(f"{self.kind} noise takes no parts; only composite noise does")
+        if self.strength != 0.0 and self.kind in ("none", "composite"):
+            raise ValueError(f"{self.kind} noise takes no strength")
 
     @property
     def trivial(self) -> bool:

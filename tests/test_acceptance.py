@@ -12,6 +12,7 @@ from mbqcrb.channels import (
     I2,
     avg_gate_fidelity,
     frame_potential,
+    plus_state,
     random_cptp_channel,
     twirl,
 )
@@ -21,17 +22,17 @@ from mbqcrb.engine import (
     exact_sequence_fidelity,
     run_protocol,
     sequence_fidelity_estimate,
-    _outcome_bits,
 )
 from mbqcrb.fitting import fit_decay
 from mbqcrb.gatesets import (
     clifford_group,
     derandomized_design,
+    outcome_index,
     verify_angle_table,
     verify_byproduct_bits,
     verify_design_reference,
 )
-from mbqcrb.wire import InstrumentConfig, NoiseModel
+from mbqcrb.wire import InstrumentConfig, NoiseModel, WireRun, measure_step, run_gate_block
 
 
 def report(criterion: int, detail: str):
@@ -179,15 +180,20 @@ def test_criterion_8_randomness_injection():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20160811)))
 
     n_steps = 100_000
-    bits = _outcome_bits(rng, n_steps, 1, instrument).ravel()
-    ones = int(bits.sum())
+    run = WireRun(state=plus_state())
+    for _ in range(n_steps):
+        measure_step(run, 0.3, instrument=instrument, rng=rng)
+    ones = sum(run.outcomes)
     sigma_b = np.sqrt(n_steps * 0.25)
     assert abs(ones - n_steps / 2) < 3 * sigma_b
 
     n_blocks = 100_000
-    block_bits = _outcome_bits(rng, n_blocks, 5, instrument).astype(np.int64)
-    idx = block_bits @ np.array([16, 8, 4, 2, 1])
-    counts = np.bincount(idx, minlength=32)
+    angles = derandomized_design().angles
+    counts = np.zeros(32, dtype=np.int64)
+    for _ in range(n_blocks):
+        run = WireRun(state=plus_state())
+        _, outcomes = run_gate_block(run, angles, instrument=instrument, rng=rng)
+        counts[outcome_index(outcomes)] += 1
     sigma_e = np.sqrt(n_blocks * (1 / 32) * (31 / 32))
     worst_pull = float(np.max(np.abs(counts - n_blocks / 32)) / sigma_e)
     assert worst_pull < 3.0

@@ -35,6 +35,8 @@ from mbqcrb.channels import (
     z_rotation,
 )
 
+from mbqcrb.gatesets import clifford_group, derandomized_design
+
 from conftest import haar_unitary
 
 
@@ -108,6 +110,12 @@ class TestChannelFromUnitary:
             block = r[1:, 1:]
             assert np.allclose(block @ block.T, np.eye(3), atol=1e-10)
             assert abs(abs(np.linalg.det(block)) - 1.0) < 1e-10
+
+    def test_trace_entry_exact_for_gate_sets(self):
+        # the gate matrices are unitary only to rounding; the PTM is rescaled
+        gates = [e.unitary for e in clifford_group()] + list(derandomized_design().elements)
+        assert len(gates) == 56
+        assert all(channel_from_unitary(u).ptm[0, 0] == 1.0 for u in gates)
 
     def test_is_cptp(self, rng):
         for _ in range(20):

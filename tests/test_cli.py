@@ -232,6 +232,46 @@ class TestRunCommand:
         assert err.startswith("invalid config: ") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"design_phis": [0.0, 0.0, 0.0]}, "design_phis"),
+            ({"design_phis": []}, "design_phis"),
+            (
+                {
+                    "noise": {
+                        "kind": "depolarizing",
+                        "strength": 0.9,
+                        "parts": [{"kind": "dephasing", "strength": 0.1}],
+                    }
+                },
+                "parts",
+            ),
+            ({"noise": {"kind": "none", "strength": 0.3}}, "strength"),
+            (
+                {
+                    "noise_inv": {
+                        "kind": "composite",
+                        "strength": 0.3,
+                        "parts": [{"kind": "dephasing", "strength": 0.1}],
+                    }
+                },
+                "strength",
+            ),
+        ],
+        ids=["three-phis", "no-phis", "parts-without-composite", "none-strength", "composite-strength"],
+    )
+    def test_value_the_config_cannot_use_rejected(self, tmp_path, capsys, overrides, key):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, protocol="derandomized-mbqc", **overrides)
+        out = tmp_path / "ds.csv"
+        for argv in (["run", "--out", str(out)], ["oracle"]):
+            assert main([*argv, "--config", str(cfg_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("invalid config: ") and key in captured.err
+            assert captured.out == ""
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -453,9 +493,11 @@ class TestEndToEnd:
 
 
 # SHA-256 of `mbqcrb run` output for small configs of every protocol and
-# Clifford mode, recorded before the Clifford table existed. Any change to
-# the random stream or to the state arithmetic shows up here; a change that
-# alters either on purpose must record new digests.
+# Clifford mode. The circuit digest dates from before the Clifford table
+# existed; the wire digests were recorded when each item's survivals became
+# Born coins at its outcome-averaged survival. Any change to the random
+# stream or to the state arithmetic shows up here; a change that alters
+# either on purpose must record new digests.
 GOLDEN_BASE = {
     "lengths": [1, 2, 3, 5],
     "sequences_per_length": 4,
@@ -473,11 +515,11 @@ GOLDEN_RUNS = {
     ),
     "clifford-coset": (
         {"protocol": "clifford-mbqc", "clifford_mode": "coset"},
-        "bb332e878436aa2f958bac7baab60544add0e4db421677dac846e2cdd5fa0dcf",
+        "4a6277762532c6c4c89e60aa24b52dea434ef27080beeaea94d25ffc89fb4bfd",
     ),
     "clifford-full": (
         {"protocol": "clifford-mbqc", "clifford_mode": "full"},
-        "aca7c8836212417e9abb79be9089c169cb00f823881507befe08684546af0d88",
+        "233bd6fc39f68466b1260aa1f49ffd406e9bad9ca938dede2d35023dd44c8d1b",
     ),
     "derandomized": (
         {
@@ -485,7 +527,7 @@ GOLDEN_RUNS = {
             "design_phis": [0.25, 0.0],
             "instrument": {"bias": 0.05, "inject_randomness": True},
         },
-        "8c27aecfe96dc871376f4e109fa3d3a1562785c7ccf4be6442fa4791ed91dbf4",
+        "95d9009b89177529012c268e79c105c4a6b8ad22934db875afdd1183d4120f50",
     ),
 }
 

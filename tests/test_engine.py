@@ -16,8 +16,6 @@ from mbqcrb.engine import (
     run_protocol,
     sequence_fidelity_estimate,
     sequence_inverse,
-    _ROW_BUDGET,
-    _outcome_bits,
 )
 from mbqcrb.gatesets import (
     clifford_group,
@@ -216,28 +214,12 @@ class TestRunProtocolStatistics:
         )
         assert not run_protocol(ok).warnings
 
-    @pytest.mark.parametrize(
-        "instrument",
-        [InstrumentConfig(), InstrumentConfig(bias=0.1, inject_randomness=True)],
-        ids=["fair", "biased-injected"],
-    )
-    def test_realized_elements_uniform(self, instrument):
-        # fair outcomes (natively or restored by injection) map to uniformly
-        # distributed design elements
-        rng = item_rng(47)
-        n = 100_000
-        bits = _outcome_bits(rng, n, 5, instrument).astype(np.int64)
-        idx = bits @ np.array([16, 8, 4, 2, 1])
-        counts = np.bincount(idx, minlength=32)
-        sigma = np.sqrt(n * (1 / 32) * (31 / 32))
-        assert np.all(np.abs(counts - n / 32) < 3 * sigma)
-
 
 class TestRecordsIndependentOfBatching:
     """Each record depends only on the seed, its length and its index."""
 
-    @pytest.mark.parametrize("shots", [50, _ROW_BUDGET // 3 + 1], ids=["one-batch", "many-batches"])
-    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
+    @pytest.mark.parametrize("shots", [50, 5462], ids=["50-shots", "5462-shots"])
+    @pytest.mark.parametrize("protocol", ["circuit", "clifford-mbqc", "derandomized-mbqc"])
     def test_first_records_equal_for_more_sequences(self, protocol, shots):
         k = 3
         base = dict(
@@ -254,23 +236,6 @@ class TestRecordsIndependentOfBatching:
             assert [r for r in few.records if r.s == s] == [r for r in many.records if r.s == s][:k]
         alone = run_protocol(RBConfig(sequences_per_length=k, **{**base, "lengths": (4,)}))
         assert alone.records == tuple(r for r in few.records if r.s == 4)
-
-    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
-    def test_records_equal_for_any_row_budget(self, protocol, monkeypatch):
-        cfg = RBConfig(
-            protocol=protocol,
-            lengths=(2, 5),
-            sequences_per_length=5,
-            shots_per_sequence=40,
-            noise=DEP,
-            instrument=InstrumentConfig(bias=0.1, inject_randomness=True),
-            seed=67,
-        )
-        whole_lengths = run_protocol(cfg).records
-        # one item per batch; three items per batch, the last batch short
-        for budget in (1, 120):
-            monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
-            assert run_protocol(cfg).records == whole_lengths, budget
 
 
 class TestSequenceFidelityEstimate:
@@ -377,7 +342,7 @@ class TestExactOracle:
         # per-gate depolarizing strengths varying +-10%: the enumeration
         # deviates from the gate-independent model; report the magnitude
         from mbqcrb.channels import depolarizing
-        from mbqcrb.engine import _circuit_operator, _transfer_value
+        from mbqcrb.engine import _group_operator, _transfer_value
         from mbqcrb.gatesets import clifford_table
 
         group = clifford_group()
@@ -388,7 +353,9 @@ class TestExactOracle:
         ]
         prep = plus_state().bloch
         effect = SpamModel().effect().bloch_coeffs
-        value = _transfer_value(_circuit_operator(steps, np.eye(4), prep, effect), 2)
+        table = clifford_table()
+        readout = effect @ table.ptm[table.inverse]
+        value = _transfer_value(_group_operator(np.array(steps), readout, prep, np.arange(24)), 2)
         p_mean = float(np.mean(strengths))
         model = 0.5 * p_mean**2 + 0.5
         deviation = abs(value - model)
@@ -557,9 +524,10 @@ class TestSampledRunnerAgainstScalarWire:
 
 # Outcome-dependent noise cannot be written to a config file, so the CLI
 # goldens never reach it. These SHA-256 digests of run_protocol records were
-# recorded with the per-shot, step-by-step runner, before measured blocks
-# became a shared (gate, outcome) table; they pin that the table folds both
-# kinds of dependence in exactly as the step-by-step simulation did.
+# recorded when each item's survivals became Born coins at its outcome-averaged
+# survival; any change to that value or to the random stream shows up here.
+# TestSequenceSurvivalVersusLiteralWire checks the value itself against the
+# scalar wire under both kinds of dependence.
 def _block_dependence(angles, outcomes):
     """Damping that grows with the 1 outcomes and the block's total angle."""
     strength = 0.01 * (1 + sum(outcomes)) + 0.002 * float(sum(angles))
@@ -587,12 +555,12 @@ DEPENDENCE_RUNS = {
     ),
 }
 DEPENDENCE_GOLDEN = {
-    "clifford-coset/block": "bb52d6d68a6554a5a8d1d3cc9668cbd213b623e5aab4da5184ab755db255d53e",
-    "clifford-coset/step": "1f9bb2477968bb493467f53098d9079d527e3bd6e25d9b89127fc6750f107758",
-    "clifford-full/block": "58b4189649dea38da8be2b044d9d978fb418a84f53b38c81bc0545fab8643a70",
-    "clifford-full/step": "2b7e172745a24fdb4a94f81dc43d9406d4e4a42b481a16aad14b77f09a82b8b4",
-    "derandomized/block": "296ee86d38e6734caf3bf7c90fb688acdba77135a3f2ebf93d21d1aa5721f8c7",
-    "derandomized/step": "29d63ca1ab17c94f5cbc3931957c7cc29377ac8906f60aafed3391fdc42a8add",
+    "clifford-coset/block": "576edd172adadabba24e066d86a9e0a66e8a73c78c644eb4a182e54aef0a8f74",
+    "clifford-coset/step": "28e31a36cf659a6bbfb98869bce4f9aa2ec61f81fd9ad4a9a3e7ba13d2b3e101",
+    "clifford-full/block": "69d5e15a57bb2dcaf82e673f6a28e0d0f599c94614832a59ca6933d99088174f",
+    "clifford-full/step": "c6e81b89d9c76227299eb7dcb8e03a8189d4fb65fd6eda6b8e89910e1ec92520",
+    "derandomized/block": "1b7c7201213f548f2b9061f3ea0234689d3377e9779a74eb98db1e44f7b75557",
+    "derandomized/step": "7bb0470a515a1968a1a840b5e1e4634283690358f79a8cf95f1c68c2c8a7fd83",
 }
 
 
@@ -620,3 +588,84 @@ def test_dependence_noise_golden_records(run, noise):
     }
     digest = records_digest(run_protocol(RBConfig(**settings)))
     assert digest == DEPENDENCE_GOLDEN[f"{run}/{noise}"]
+
+
+def _clifford_sequence_brute_force(seq, noise, noise_inv, bias, spam):
+    """One gate sequence's survival averaged over every outcome string,
+    each branch replayed through the scalar wire ops."""
+    group = clifford_group()
+    inv = group[clifford_index(sequence_inverse([e.unitary for e in seq]))]
+    instrument = InstrumentConfig(bias=bias)
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=3 * (len(seq) + 1)):
+        weight = np.prod([0.5 + bias if b else 0.5 - bias for b in bits])
+        rng = ScriptedRng([0.0 if b else 0.999 for b in bits])
+        run = WireRun(state=spam.prep())
+        for k, element in enumerate([*seq, inv]):
+            run_gate_block(run, element.angles, noise if k < len(seq) else noise_inv, instrument, rng)
+        p = survival_probability(run, frame_unitary(run.pauli_frame), NO_NOISE, spam.effect())
+        total += weight * p
+    return total
+
+
+class TestSequenceSurvivalVersusLiteralWire:
+    """The sampler's per-sequence survival, averaged over outcomes, is exact."""
+
+    @pytest.mark.parametrize("bias", [0.1, -0.3])
+    @pytest.mark.parametrize("noise", sorted(DEPENDENCE_NOISE))
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_clifford_sequences(self, s, noise, bias):
+        spam = SpamModel(prep_shrink=0.98, effect_bias=0.01)
+        dinv = NoiseModel(kind="depolarizing", strength=0.98)
+        gates = item_rng(71 + s).integers(0, 24, size=(2, s))
+        operators = engine._gate_operators("clifford-mbqc", DEPENDENCE_NOISE[noise], dinv, spam, bias)
+        fast = engine._outcome_averaged_survival(operators, gates)
+        group = clifford_group()
+        for row, value in zip(gates, fast):
+            seq = [group[g] for g in row]
+            brute = _clifford_sequence_brute_force(seq, DEPENDENCE_NOISE[noise], dinv, bias, spam)
+            assert value == pytest.approx(brute, abs=1e-12), row
+
+
+class TestSurvivalDispersion:
+    """Each item's count is Binomial(shots, p) at its sequence's survival p.
+
+    The chi-square statistic over n items has mean n and variance about 2n;
+    an item whose shots shared outcomes, or a count at the wrong p, would
+    inflate it.
+    """
+
+    @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
+    def test_counts_binomial_at_sequence_survival(self, protocol):
+        cfg = RBConfig(
+            protocol=protocol,
+            lengths=(1, 3, 8, 20),
+            sequences_per_length=60,
+            shots_per_sequence=500,
+            noise=DEPENDENCE_NOISE["step"],
+            noise_inv=NoiseModel(kind="depolarizing", strength=0.98),
+            instrument=InstrumentConfig(bias=0.1),
+            spam=SpamModel(prep_shrink=0.98, effect_bias=0.01),
+            seed=73,
+        )
+        records = run_protocol(cfg).records
+        if protocol == "clifford-mbqc":
+            settings = (protocol, cfg.noise, cfg.noise_inv, cfg.spam, cfg.instrument.bias)
+            operators = engine._gate_operators(*settings)
+            p = np.concatenate(
+                [engine._outcome_averaged_survival(operators, np.array([r.gate_indices])) for r in records]
+            )
+        else:
+            exact = {
+                s: exact_sequence_fidelity(
+                    protocol, s, cfg.noise, cfg.spam, cfg.noise_inv, bias=cfg.instrument.bias
+                ).enumerated
+                for s in cfg.lengths
+            }
+            p = np.array([exact[r.s] for r in records])
+        counts = np.array([r.survivals for r in records])
+        n, shots = len(records), cfg.shots_per_sequence
+        assert n >= 200 and np.all((p > 0.01) & (p < 0.99))
+        chi2 = float(np.sum((counts - shots * p) ** 2 / (shots * p * (1 - p))))
+        print(f"{protocol}: chi-square {chi2:.1f} over {n} items")
+        assert abs(chi2 - n) < 4 * np.sqrt(2 * n)

@@ -85,6 +85,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="composite")
 
+    def test_fields_the_kind_ignores_rejected(self):
+        part = NoiseModel(kind="dephasing", strength=0.1)
+        with pytest.raises(ValueError, match="parts"):
+            NoiseModel(kind="depolarizing", strength=0.9, parts=(part,))
+        with pytest.raises(ValueError, match="strength"):
+            NoiseModel(kind="none", strength=0.3)
+        with pytest.raises(ValueError, match="strength"):
+            NoiseModel(kind="composite", strength=0.3, parts=(part,))
+
 
 class TestInstrumentConfig:
     def test_bias_range(self):
@@ -168,6 +177,16 @@ class TestMeasureStep:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             measure_step(fresh_run(), 0.0)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.0])
+    def test_long_run_keeps_unit_trace(self, theta):
+        # rounding in the step PTMs once pushed the trace entry past its
+        # tolerance after about 3000 (theta 0.3) or 4500 (theta 0) steps
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4503)))
+        run = fresh_run()
+        for _ in range(10_000):
+            measure_step(run, theta, rng=rng)
+        assert run.state.bloch[0] == 1.0
 
 
 class TestRunGateBlock:
