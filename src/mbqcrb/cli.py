@@ -229,9 +229,10 @@ def load_config(path: str) -> ExperimentConfig:
 # v2: wire-protocol survivals are drawn at each sequence's outcome-averaged
 # survival, and derandomized digests hash no outcomes. Circuit records are
 # drawn as in v1, so circuit datasets keep the v1 header and their bytes.
-# read_dataset reads both.
+# read_dataset reads both and rejects a file that starts with any other line.
 _DATASET_MAGIC = "mbqcrb-dataset-v2"
 _CIRCUIT_DATASET_MAGIC = "mbqcrb-dataset-v1"
+_READABLE_HEADERS = (f"# {_CIRCUIT_DATASET_MAGIC}", f"# {_DATASET_MAGIC}")
 _DATASET_FIELDS = ("s", "sequence_index", "survivals", "shots", "gate_digest")
 
 
@@ -256,6 +257,12 @@ def read_dataset(path: str) -> RBDataset:
     meta = {}
     body = []
     with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header not in _READABLE_HEADERS:
+            raise ValueError(
+                f"{path} does not start with a dataset header "
+                f"({' or '.join(_READABLE_HEADERS)}): {header!r}"
+            )
         for line in fh:
             if line.startswith("#"):
                 text = line[1:].strip()

@@ -4,6 +4,12 @@ The decay parameter p carries the average gate fidelity (1 + p) / 2; A0 and
 B0 absorb preparation and measurement imperfections. Fitting is a
 deterministic two-stage scheme: plateau/log-linear initialization followed by
 bounded, damped Gauss-Newton refinement.
+
+One solver fits a batch of data rows that share their lengths. Every row
+keeps its own damping, its own accept/reject decision, its own stop and its
+own iteration cap, so a row's fit does not depend on the rest of its batch.
+``fit_decay`` is a batch of one; ``bootstrap_ci`` fits all its resamples in
+one batch.
 """
 
 from __future__ import annotations
@@ -40,6 +46,13 @@ def fidelity_from_p(p: float) -> float:
     return (1.0 + p) / 2.0
 
 
+def _check_points(s, y):
+    if len(set(s.tolist())) < 3:
+        raise ValueError("fitting requires at least 3 distinct sequence lengths")
+    if np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
+        raise ValueError("sequence-fidelity means must lie in [0, 1]")
+
+
 def _parse_points(points):
     lengths, means, errs = [], [], []
     for pt in points:
@@ -53,10 +66,7 @@ def _parse_points(points):
         errs.append(err)
     s = np.asarray(lengths)
     y = np.asarray(means)
-    if len(set(s.tolist())) < 3:
-        raise ValueError("fitting requires at least 3 distinct sequence lengths")
-    if np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
-        raise ValueError("sequence-fidelity means must lie in [0, 1]")
+    _check_points(s, y)
     if any(e is None or not e > 0.0 for e in errs):
         w = np.ones_like(y)
     else:
@@ -82,6 +92,98 @@ def _initial_guess(s, y):
     return np.array([a0, b0, p0])
 
 
+def _residuals(x, s, y, sqrtw):
+    return sqrtw * (x[:, :1] * x[:, 2:] ** s + x[:, 1:2] - y)
+
+
+def _squared_norms(r):
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(a, b):
+    """Solve a[i] @ d[i] = b[i] for every row; a singular row gets NaN."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _fit_rows(s, y, w, max_iterations: int = 500, rel_tol: float = 1e-12):
+    """Bounded, damped Gauss-Newton fit of A0 p^s + B0 to every row of y.
+
+    ``s`` (n,) holds the lengths, sorted; ``y`` and ``w`` (rows, n) hold the
+    means and the weights. Each trial step solves the damped normal equations
+    of all rows still pending at once. A row accepts its step when the cost
+    does not rise (its damping then falls by 3, else it rises by 10), and
+    stops when its step is below ``rel_tol``, when no damping gives a step, or
+    at ``max_iterations``. A row whose means spread by less than 1e-12 is
+    degenerate: A0 = 0, p = 1 and B0 its mean, with no iteration.
+
+    Returns the parameters (rows, 3) as (a0, b0, p), the weighted costs, the
+    iteration counts and the degenerate mask.
+    """
+    sqrtw = np.sqrt(w)
+    degenerate = np.ptp(y, axis=1) < _DEGENERATE_SPREAD
+    active = np.flatnonzero(~degenerate)
+    x = np.empty((len(y), 3))
+    x[degenerate] = 0.0, 0.0, 1.0
+    x[degenerate, 1] = y[degenerate].mean(axis=1)
+    # The start comes from np.polyfit row by row: where the step rule stops
+    # early, an ulp in the start moves a0 by 1e-9.
+    for row in active:
+        x[row] = _initial_guess(s, y[row])
+    r = _residuals(x, s, y, sqrtw)
+    cost = _squared_norms(r)
+    lam = np.full(len(y), 1e-3)
+    iterations = np.zeros(len(y), dtype=int)
+    damping = np.eye(3)
+    for iteration in range(1, max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        a0, p = x[active, :1], x[active, 2:]
+        jac = np.empty((active.size, s.size, 3))
+        jac[..., 0] = p**s
+        jac[..., 1] = 1.0
+        jac[..., 2] = a0 * s * p ** (s - 1)
+        jac *= sqrtw[active, :, None]
+        # Stacked matmuls make the same BLAS call for every row, so a row
+        # gets the same bits in a batch of any size.
+        jac_t = jac.transpose(0, 2, 1)
+        grad = (jac_t @ r[active, :, None])[..., 0]
+        hess = jac_t @ jac
+        pending = np.arange(active.size)
+        stepped = np.zeros(active.size, dtype=bool)
+        converged = np.zeros(active.size, dtype=bool)
+        for _ in range(60):
+            if pending.size == 0:
+                break
+            rows = active[pending]
+            delta = _solve_rows(hess[pending] + lam[rows, None, None] * damping, grad[pending])
+            candidate = np.clip(x[rows] - delta, PARAM_LOWER, PARAM_UPPER)
+            r_new = _residuals(candidate, s, y[rows], sqrtw[rows])
+            cost_new = _squared_norms(r_new)
+            ok = cost_new <= cost[rows]
+            took = rows[ok]
+            step = candidate[ok] - x[took]
+            x[took], r[took], cost[took] = candidate[ok], r_new[ok], cost_new[ok]
+            lam[took] = np.maximum(lam[took] / 3.0, 1e-14)
+            lam[rows[~ok]] *= 10.0
+            stepped[pending[ok]] = True
+            converged[pending[ok]] = (
+                np.abs(step) <= rel_tol * (np.abs(x[took]) + rel_tol)
+            ).all(axis=1)
+            pending = pending[~ok]
+        active = active[stepped & ~converged]
+    return x, cost, iterations, degenerate
+
+
 def fit_decay(points, max_iterations: int = 500, rel_tol: float = 1e-12) -> DecayFit:
     """Weighted least-squares fit of A0 p^s + B0 to sequence-fidelity points.
 
@@ -91,69 +193,51 @@ def fit_decay(points, max_iterations: int = 500, rel_tol: float = 1e-12) -> Deca
     yields a degenerate fit flagged as such, with p pinned to 1.
     """
     s, y, w = _parse_points(points)
-    sqrtw = np.sqrt(w)
-
-    if np.ptp(y) < _DEGENERATE_SPREAD:
-        b0 = float(y.mean())
-        resid = sqrtw * (b0 - y)
-        return DecayFit(
-            a0=0.0,
-            b0=b0,
-            p=1.0,
-            avg_fidelity=fidelity_from_p(1.0),
-            residual_norm=float(np.sqrt(resid @ resid)),
-            degenerate=True,
-        )
-
-    x = _initial_guess(s, y)
-
-    def residuals(params):
-        a0, b0, p = params
-        return sqrtw * (a0 * p**s + b0 - y)
-
-    r = residuals(x)
-    cost = float(r @ r)
-    lam = 1e-3
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        a0, _, p = x
-        model_pow = p**s
-        jac = np.column_stack([model_pow, np.ones_like(s), a0 * s * p ** (s - 1)])
-        jac *= sqrtw[:, None]
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        step = None
-        for _ in range(60):
-            try:
-                delta = np.linalg.solve(hess + lam * np.eye(3), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            candidate = np.clip(x - delta, PARAM_LOWER, PARAM_UPPER)
-            r_new = residuals(candidate)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                step = candidate - x
-                x, r, cost = candidate, r_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
-                break
-            lam *= 10.0
-        if step is None:
-            break
-        if np.all(np.abs(step) <= rel_tol * (np.abs(x) + rel_tol)):
-            break
-
-    a0, b0, p = (float(v) for v in x)
-    clamped = p <= 1e-12 or p >= 1.0 - 1e-12
+    x, cost, iterations, degenerate = _fit_rows(s, y[None], w[None], max_iterations, rel_tol)
+    a0, b0, p = (float(v) for v in x[0])
     return DecayFit(
         a0=a0,
         b0=b0,
         p=p,
         avg_fidelity=fidelity_from_p(p),
-        residual_norm=float(np.sqrt(cost)),
-        clamped=clamped,
-        iterations=iterations,
+        residual_norm=float(np.sqrt(cost[0])),
+        degenerate=bool(degenerate[0]),
+        clamped=not degenerate[0] and (p <= 1e-12 or p >= 1.0 - 1e-12),
+        iterations=int(iterations[0]),
     )
+
+
+def _resample_points(dataset, resamples: int, rng: np.random.Generator):
+    """Per-length means and weights (resamples, lengths) of bootstrap resamples.
+
+    Draws one ``rng.integers(0, k, size=k)`` per (resample, length), in that
+    order, into one index array; each length's block of it then gives that
+    length's means and ddof=1 standard errors for every resample at once.
+    A resample with a zero standard error at some length gets unit weights.
+    """
+    lengths = dataset.lengths()
+    fractions = [dataset.survival_fractions(s) for s in lengths]
+    edges = np.cumsum([0] + [f.size for f in fractions])
+    blocks = list(zip(fractions, edges[:-1], edges[1:]))
+    widest = max(f.size for f in fractions)
+    picks = np.empty((resamples, edges[-1]), dtype=np.min_scalar_type(widest - 1))
+    for row in picks:
+        for f, lo, hi in blocks:
+            row[lo:hi] = rng.integers(0, f.size, size=f.size)
+    means = np.empty((resamples, len(lengths)))
+    stderrs = np.zeros_like(means)
+    for j, (f, lo, hi) in enumerate(blocks):
+        sample = f[picks[:, lo:hi]]
+        means[:, j] = sample.mean(axis=1)
+        if f.size > 1:
+            stderrs[:, j] = sample.std(axis=1, ddof=1) / np.sqrt(f.size)
+    s = np.asarray(lengths, dtype=float)
+    _check_points(s, means)
+    weights = np.ones_like(stderrs)
+    weighted = np.all(stderrs > 0.0, axis=1)
+    weights[weighted] = 1.0 / stderrs[weighted] ** 2
+    order = np.argsort(s)
+    return s[order], means[:, order], weights[:, order]
 
 
 def bootstrap_ci(
@@ -162,23 +246,13 @@ def bootstrap_ci(
     """95% percentile bootstrap interval for p, resampling sequences per length.
 
     ``dataset`` is any object exposing ``lengths()`` and
-    ``survival_fractions(s)`` (see the engine's RBDataset).
+    ``survival_fractions(s)`` (see the engine's RBDataset). Sequences are
+    drawn by one ``rng.integers`` call per (resample, length), in that order,
+    so a seed always resamples the same sequences; every resample is then
+    fitted in one batched solve, as ``fit_decay`` would fit it alone.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"bootstrap needs at least {MIN_RESAMPLES} resamples")
-    lengths = dataset.lengths()
-    fractions = {s: dataset.survival_fractions(s) for s in lengths}
-    ps = np.empty(resamples)
-    for k in range(resamples):
-        pts = []
-        for s in lengths:
-            f = fractions[s]
-            sample = f[rng.integers(0, f.size, size=f.size)]
-            if sample.size > 1:
-                stderr = float(sample.std(ddof=1) / np.sqrt(sample.size))
-            else:
-                stderr = 0.0
-            pts.append((s, float(sample.mean()), stderr))
-        ps[k] = fit_decay(pts).p
-    low, high = np.percentile(ps, [2.5, 97.5])
+    x, _, _, _ = _fit_rows(*_resample_points(dataset, resamples, rng))
+    low, high = np.percentile(x[:, 2], [2.5, 97.5])
     return float(low), float(high)

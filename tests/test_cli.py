@@ -399,6 +399,50 @@ class TestFitCommand:
             read_dataset(str(out))
         assert main(["fit", str(out), "--resamples", "0"]) == 1
 
+    def _replace_header(self, path, lines):
+        text = path.read_text().splitlines(keepends=True)
+        assert text[0] == "# mbqcrb-dataset-v2\n"
+        path.write_text("".join(lines + text[1:]))
+
+    @pytest.mark.parametrize("header", ["# mbqcrb-dataset-v1", "# mbqcrb-dataset-v2"])
+    def test_both_dataset_headers_read(self, tmp_path, header):
+        out = self._make_dataset(tmp_path)
+        self._replace_header(out, [header + "\n"])
+        assert len(read_dataset(str(out)).records) == 6 * 8
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["# something-else-entirely\n"], ["# mbqcrb-dataset-v3\n"], []],
+        ids=["foreign", "future", "missing"],
+    )
+    def test_unknown_or_missing_header_rejected(self, tmp_path, capsys, lines):
+        out = self._make_dataset(tmp_path)
+        self._replace_header(out, lines)
+        with pytest.raises(ValueError, match="does not start with a dataset header"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
+    def test_missing_row_and_single_sequence_length_fitted(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        def thin(rows):
+            fields = [row.split(",") for row in rows]
+            return [
+                row
+                for row, (s, index, *_) in zip(rows, fields)
+                if not (s == "2" and index == "3") and (s != "6" or index == "0")
+            ]
+
+        self._edit_rows(out, thin)
+        ds = read_dataset(str(out))
+        assert [ds.survival_fractions(s).size for s in ds.lengths()] == [8, 7, 8, 8, 8, 1]
+        assert main(["fit", str(out), "--resamples", "100"]) == 0
+        with open(str(out) + ".fit.yaml") as fh:
+            report = yaml.safe_load(fh)
+        assert report["ci_p"][0] <= report["ci_p"][1]
+
 
 class TestOracleCommand:
     def test_prints_values(self, tmp_path, capsys):
