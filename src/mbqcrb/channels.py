@@ -30,6 +30,25 @@ def _frozen(a):
     return a
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def unitary_stack(matrices) -> np.ndarray:
+    """Read-only (..., 2, 2) complex stack, checked unitary once as a whole."""
+    m = np.asarray(matrices, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    if not np.allclose(_dagger(m) @ m, _I, atol=UNITARY_TOL):
+        raise ValueError("matrix is not unitary within 1e-12")
+    return _frozen(m)
+
+
+def phase_distances(a, b) -> np.ndarray:
+    """2 - |tr(A^dag B)| over broadcast (..., 2, 2) stacks; zero where they agree up to phase."""
+    return 2.0 - np.abs(np.trace(_dagger(a) @ b, axis1=-2, axis2=-1))
+
+
 class Unitary2:
     """A 2x2 unitary, equal to another up to global phase.
 
@@ -40,26 +59,34 @@ class Unitary2:
     __slots__ = ("_m",)
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.allclose(m.conj().T @ m, _I, atol=UNITARY_TOL):
-            raise ValueError("matrix is not unitary within 1e-12")
-        self._m = _frozen(m)
+        self._m = unitary_stack(matrix)
+        if self._m.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {self._m.shape}")
+
+    @classmethod
+    def from_stack(cls, matrices) -> tuple["Unitary2", ...]:
+        """One Unitary2 per matrix of an (n, 2, 2) stack, validated once for the whole stack."""
+        stack = unitary_stack(matrices)
+        if stack.ndim != 3:
+            raise ValueError(f"expected an (n, 2, 2) stack, got shape {stack.shape}")
+        units = tuple(object.__new__(cls) for _ in stack)
+        for u, m in zip(units, stack):
+            u._m = m
+        return units
 
     @property
     def matrix(self) -> np.ndarray:
         return self._m
 
     def dagger(self) -> "Unitary2":
-        return Unitary2(self._m.conj().T)
+        return Unitary2(_dagger(self._m))
 
     def __matmul__(self, other: "Unitary2") -> "Unitary2":
         return Unitary2(self._m @ other._m)
 
     def phase_distance(self, other: "Unitary2") -> float:
         """2 - |tr(U^dag V)|; zero iff the two agree up to global phase."""
-        return float(2.0 - abs(np.trace(self._m.conj().T @ other._m)))
+        return float(phase_distances(self._m, other._m))
 
     def equals_up_to_phase(self, other: "Unitary2", tol: float = PHASE_TOL) -> bool:
         return self.phase_distance(other) < tol
@@ -68,11 +95,19 @@ class Unitary2:
         return f"Unitary2({np.array2string(self._m, precision=6)})"
 
 
+def z_rotations(thetas) -> np.ndarray:
+    """Stack of rotations about Z: diag(e^{-i theta/2}, e^{+i theta/2}) per angle."""
+    t = np.asarray(thetas, dtype=float)
+    m = np.zeros(t.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+    return m
+
+
 def z_rotation(theta: float) -> Unitary2:
     """Rotation about Z by ``theta``: diag(e^{-i theta/2}, e^{+i theta/2})."""
     if not np.isfinite(theta):
         raise ValueError("rotation angle must be finite")
-    return Unitary2(np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]))
+    return Unitary2(z_rotations(theta))
 
 
 I2 = Unitary2(_I)
@@ -145,9 +180,6 @@ class State:
     def from_xyz(cls, x: float, y: float, z: float) -> "State":
         return cls([1.0, x, y, z])
 
-    def density_matrix(self) -> np.ndarray:
-        return np.tensordot(self._bloch, _PAULIS, axes=(0, 0)) / 2.0
-
     def __repr__(self):
         return f"State(bloch={np.array2string(self._bloch, precision=6)})"
 
@@ -203,17 +235,26 @@ def survival_effect(background: float = 0.0) -> Effect:
     return Effect((1.0 - background) * (_I + _X) / 2.0 + background * _I)
 
 
-def channel_from_unitary(u: Unitary2) -> Channel:
-    """PTM of rho -> U rho U^dag: R_ij = Re tr(sigma_i U sigma_j U^dag) / 2.
+def _kraus_ptms(k: np.ndarray) -> np.ndarray:
+    """R_ij = Re tr(sigma_i K sigma_j K^dag) / 2 for each K of an (n, 2, 2) stack."""
+    conj = np.einsum("nab,jbc,ndc->njad", k, _PAULIS, k.conj())
+    return np.real(np.einsum("iab,njba->nij", _PAULIS, conj)) / 2.0
 
-    Gate matrices are unitary only to rounding, and R(cU) = |c|^2 R(U), so R
-    is divided by R_00: the map then preserves the trace exactly, also over
-    many thousands of applications.
+
+def unitary_ptms(matrices) -> np.ndarray:
+    """PTMs of rho -> U rho U^dag for each U of an (n, 2, 2) stack.
+
+    Gate matrices are unitary only to rounding, and R(cU) = |c|^2 R(U), so each
+    R is divided by its R_00: the map then preserves the trace exactly, also
+    over many thousands of applications.
     """
-    m = u.matrix
-    conj = np.einsum("ab,jbc,dc->jad", m, _PAULIS, m.conj())
-    r = np.real(np.einsum("iab,jba->ij", _PAULIS, conj)) / 2.0
-    return Channel(r / r[0, 0])
+    r = _kraus_ptms(np.asarray(matrices))
+    return r / r[:, :1, :1]
+
+
+def channel_from_unitary(u: Unitary2) -> Channel:
+    """The channel rho -> U rho U^dag; see :func:`unitary_ptms`."""
+    return Channel(unitary_ptms(u.matrix[None])[0])
 
 
 def identity_channel() -> Channel:
@@ -283,11 +324,8 @@ def twirl(e: Channel, gateset: list[Unitary2]) -> Channel:
     """Average of U^dag . e . U over the gate set."""
     if not gateset:
         raise ValueError("cannot twirl over an empty gate set")
-    acc = np.zeros((4, 4))
-    for u in gateset:
-        r = channel_from_unitary(u).ptm
-        acc += r.T @ e.ptm @ r
-    return Channel(acc / len(gateset))
+    r = unitary_ptms(np.stack([u.matrix for u in gateset]))
+    return Channel((r.swapaxes(1, 2) @ e.ptm @ r).sum(axis=0) / len(gateset))
 
 
 def frame_potential(gateset: list[Unitary2], t: int) -> float:
@@ -321,9 +359,4 @@ def random_cptp_channel(rng: np.random.Generator, kraus_rank: int = 2) -> Channe
     g = rng.normal(size=(2 * kraus_rank, 2)) + 1j * rng.normal(size=(2 * kraus_rank, 2))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r))  # fix the gauge so the draw is Haar
-    acc = np.zeros((4, 4))
-    for i in range(kraus_rank):
-        k = q[2 * i : 2 * i + 2, :]
-        conj = np.einsum("ab,jbc,dc->jad", k, _PAULIS, k.conj())
-        acc += np.real(np.einsum("iab,jba->ij", _PAULIS, conj)) / 2.0
-    return Channel(acc)
+    return Channel(_kraus_ptms(q.reshape(kraus_rank, 2, 2)).sum(axis=0))

@@ -37,12 +37,12 @@ from .channels import (
     channel_from_unitary,
     plus_state,
     survival_effect,
+    unitary_ptms,
     _frozen,
 )
 from .gatesets import (
     OUTCOME_TRIPLES,
     CliffordElement,
-    DerandomizedDesign,
     clifford_group,
     clifford_table,
     derandomized_design,
@@ -222,16 +222,6 @@ def _step_ptm(theta: float, m: int, noise: NoiseModel) -> np.ndarray:
     return ptm
 
 
-def _block_chain_ptm(angles, outcomes, noise: NoiseModel) -> np.ndarray:
-    """PTM of one measured gate block, mirroring the wire-step semantics."""
-    ptm = np.eye(4)
-    for theta, bit in zip(angles, outcomes):
-        ptm = _step_ptm(theta, bit, noise) @ ptm
-    if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
-        ptm = noise.realize(tuple(angles), tuple(outcomes)).ptm @ ptm
-    return ptm
-
-
 @lru_cache(maxsize=32)
 def _block_table(patterns: tuple[tuple[float, ...], ...], noise: NoiseModel) -> np.ndarray:
     """Every measured block's PTM, flat over (pattern, outcome index).
@@ -240,13 +230,14 @@ def _block_table(patterns: tuple[tuple[float, ...], ...], noise: NoiseModel) -> 
     q outcomes spell m, the first outcome most significant.
     """
     q = len(patterns[0])
-    return _frozen(
-        [
-            _block_chain_ptm(angles, outcomes, noise)
-            for angles in patterns
-            for outcomes in itertools.product((0, 1), repeat=q)
-        ]
-    )
+    blocks = list(itertools.product(patterns, itertools.product((0, 1), repeat=q)))
+    steps = np.array([[_step_ptm(t, bit, noise) for t, bit in zip(*block)] for block in blocks])
+    ptm = np.eye(4)
+    for k in range(q):
+        ptm = steps[:, k] @ ptm
+    if (not noise.trivial) and noise.placement == AFTER_EACH_GATE_BLOCK:
+        ptm = np.array([noise.realize(tuple(a), o).ptm for a, o in blocks]) @ ptm
+    return _frozen(ptm)
 
 
 def _clifford_blocks(noise: NoiseModel) -> np.ndarray:
@@ -257,12 +248,7 @@ def _clifford_blocks(noise: NoiseModel) -> np.ndarray:
 
 def _design_blocks(noise: NoiseModel, phis: tuple[float, float]) -> np.ndarray:
     """Block PTMs of the derandomized pattern, indexed by outcome index."""
-    return _block_table((_cached_design(phis).angles,), noise)
-
-
-@lru_cache(maxsize=8)
-def _cached_design(phis: tuple[float, float]) -> DerandomizedDesign:
-    return derandomized_design(*phis)
+    return _block_table((derandomized_design(*phis).angles,), noise)
 
 
 def _outcome_weights(q: int, bias: float) -> np.ndarray:
@@ -278,10 +264,9 @@ def _frame_steps() -> np.ndarray:
 
     Row g * 8 + m is row g's block with outcome index m; f is the frame before it.
     """
-    table = clifford_table()
-    m, fx, fz = np.ix_(range(len(OUTCOME_TRIPLES)), (0, 1), (0, 1))
-    steps = [table.next_frame(g, m, fx, fz) for g in range(24)]
-    return np.reshape([2 * nfx + nfz for nfx, nfz in steps], (-1, 4))
+    g, m, f = np.ix_(range(24), range(len(OUTCOME_TRIPLES)), range(4))
+    fx, fz = clifford_table().next_frame(g, m, f // 2, f % 2)
+    return (2 * fx + fz).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,7 @@ def _derandomized_operator(noise, noise_inv, spam, bias, phis):
     Y <- sum_m w_m R(U_m)^T Y C_m, and the survival is effect . D_inv Y prep.
     """
     w = _outcome_weights(5, bias)
-    rot = np.stack([channel_from_unitary(u).ptm for u in _cached_design(phis).elements])
+    rot = unitary_ptms(np.stack([u.matrix for u in derandomized_design(*phis).elements]))
     op = np.einsum("m,mia,mjb->abij", w, rot, _design_blocks(noise, phis))
     readout = np.outer(spam.effect().bloch_coeffs @ noise_inv.realize().ptm, spam.prep().bloch)
     return op.reshape(16, 16), np.eye(4).ravel(), readout.ravel()

@@ -24,12 +24,16 @@ from .channels import (
     X,
     Y,
     Z,
+    _dagger,
     _frozen,
-    channel_from_unitary,
     frame_potential,
+    phase_distances,
     random_cptp_channel,
     twirl,
+    unitary_ptms,
+    unitary_stack,
     z_rotation,
+    z_rotations,
 )
 
 HALF_PI = np.pi / 2
@@ -85,11 +89,11 @@ class CliffordElement:
         return tuple(int(round(a / HALF_PI)) % 4 for a in self.angles)
 
 
-def word_to_unitary(word: str) -> Unitary2:
+def _word_matrix(word: str) -> np.ndarray:
     """Product of generators P and H named by ``word`` (e.g. "P2HP3")."""
-    if word == "I":
-        return I2
     m = np.eye(2, dtype=complex)
+    if word == "I":
+        return m
     i = 0
     while i < len(word):
         if word[i] not in "PH":
@@ -102,7 +106,24 @@ def word_to_unitary(word: str) -> Unitary2:
         for _ in range(power):
             m = m @ g
         i += 1
-    return Unitary2(m)
+    return m
+
+
+def word_to_unitary(word: str) -> Unitary2:
+    """Product of generators P and H named by ``word`` (e.g. "P2HP3")."""
+    return I2 if word == "I" else Unitary2(_word_matrix(word))
+
+
+def measurement_gates(angles, outcomes=0) -> np.ndarray:
+    """Gate X^m H Z_theta of one wire measurement, over broadcast angles and outcome bits."""
+    u = H.matrix @ z_rotations(angles)
+    return np.where(np.asarray(outcomes)[..., None, None] != 0, X.matrix @ u, u)
+
+
+def _block_gates(angles, outcomes=0) -> np.ndarray:
+    """Gates of three wire measurements at (..., 3) angles and outcomes, the first acting first."""
+    steps = measurement_gates(angles, outcomes)
+    return steps[..., 2, :, :] @ steps[..., 1, :, :] @ steps[..., 0, :, :]
 
 
 def angles_to_clifford(angles) -> Unitary2:
@@ -110,20 +131,19 @@ def angles_to_clifford(angles) -> Unitary2:
 
     The first angle is the rightmost factor: (H Z_t3)(H Z_t2)(H Z_t1).
     """
-    t1, t2, t3 = (float(a) for a in angles)
-    for a in (t1, t2, t3):
-        if abs(a / HALF_PI - round(a / HALF_PI)) > 1e-9:
-            raise ValueError(f"angle {a} is not an integer multiple of pi/2")
-    hm = H.matrix
-    m = (hm @ z_rotation(t3).matrix) @ (hm @ z_rotation(t2).matrix) @ (hm @ z_rotation(t1).matrix)
-    return Unitary2(m)
+    t = np.array([float(a) for a in angles])
+    off = np.abs(t / HALF_PI - np.round(t / HALF_PI)) > 1e-9
+    if off.any():
+        raise ValueError(f"angle {t[off.argmax()]} is not an integer multiple of pi/2")
+    return Unitary2(_block_gates(t))
 
 
-def _phase_key(m: np.ndarray, decimals: int = 6) -> bytes:
-    """Hashable form of a unitary with the global phase stripped."""
-    anchor = m[0, 0] if abs(m[0, 0]) > 0.3 else m[0, 1]
-    normed = m * (abs(anchor) / anchor)
-    return (np.round(normed, decimals) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
+def _phase_keys(mats, decimals: int = 6) -> list[bytes]:
+    """Hashable form of each unitary of a (..., 2, 2) stack, global phase stripped."""
+    m = np.reshape(mats, (-1, 2, 2))
+    anchor = np.where(np.abs(m[:, 0, 0]) > 0.3, m[:, 0, 0], m[:, 0, 1])
+    normed = m * (np.abs(anchor) / anchor)[:, None, None]
+    return [k.tobytes() for k in np.round(normed, decimals) + 0.0]  # +0.0 folds -0.0 into +0.0
 
 
 @lru_cache(maxsize=None)
@@ -134,42 +154,32 @@ def clifford_group() -> tuple[CliffordElement, ...]:
     up-to-phase deduplication and checked against the angle table rows; the
     composition-order convention is pinned by the I and H rows.
     """
-    table_unitaries = {w: word_to_unitary(w) for w in CLIFFORD_ANGLE_TABLE}
+    table = CLIFFORD_ANGLE_TABLE
+    words = tuple(table)
+    mats = unitary_stack([_word_matrix(w) for w in words])
 
     # Closure from the identity under right-multiplication by P and H.
-    seen = {_phase_key(I2.matrix): I2}
-    frontier = [I2]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (P, H):
-                v = u @ g
-                key = _phase_key(v.matrix)
-                if key not in seen:
-                    seen[key] = v
-                    nxt.append(v)
-        frontier = nxt
+    seen = set(_phase_keys(I2.matrix))
+    frontier = I2.matrix[None]
+    while len(frontier):
+        products = (frontier[:, None] @ np.stack([P.matrix, H.matrix])).reshape(-1, 2, 2)
+        fresh = {k: v for k, v in zip(_phase_keys(products), products) if k not in seen}
+        seen.update(fresh)
+        frontier = unitary_stack(np.reshape(list(fresh.values()), (-1, 2, 2)))
     if len(seen) != 24:
         raise VerificationError(f"closure over P, H produced {len(seen)} elements, expected 24")
-    table_keys = {_phase_key(u.matrix) for u in table_unitaries.values()}
-    if table_keys != set(seen):
+    if set(_phase_keys(mats)) != seen:
         raise VerificationError("angle-table words do not enumerate the closure of P, H")
 
     # Pin the angle composition order before trusting the rest of the table.
-    for word, target in (("H", H), ("I", I2)):
-        got = angles_to_clifford(_row_angles(word))
-        if not got.equals_up_to_phase(target):
+    for word, dev in _row_deviations({w: table[w] for w in ("H", "I")}).items():
+        if not dev < PHASE_TOL:
             raise VerificationError(f"angle composition order check failed on row {word}")
 
     return tuple(
-        CliffordElement(unitary=table_unitaries[w], word=w, angles=_row_angles(w))
-        for w in CLIFFORD_ANGLE_TABLE
+        CliffordElement(unitary=u, word=w, angles=tuple(k * HALF_PI for k in table[w]))
+        for u, w in zip(Unitary2.from_stack(mats), words)
     )
-
-
-def _row_angles(word: str) -> tuple[float, float, float]:
-    n1, n2, n3 = CLIFFORD_ANGLE_TABLE[word]
-    return (n1 * HALF_PI, n2 * HALF_PI, n3 * HALF_PI)
 
 
 def coset_reps() -> tuple[CliffordElement, ...]:
@@ -178,18 +188,32 @@ def coset_reps() -> tuple[CliffordElement, ...]:
     return tuple(by_word[w] for w in COSET_REP_WORDS)
 
 
-def clifford_index(u: Unitary2) -> int:
-    """Position of ``u`` in :func:`clifford_group`, matched up to phase."""
-    key = _phase_key(u.matrix)
+def _clifford_indices(mats) -> np.ndarray:
+    """Position in :func:`clifford_group` of each matrix of a (..., 2, 2) stack, up to phase."""
+    index = _index_by_key()
     try:
-        return _index_by_key()[key]
+        found = [index[k] for k in _phase_keys(mats)]
     except KeyError:
         raise ValueError("unitary is not a Clifford element") from None
+    return np.reshape(found, np.shape(mats)[:-2])
+
+
+def clifford_index(u: Unitary2) -> int:
+    """Position of ``u`` in :func:`clifford_group`, matched up to phase."""
+    return int(_clifford_indices(u.matrix))
 
 
 @lru_cache(maxsize=None)
 def _index_by_key() -> dict[bytes, int]:
-    return {_phase_key(e.unitary.matrix): i for i, e in enumerate(clifford_group())}
+    return {k: i for i, k in enumerate(_phase_keys([e.unitary.matrix for e in clifford_group()]))}
+
+
+def _row_deviations(table: dict[str, tuple[int, int, int]]) -> dict[str, float]:
+    """Phase distance between each row's angle-triple gate and its named word."""
+    words = list(table)
+    targets = unitary_stack(np.reshape([_word_matrix(w) for w in words], (-1, 2, 2)))
+    angles = np.reshape([table[w] for w in words], (-1, 3)) * HALF_PI
+    return dict(zip(words, phase_distances(unitary_stack(_block_gates(angles)), targets).tolist()))
 
 
 def verify_angle_table(table: dict[str, tuple[int, int, int]] | None = None) -> dict[str, float]:
@@ -198,34 +222,27 @@ def verify_angle_table(table: dict[str, tuple[int, int, int]] | None = None) -> 
     Returns the phase distance per row on success; raises
     :class:`VerificationError` naming the offending rows otherwise.
     """
-    if table is None:
-        table = CLIFFORD_ANGLE_TABLE
-    deviations = {}
-    failures = []
-    for word, quads in table.items():
-        target = word_to_unitary(word)
-        got = angles_to_clifford(tuple(n * HALF_PI for n in quads))
-        dev = got.phase_distance(target)
-        deviations[word] = dev
-        if dev > PHASE_TOL:
-            failures.append(word)
+    deviations = _row_deviations(CLIFFORD_ANGLE_TABLE if table is None else table)
+    failures = [w for w, dev in deviations.items() if dev > PHASE_TOL]
     if failures:
         raise VerificationError(f"angle table rows failed: {', '.join(failures)}")
     return deviations
 
 
-def byproduct_bits(n, m) -> tuple[int, int]:
+def byproduct_bits(n, m):
     """Pauli exponents (b1, b2) from outcomes ``m`` of a quarter-turn triple ``n``.
 
     The realized three-measurement gate equals X^b1 Z^b2 times the
-    all-outcomes-zero gate, up to global phase.
+    all-outcomes-zero gate, up to global phase. Broadcasts over arrays of
+    triples along the last axis.
     """
-    n1, n2, n3 = (int(k) for k in n)
-    m1, m2, m3 = (int(b) for b in m)
-    if not all(k in (0, 1, 2, 3) for k in (n1, n2, n3)):
+    n = np.asarray(n).astype(np.int64)
+    m = np.asarray(m).astype(np.int64)
+    if ((n < 0) | (n > 3)).any():
         raise ValueError("quarter-turn indices must lie in {0, 1, 2, 3}")
-    if not all(b in (0, 1) for b in (m1, m2, m3)):
+    if ((m != 0) & (m != 1)).any():
         raise ValueError("outcomes must be bits")
+    (_, n2, n3), (m1, m2, m3) = np.moveaxis(n, -1, 0), np.moveaxis(m, -1, 0)
     b1 = (m3 + m2 * n3 + m1 * (n2 * n3 + 1)) % 2
     b2 = (m2 + m1 * n2) % 2
     return b1, b2
@@ -239,39 +256,31 @@ def verify_byproduct_bits() -> float:
     up to phase. Returns the worst phase distance; raises
     :class:`VerificationError` on any mismatch.
     """
-    worst = 0.0
-    failures = []
-    for n1 in range(4):
-        for n2 in range(4):
-            for n3 in range(4):
-                n = (n1, n2, n3)
-                base = angles_to_clifford(tuple(k * HALF_PI for k in n))
-                for m1 in range(2):
-                    for m2 in range(2):
-                        for m3 in range(2):
-                            m = (m1, m2, m3)
-                            real = np.eye(2, dtype=complex)
-                            for nk, mk in zip(n, m):
-                                step = H.matrix @ z_rotation(nk * HALF_PI).matrix
-                                if mk:
-                                    step = X.matrix @ step
-                                real = step @ real
-                            b1, b2 = byproduct_bits(n, m)
-                            pred = base.matrix
-                            if b2:
-                                pred = Z.matrix @ pred
-                            if b1:
-                                pred = X.matrix @ pred
-                            dev = Unitary2(real).phase_distance(Unitary2(pred))
-                            worst = max(worst, dev)
-                            if dev > PHASE_TOL:
-                                failures.append((n, m))
+    n = QUARTER_TRIPLES[:, None]  # [n, 1, k]
+    m = np.array(OUTCOME_TRIPLES)  # [m, k]
+    real = _block_gates(n * HALF_PI, m)
+    b1, b2 = (np.asarray(b)[..., None, None] for b in byproduct_bits(n, m))
+    pred = _block_gates(n * HALF_PI)
+    pred = np.where(b2 != 0, Z.matrix @ pred, pred)
+    pred = np.where(b1 != 0, X.matrix @ pred, pred)
+    devs = phase_distances(unitary_stack(real), unitary_stack(pred))
+    failures = int((devs > PHASE_TOL).sum())
     if failures:
-        raise VerificationError(f"byproduct formulas failed for {len(failures)} cases")
-    return worst
+        raise VerificationError(f"byproduct formulas failed for {failures} cases")
+    return max(0.0, float(devs.max()))
 
 
-_PAULI_BITS = {(1, 0): X, (1, 1): Y, (0, 1): Z}
+_FRAME_PAULIS = np.stack([X.matrix, Y.matrix, Z.matrix])
+_FRAME_BITS = np.array([(1, 0), (1, 1), (0, 1)])  # (fx, fz) of X, Y, Z
+
+
+def _conjugation_bits(mats: np.ndarray) -> np.ndarray:
+    """:func:`conjugation_bits` of each matrix of an (n, 2, 2) stack."""
+    conj = mats[:, None] @ np.stack([X.matrix, Z.matrix]) @ _dagger(mats)[:, None]
+    hits = phase_distances(conj[:, :, None], _FRAME_PAULIS) < PHASE_TOL  # [n, X or Z, pauli]
+    if not hits.any(axis=-1).all():
+        raise ValueError("unitary does not normalize the Pauli group")
+    return _FRAME_BITS[hits.argmax(axis=-1)].swapaxes(-1, -2)
 
 
 def conjugation_bits(u: Unitary2) -> np.ndarray:
@@ -280,16 +289,7 @@ def conjugation_bits(u: Unitary2) -> np.ndarray:
     Returns the 2x2 bit matrix A with u X^fx Z^fz u^dag = X^fx' Z^fz' up to
     phase, (fx', fz') = A (fx, fz).
     """
-    cols = []
-    for w in (X, Z):
-        conj = Unitary2(u.matrix @ w.matrix @ u.matrix.conj().T)
-        for bits, pauli in _PAULI_BITS.items():
-            if conj.equals_up_to_phase(pauli):
-                cols.append(bits)
-                break
-        else:
-            raise ValueError("unitary does not normalize the Pauli group")
-    return np.array(cols, dtype=int).T
+    return _conjugation_bits(u.matrix[None])[0]
 
 
 def frame_unitary(frame) -> Unitary2:
@@ -308,15 +308,16 @@ def fold_frame(action, bits, fx, fz):
 
     The old frame (fx, fz) is conjugated through the block's all-zeros gate,
     whose GF(2) action is ``action``, and the block's byproduct ``bits``
-    (b1, b2) are XORed on top. Broadcasts over arrays of frames and bits.
+    (b1, b2) are XORed on top. Broadcasts over arrays of actions, frames and bits.
     """
     return (
-        (bits[..., 0] + action[0, 0] * fx + action[0, 1] * fz) % 2,
-        (bits[..., 1] + action[1, 0] * fx + action[1, 1] * fz) % 2,
+        (bits[..., 0] + action[..., 0, 0] * fx + action[..., 0, 1] * fz) % 2,
+        (bits[..., 1] + action[..., 1, 0] * fx + action[..., 1, 1] * fz) % 2,
     )
 
 
 OUTCOME_TRIPLES = tuple(itertools.product((0, 1), repeat=3))
+QUARTER_TRIPLES = _frozen(list(np.ndindex(4, 4, 4)))  # every (n1, n2, n3), n3 fastest
 
 
 @dataclass(frozen=True)
@@ -353,23 +354,22 @@ class CliffordTable:
 def clifford_table() -> CliffordTable:
     """The shared :class:`CliffordTable`, built on first use."""
     group = clifford_group()
-    index = _index_by_key()
-    mats = [e.unitary.matrix for e in group]
+    mats = np.stack([e.unitary.matrix for e in group])
+    quarter_turns = np.array([e.quarter_turns for e in group])[:, None]
+    frames = [frame_unitary(f).matrix for f in itertools.product((0, 1), repeat=2)]
     return CliffordTable(
-        product=_frozen([[index[_phase_key(a @ b)] for b in mats] for a in mats]),
-        inverse=_frozen([index[_phase_key(a.conj().T)] for a in mats]),
-        ptm=_frozen([channel_from_unitary(e.unitary).ptm for e in group]),
-        frame_action=_frozen([conjugation_bits(e.unitary) for e in group]),
+        product=_frozen(_clifford_indices(mats[:, None] @ mats)),
+        inverse=_frozen(_clifford_indices(_dagger(mats))),
+        ptm=_frozen(unitary_ptms(mats)),
+        frame_action=_frozen(_conjugation_bits(mats)),
         byproducts=_frozen(
-            [[byproduct_bits(e.quarter_turns, m) for m in OUTCOME_TRIPLES] for e in group]
+            np.stack(byproduct_bits(quarter_turns, np.array(OUTCOME_TRIPLES)), axis=-1)
         ),
-        coset_reps=_frozen([clifford_index(e.unitary) for e in coset_reps()]),
+        coset_reps=_frozen(_clifford_indices([e.unitary.matrix for e in coset_reps()])),
         triple_element=_frozen(
-            [clifford_index(angles_to_clifford(np.array(n) * HALF_PI)) for n in np.ndindex(4, 4, 4)]
+            _clifford_indices(unitary_stack(_block_gates(HALF_PI * QUARTER_TRIPLES)))
         ).reshape(4, 4, 4),
-        frame_ptm=_frozen(
-            [[channel_from_unitary(frame_unitary((fx, fz))).ptm for fz in (0, 1)] for fx in (0, 1)]
-        ),
+        frame_ptm=_frozen(unitary_ptms(np.stack(frames)).reshape(2, 2, 4, 4)),
     )
 
 
@@ -394,7 +394,7 @@ def design_angles(phi1: float = 0.0, phi2: float = 0.0):
 
 
 def derandomized_design(phi1: float = 0.0, phi2: float = 0.0) -> DerandomizedDesign:
-    """Build the fixed-pattern 2-design for free angles ``phi1``, ``phi2``.
+    """The fixed-pattern 2-design for free angles ``phi1``, ``phi2``, built once per pair.
 
     Each flip A_i is Z conjugated by the tail of the measurement pattern
     from site i onward; element m applies, after the all-zeros gate Q, the
@@ -402,41 +402,32 @@ def derandomized_design(phi1: float = 0.0, phi2: float = 0.0) -> DerandomizedDes
     """
     if not (np.isfinite(phi1) and np.isfinite(phi2)):
         raise ValueError("free angles must be finite")
+    return _design(float(phi1), float(phi2))
+
+
+@lru_cache(maxsize=8)
+def _design(phi1: float, phi2: float) -> DerandomizedDesign:
     angles = design_angles(phi1, phi2)
-    steps = [H.matrix @ z_rotation(t).matrix for t in angles]
-
-    q = np.eye(2, dtype=complex)
-    for s in steps:
-        q = s @ q
-
-    flips = []
-    for i in range(1, 6):
-        tail = np.eye(2, dtype=complex)
-        for k in range(i, 6):
-            tail = steps[k - 1] @ tail
-        a = Unitary2(tail @ Z.matrix @ tail.conj().T)
-        if abs(np.trace(a.matrix)) > 1e-10 or not np.allclose(
-            a.matrix, a.matrix.conj().T, atol=1e-10
-        ):
+    # tails[i] is the pattern from site i + 1 on, so tails[0] is Q
+    tails = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+    for k, step in enumerate(measurement_gates(angles)):
+        tails[: k + 1] = step @ tails[: k + 1]
+    flips = unitary_stack(tails @ Z.matrix @ _dagger(tails))
+    for i, a in enumerate(flips, 1):
+        if abs(np.trace(a)) > 1e-10 or not np.allclose(a, _dagger(a), atol=1e-10):
             raise VerificationError(f"flip matrix A{i} is not a pi rotation")
-        flips.append(a)
-
-    elements = []
-    for idx in range(32):
-        bits = [(idx >> (4 - k)) & 1 for k in range(5)]  # m1 .. m5
-        m = q.copy()
-        for i in range(5):
-            if bits[i]:
-                m = flips[i].matrix @ m
-        elements.append(Unitary2(m))
+    # each flip doubles the stack and appends the next outcome bit, m1 most significant
+    elements = tails[:1]
+    for a in flips:
+        elements = np.stack([elements, a @ elements], axis=1).reshape(-1, 2, 2)
 
     return DerandomizedDesign(
         phi1=phi1,
         phi2=phi2,
         angles=angles,
-        a=tuple(flips),
-        q_gate=Unitary2(q),
-        elements=tuple(elements),
+        a=Unitary2.from_stack(flips),
+        q_gate=Unitary2(tails[0]),
+        elements=Unitary2.from_stack(elements),
     )
 
 
@@ -494,13 +485,8 @@ def verify_design_reference() -> dict[str, float]:
     )
     checks = {f"A{i + 1}": (design.a[i].matrix, ZERO_PHI_REFERENCE[f"A{i + 1}"]) for i in range(5)}
     checks["Q"] = (design.q_gate.matrix, q_ref)
-    deviations = {}
-    failures = []
-    for name, (got, ref) in checks.items():
-        dev = _phase_aligned_deviation(got, ref)
-        deviations[name] = dev
-        if dev > PHASE_TOL:
-            failures.append(name)
+    deviations = {name: _phase_aligned_deviation(got, ref) for name, (got, ref) in checks.items()}
+    failures = [name for name, dev in deviations.items() if dev > PHASE_TOL]
     if failures:
         raise VerificationError(f"design reference mismatch: {', '.join(failures)}")
     return deviations

@@ -18,10 +18,8 @@ import numpy as np
 from .channels import (
     Channel,
     Effect,
-    H,
     State,
     Unitary2,
-    X,
     amplitude_damping,
     apply,
     channel_from_unitary,
@@ -36,6 +34,7 @@ from .channels import (
 )
 # conjugation_bits and frame_unitary live with the gate set; they stay importable from here.
 from .gatesets import byproduct_bits, clifford_table, conjugation_bits, fold_frame, frame_unitary
+from .gatesets import measurement_gates
 
 AFTER_EACH_STEP = "after-each-step"
 AFTER_EACH_GATE_BLOCK = "after-each-gate-block"
@@ -153,10 +152,7 @@ class WireRun:
 
 def step_unitary(theta: float, m: int) -> Unitary2:
     """Logical gate X^m H Z_theta applied by one wire measurement."""
-    u = H.matrix @ z_rotation(theta).matrix
-    if m:
-        u = X.matrix @ u
-    return Unitary2(u)
+    return Unitary2(measurement_gates(theta, m))
 
 
 @lru_cache(maxsize=512)

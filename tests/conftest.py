@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 
-def haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random 2x2 unitaries via one batched QR of Ginibre matrices."""
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
     q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]  # fix the gauge so the draw is Haar
+
+
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random 2x2 unitary."""
+    return haar_unitaries(rng, 1)[0]
 
 
 class ScriptedRng:

@@ -32,12 +32,15 @@ from mbqcrb.channels import (
     random_cptp_channel,
     survival_effect,
     twirl,
+    unitary_ptms,
+    unitary_stack,
     z_rotation,
+    z_rotations,
 )
 
 from mbqcrb.gatesets import clifford_group, derandomized_design
 
-from conftest import haar_unitary
+from conftest import haar_unitaries, haar_unitary
 
 
 class TestUnitary2:
@@ -63,6 +66,41 @@ class TestUnitary2:
         u = z_rotation(theta)
         v = Unitary2(np.exp(1j * phase) * u.matrix)
         assert u.equals_up_to_phase(v)
+
+
+class TestUnitaryStack:
+    def test_non_unitary_entry_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1.001]), np.eye(2)])
+        with pytest.raises(ValueError, match="not unitary"):
+            unitary_stack(stack)
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary2.from_stack(stack)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError):
+            unitary_stack(np.eye(3))
+        with pytest.raises(ValueError):
+            Unitary2.from_stack(np.eye(2))
+
+    def test_from_stack_wraps_each_matrix_read_only(self, rng):
+        stack = np.stack([haar_unitary(rng) for _ in range(3)])
+        us = Unitary2.from_stack(stack)
+        assert len(us) == 3
+        for u, m in zip(us, stack):
+            assert np.array_equal(u.matrix, m)
+            with pytest.raises(ValueError):
+                u.matrix[0, 0] = 0
+
+    def test_ptms_match_one_at_a_time(self, rng):
+        stack = np.stack([haar_unitary(rng) for _ in range(5)])
+        ptms = unitary_ptms(stack)
+        for r, m in zip(ptms, stack):
+            assert r.tobytes() == channel_from_unitary(Unitary2(m)).ptm.tobytes()
+
+    def test_z_rotations_match_scalar(self):
+        thetas = np.linspace(-7.0, 7.0, 11)
+        for m, t in zip(z_rotations(thetas), thetas):
+            assert np.array_equal(m, z_rotation(t).matrix)
 
 
 class TestZRotation:
@@ -266,11 +304,9 @@ class TestFramePotential:
 
         gates = [e.unitary for e in clifford_group()]
         assert frame_potential(gates, 2) == pytest.approx(2.0, abs=1e-10)
-        # Monte Carlo Haar reference for the t = 2 value
-        samples = [
-            abs(np.trace(haar_unitary(rng).conj().T @ haar_unitary(rng))) ** 4
-            for _ in range(200_000)
-        ]
+        # Monte Carlo Haar reference for the t = 2 value, over independent pairs
+        u, v = haar_unitaries(rng, 200_000), haar_unitaries(rng, 200_000)
+        samples = np.abs(np.trace(u.conj().swapaxes(1, 2) @ v, axis1=1, axis2=2)) ** 4
         assert np.mean(samples) == pytest.approx(2.0, abs=3 * np.std(samples) / np.sqrt(len(samples)))
 
     def test_haar_value_is_lower_bound(self, rng):

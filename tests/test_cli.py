@@ -152,11 +152,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL clifford-angle-table" in out
         assert "H" in out
+        assert out.count("PASS") == 4
 
     def test_pauli_design_hook(self, capsys):
         assert main(["verify", "--pauli-design"]) == 1
         out = capsys.readouterr().out
         assert "FAIL derandomized-2design" in out
+        assert out.count("PASS") == 4
+
+    def test_wrong_byproduct_formula_fails(self, monkeypatch, capsys):
+        import mbqcrb.gatesets as gatesets
+
+        right = gatesets.byproduct_bits
+        monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL byproduct-bits" in out
+        assert out.count("PASS") == 4
+
+    def test_builds_the_design_once(self):
+        import mbqcrb.gatesets as gatesets
+
+        gatesets._design.cache_clear()
+        assert main(["--quiet", "verify"]) == 0
+        assert gatesets._design.cache_info().misses == 1
 
 
 class TestRunCommand:

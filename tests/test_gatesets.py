@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,24 @@ class TestByproductBits:
             byproduct_bits((4, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             byproduct_bits((0, 0, 0), (2, 0, 0))
+        with pytest.raises(ValueError):
+            byproduct_bits(np.zeros((5, 3)), np.full((5, 3), 2))
+
+    def test_broadcasts_like_scalar_calls(self):
+        n = np.array(list(np.ndindex(4, 4, 4)))[:, None]
+        b1, b2 = byproduct_bits(n, np.array(OUTCOME_TRIPLES))
+        assert b1.shape == b2.shape == (64, 8)
+        for i, triple in enumerate(np.ndindex(4, 4, 4)):
+            for j, m in enumerate(OUTCOME_TRIPLES):
+                assert (b1[i, j], b2[i, j]) == byproduct_bits(triple, m)
+
+    def test_verify_catches_a_wrong_formula(self, monkeypatch):
+        import mbqcrb.gatesets as gatesets
+
+        right = gatesets.byproduct_bits
+        monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+        with pytest.raises(VerificationError, match="byproduct formulas failed"):
+            verify_byproduct_bits()
 
 
 class TestCliffordTable:
@@ -186,6 +206,34 @@ class TestCliffordTable:
             for fz in (0, 1):
                 ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
                 assert np.array_equal(table.frame_ptm[fx, fz], ptm)
+
+    # SHA-256 of each integer array as int64 bytes, recorded from the
+    # element-by-element build of the table.
+    PINNED = {
+        "product": ((24, 24), "ade9303509b4c0694940ff2c45e3b34a8ba8279069e163e3559efc1041db284d"),
+        "inverse": ((24,), "0b9358f1cfbb7959aefa90d132fbf23b233bc9dd75e993b3050465896eb9499f"),
+        "frame_action": ((24, 2, 2), "3d87b1215398150fcc913ba7db675844920dc6308dc622fc86206ea50b03303b"),
+        "byproducts": ((24, 8, 2), "f17e89cbbedf5a3c620a8af2048f4028f8bea808c6b5bc983b90ba8db5ac913d"),
+        "coset_reps": ((6,), "0904e93407888cc68d1bb9372202a6922e152011c1878f319d07372f2ebc1fa0"),
+        "triple_element": ((4, 4, 4), "b5c37c73a19ec7514177e3a6d87fe249fb2f51a94eef2d248abbe1fbb7ed75d1"),
+    }
+
+    def test_integer_arrays_pinned(self):
+        table = clifford_table()
+        for name, (shape, digest) in self.PINNED.items():
+            a = getattr(table, name)
+            assert a.shape == shape, name
+            data = np.ascontiguousarray(a, dtype=np.int64).tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_ptms_bitwise_equal_channel_from_unitary(self):
+        table = clifford_table()
+        for i, e in enumerate(clifford_group()):
+            assert table.ptm[i].tobytes() == channel_from_unitary(e.unitary).ptm.tobytes()
+        for fx in (0, 1):
+            for fz in (0, 1):
+                ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
+                assert table.frame_ptm[fx, fz].tobytes() == ptm.tobytes()
 
     def test_sequence_inverse_folds_products(self, rng):
         from mbqcrb.engine import sequence_inverse
@@ -288,6 +336,11 @@ class TestDerandomizedDesign:
     def test_rejects_non_finite_phis(self):
         with pytest.raises(ValueError):
             derandomized_design(np.nan, 0.0)
+
+    def test_built_once_per_phis(self):
+        assert derandomized_design() is derandomized_design(0.0, 0.0)
+        assert derandomized_design(0.4, -1.2) is derandomized_design(0.4, -1.2)
+        assert derandomized_design(0.4, -1.2) is not derandomized_design()
 
 
 class TestVerify2Design:

@@ -215,18 +215,18 @@ class TestRunGateBlock:
 
     def test_placement_equivalence_for_depolarizing(self):
         # q steps at p each equal one block at p^q, entry by entry
-        from mbqcrb.engine import _block_chain_ptm
+        from mbqcrb.engine import _block_table
 
         p_step = 0.97
         per_step = NoiseModel(kind="depolarizing", strength=p_step, placement=AFTER_EACH_STEP)
         per_block = NoiseModel(
             kind="depolarizing", strength=p_step**3, placement=AFTER_EACH_GATE_BLOCK
         )
-        angles = clifford_group()[9].angles  # arbitrary table row
-        for m in itertools.product((0, 1), repeat=3):
-            a = _block_chain_ptm(angles, m, per_step)
-            b = _block_chain_ptm(angles, m, per_block)
-            assert np.allclose(a, b, atol=1e-10)
+        patterns = (clifford_group()[9].angles,)  # arbitrary table row
+        a = _block_table(patterns, per_step)  # one row per outcome triple
+        b = _block_table(patterns, per_block)
+        assert a.shape == b.shape == (8, 4, 4)
+        assert np.allclose(a, b, atol=1e-10)
 
     def test_empty_block_rejected(self, rng):
         with pytest.raises(ValueError):
