@@ -15,7 +15,6 @@ from .channels import (
     dephasing,
     depolarizing,
     frame_potential,
-    haar_average_fidelity,
     identity_channel,
     measure,
     plus_state,
@@ -29,7 +28,6 @@ from .engine import (
     SequenceRecord,
     SpamModel,
     exact_sequence_fidelity,
-    gen_clifford_sequence,
     run_protocol,
     sequence_fidelity_estimate,
     sequence_inverse,
@@ -41,10 +39,8 @@ from .gatesets import (
     VerificationError,
     byproduct_bits,
     clifford_group,
-    coset_reps,
     derandomized_design,
     element_from_outcomes,
-    angles_to_clifford,
     verify_2design,
     verify_angle_table,
     verify_byproduct_bits,
@@ -54,7 +50,6 @@ from .wire import (
     InstrumentConfig,
     NoiseModel,
     WireRun,
-    final_measurement,
     measure_step,
     run_gate_block,
     update_pauli_frame,

@@ -39,7 +39,7 @@ def unitary_stack(matrices) -> np.ndarray:
     m = np.asarray(matrices, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
-    if not np.allclose(_dagger(m) @ m, _I, atol=UNITARY_TOL):
+    if not np.allclose(_dagger(m) @ m, _I, rtol=0.0, atol=UNITARY_TOL):
         raise ValueError("matrix is not unitary within 1e-12")
     return _frozen(m)
 
@@ -142,7 +142,7 @@ class Channel:
         r = np.asarray(ptm, dtype=float)
         if r.shape != (4, 4):
             raise ValueError(f"expected a 4x4 PTM, got shape {r.shape}")
-        if not np.allclose(r[0], [1.0, 0.0, 0.0, 0.0], atol=TP_TOL):
+        if not np.allclose(r[0], [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=TP_TOL):
             raise ValueError("PTM first row must be (1, 0, 0, 0): map is not trace preserving")
         eigs = np.linalg.eigvalsh(choi_matrix(r))
         if eigs.min() < CP_EIG_FLOOR:
@@ -189,10 +189,6 @@ def plus_state(shrink: float = 1.0) -> State:
     return State.from_xyz(shrink, 0.0, 0.0)
 
 
-def maximally_mixed_state() -> State:
-    return State.from_xyz(0.0, 0.0, 0.0)
-
-
 class Effect:
     """A POVM effect: 2x2 Hermitian with spectrum in [0, 1]."""
 
@@ -202,7 +198,7 @@ class Effect:
         op = np.asarray(operator, dtype=complex)
         if op.shape != (2, 2):
             raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-        if not np.allclose(op, op.conj().T, atol=1e-12):
+        if not np.allclose(op, op.conj().T, rtol=0.0, atol=1e-12):
             raise ValueError("effect operator must be Hermitian")
         eigs = np.linalg.eigvalsh(op)
         if eigs.min() < -1e-12 or eigs.max() > 1.0 + 1e-12:
@@ -299,25 +295,6 @@ def avg_gate_fidelity(noisy: Channel, ideal: Unitary2) -> float:
     """
     f_pro = float(np.trace(channel_from_unitary(ideal).ptm.T @ noisy.ptm)) / 4.0
     return (2.0 * f_pro + 1.0) / 3.0
-
-
-def haar_average_fidelity(
-    noisy: Channel, ideal: Unitary2, samples: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo estimate of the average gate fidelity.
-
-    Samples pure states uniformly on the Bloch sphere and averages
-    tr[(U psi U^dag) noisy(psi)]. Independent of the closed form in
-    :func:`avg_gate_fidelity`; used as its oracle in tests.
-    """
-    vecs = rng.normal(size=(samples, 3))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    blochs = np.hstack([np.ones((samples, 1)), vecs])
-    out = blochs @ noisy.ptm.T
-    targets = blochs @ channel_from_unitary(ideal).ptm.T
-    # tr(P rho) = (1 + t.r)/2 for a pure-state projector with Bloch vector t
-    fids = (1.0 + np.einsum("si,si->s", targets[:, 1:], out[:, 1:])) / 2.0
-    return float(fids.mean())
 
 
 def twirl(e: Channel, gateset: list[Unitary2]) -> Channel:

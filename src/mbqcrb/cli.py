@@ -35,7 +35,6 @@ from .gatesets import (
     VerificationError,
     clifford_group,
     derandomized_design,
-    pauli_group,
     verify_2design,
     verify_angle_table,
     verify_byproduct_bits,
@@ -308,6 +307,8 @@ def read_dataset(path: str) -> RBDataset:
         seen.add((r.s, r.index))
         if r.s not in rb.lengths:
             raise ValueError(f"{where}: length {r.s} is not in the config lengths")
+        if not 0 <= r.index < rb.sequences_per_length:
+            raise ValueError(f"{where}: sequence_index outside [0, {rb.sequences_per_length})")
         if r.shots != rb.shots_per_sequence:
             raise ValueError(
                 f"{where}: {r.shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
@@ -337,14 +338,11 @@ def write_curve_table(path: str, rows, report_meta: dict):
 # ---------------------------------------------------------------------------
 
 
-def _verify_checks(corrupt_table: bool = False, pauli_design: bool = False):
-    """The verification suite; hooks deliberately corrupt it for testing."""
-    table = dict(CLIFFORD_ANGLE_TABLE)
-    if corrupt_table:
-        table["H"] = (0, 0, 1)
+def _verify_checks():
+    """The verification suite, as (name, check) pairs."""
 
     def check_table():
-        devs = verify_angle_table(table)
+        devs = verify_angle_table(CLIFFORD_ANGLE_TABLE)
         return f"24/24 rows, max deviation {max(devs.values()):.2e}"
 
     def check_reference():
@@ -358,7 +356,7 @@ def _verify_checks(corrupt_table: bool = False, pauli_design: bool = False):
         return f"frame potential and twirl within {DESIGN_TOL:.0e}"
 
     def check_derandomized_design():
-        gates = list(pauli_group()) if pauli_design else list(derandomized_design().elements)
+        gates = list(derandomized_design().elements)
         if not verify_2design(gates, DESIGN_TOL):
             raise VerificationError("derandomized set failed the 2-design diagnostics")
         return f"{len(gates)} elements within {DESIGN_TOL:.0e}"
@@ -378,7 +376,7 @@ def _verify_checks(corrupt_table: bool = False, pauli_design: bool = False):
 
 def cmd_verify(args) -> int:
     failed = []
-    for name, check in _verify_checks(args.corrupt_angle_table, args.pauli_design):
+    for name, check in _verify_checks():
         try:
             detail = check()
             if not args.quiet:
@@ -395,15 +393,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def _read_config(path: str) -> tuple[ExperimentConfig | None, int]:
+    """The config at ``path`` and EXIT_OK, or None and the exit code after saying why."""
     try:
-        config = load_config(args.config)
+        return load_config(path), EXIT_OK
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return None, EXIT_IO
     except (ValueError, yaml.YAMLError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
+
+
+def cmd_run(args) -> int:
+    config, code = _read_config(args.config)
+    if config is None:
+        return code
     rb = config.rb
     if args.seed is not None:
         rb = replace(rb, seed=args.seed)
@@ -507,14 +512,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        config = load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, yaml.YAMLError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config, code = _read_config(args.config)
+    if config is None:
+        return code
     rb = config.rb
     lengths = rb.lengths if args.length is None else (args.length,)
     options = dict(
@@ -547,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the gate-set verification suite")
-    p_verify.add_argument("--corrupt-angle-table", action="store_true", help=argparse.SUPPRESS)
-    p_verify.add_argument("--pauli-design", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_run = sub.add_parser("run", help="run a benchmarking experiment")

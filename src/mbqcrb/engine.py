@@ -42,7 +42,6 @@ from .channels import (
 )
 from .gatesets import (
     OUTCOME_TRIPLES,
-    CliffordElement,
     clifford_group,
     clifford_table,
     derandomized_design,
@@ -167,29 +166,6 @@ class RBDataset:
             raise KeyError(f"dataset has no records at length {s}")
         rows.sort(key=lambda r: r.index)
         return np.array([r.survivals / r.shots for r in rows])
-
-
-def cluster_length(protocol: str, s: int) -> int | None:
-    """Number of cluster sites consumed by one run, None for the circuit model."""
-    if protocol == "clifford-mbqc":
-        return 3 * s + 4
-    if protocol == "derandomized-mbqc":
-        return 5 * s + 1
-    return None
-
-
-def gen_clifford_sequence(
-    s: int, mode: str = "full", rng: np.random.Generator | None = None
-) -> list[CliffordElement]:
-    """Draw ``s`` gates uniformly from the Clifford group or its coset reps."""
-    if s < 1:
-        raise ValueError("sequence length must be >= 1")
-    if mode not in CLIFFORD_MODES:
-        raise ValueError(f"unknown sequence mode {mode!r}")
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
-    group = clifford_group()
-    return [group[g] for g in _draw_gate_indices(s, mode, rng)]
 
 
 def _draw_gate_indices(s: int, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -482,7 +458,7 @@ def _twirled_decay_parameter(block_ptm: np.ndarray) -> float:
     return float(np.trace(block_ptm[1:, 1:]) / 3.0)
 
 
-def _analytic_value(protocol, s, noise, noise_inv, spam, phis) -> float:
+def _analytic_value(protocol, s, noise, noise_inv, spam) -> float:
     if protocol == "circuit":
         block = noise.base_channel().ptm
         inv_block = noise_inv.base_channel().ptm
@@ -530,5 +506,5 @@ def exact_sequence_fidelity(
     operator = _transfer_operator(
         protocol, noise, dinv, spam, float(bias), clifford_mode, tuple(design_phis)
     )
-    analytic = _analytic_value(protocol, s, noise, dinv, spam, design_phis)
+    analytic = _analytic_value(protocol, s, noise, dinv, spam)
     return ExactSequenceFidelity(enumerated=_transfer_value(operator, s), analytic=analytic)

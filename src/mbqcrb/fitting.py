@@ -22,6 +22,8 @@ PARAM_LOWER = np.array([-1.0, 0.0, 0.0])  # a0, b0, p
 PARAM_UPPER = np.array([1.0, 1.0, 1.0])
 _DEGENERATE_SPREAD = 1e-12
 MIN_RESAMPLES = 100
+MAX_ITERATIONS = 500
+REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class DecayFit:
     p: float
     avg_fidelity: float
     residual_norm: float
-    ci_p: tuple[float, float] | None = None
     degenerate: bool = False
     clamped: bool = False
     iterations: int = 0
@@ -114,15 +115,15 @@ def _solve_rows(a, b):
         return out
 
 
-def _fit_rows(s, y, w, max_iterations: int = 500, rel_tol: float = 1e-12):
+def _fit_rows(s, y, w):
     """Bounded, damped Gauss-Newton fit of A0 p^s + B0 to every row of y.
 
     ``s`` (n,) holds the lengths, sorted; ``y`` and ``w`` (rows, n) hold the
     means and the weights. Each trial step solves the damped normal equations
     of all rows still pending at once. A row accepts its step when the cost
     does not rise (its damping then falls by 3, else it rises by 10), and
-    stops when its step is below ``rel_tol``, when no damping gives a step, or
-    at ``max_iterations``. A row whose means spread by less than 1e-12 is
+    stops when its step is below ``REL_TOL``, when no damping gives a step, or
+    after ``MAX_ITERATIONS``. A row whose means spread by less than 1e-12 is
     degenerate: A0 = 0, p = 1 and B0 its mean, with no iteration.
 
     Returns the parameters (rows, 3) as (a0, b0, p), the weighted costs, the
@@ -143,7 +144,7 @@ def _fit_rows(s, y, w, max_iterations: int = 500, rel_tol: float = 1e-12):
     lam = np.full(len(y), 1e-3)
     iterations = np.zeros(len(y), dtype=int)
     damping = np.eye(3)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if active.size == 0:
             break
         iterations[active] = iteration
@@ -177,14 +178,14 @@ def _fit_rows(s, y, w, max_iterations: int = 500, rel_tol: float = 1e-12):
             lam[rows[~ok]] *= 10.0
             stepped[pending[ok]] = True
             converged[pending[ok]] = (
-                np.abs(step) <= rel_tol * (np.abs(x[took]) + rel_tol)
+                np.abs(step) <= REL_TOL * (np.abs(x[took]) + REL_TOL)
             ).all(axis=1)
             pending = pending[~ok]
         active = active[stepped & ~converged]
     return x, cost, iterations, degenerate
 
 
-def fit_decay(points, max_iterations: int = 500, rel_tol: float = 1e-12) -> DecayFit:
+def fit_decay(points) -> DecayFit:
     """Weighted least-squares fit of A0 p^s + B0 to sequence-fidelity points.
 
     ``points`` holds (s, mean) or (s, mean, stderr) tuples; inverse-variance
@@ -193,7 +194,7 @@ def fit_decay(points, max_iterations: int = 500, rel_tol: float = 1e-12) -> Deca
     yields a degenerate fit flagged as such, with p pinned to 1.
     """
     s, y, w = _parse_points(points)
-    x, cost, iterations, degenerate = _fit_rows(s, y[None], w[None], max_iterations, rel_tol)
+    x, cost, iterations, degenerate = _fit_rows(s, y[None], w[None])
     a0, b0, p = (float(v) for v in x[0])
     return DecayFit(
         a0=a0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -109,41 +109,31 @@ def _word_matrix(word: str) -> np.ndarray:
     return m
 
 
-def word_to_unitary(word: str) -> Unitary2:
-    """Product of generators P and H named by ``word`` (e.g. "P2HP3")."""
-    return I2 if word == "I" else Unitary2(_word_matrix(word))
-
-
 def measurement_gates(angles, outcomes=0) -> np.ndarray:
     """Gate X^m H Z_theta of one wire measurement, over broadcast angles and outcome bits."""
     u = H.matrix @ z_rotations(angles)
     return np.where(np.asarray(outcomes)[..., None, None] != 0, X.matrix @ u, u)
 
 
-def _block_gates(angles, outcomes=0) -> np.ndarray:
-    """Gates of three wire measurements at (..., 3) angles and outcomes, the first acting first."""
-    steps = measurement_gates(angles, outcomes)
-    return steps[..., 2, :, :] @ steps[..., 1, :, :] @ steps[..., 0, :, :]
+def block_gates(angles, outcomes=0) -> np.ndarray:
+    """Gates of wire measurements at (..., q) angles and outcomes, the first acting first.
 
-
-def angles_to_clifford(angles) -> Unitary2:
-    """Gate realized by three wire measurements at quarter-turn angles.
-
-    The first angle is the rightmost factor: (H Z_t3)(H Z_t2)(H Z_t1).
+    Three steps give (s3 s2) s1: the product runs from the last step down.
     """
-    t = np.array([float(a) for a in angles])
-    off = np.abs(t / HALF_PI - np.round(t / HALF_PI)) > 1e-9
-    if off.any():
-        raise ValueError(f"angle {t[off.argmax()]} is not an integer multiple of pi/2")
-    return Unitary2(_block_gates(t))
+    steps = np.moveaxis(measurement_gates(angles, outcomes), -3, 0)
+    return reduce(np.matmul, steps[::-1])
 
 
-def _phase_keys(mats, decimals: int = 6) -> list[bytes]:
+_PHASE_KEY_DECIMALS = 6
+
+
+def _phase_keys(mats) -> list[bytes]:
     """Hashable form of each unitary of a (..., 2, 2) stack, global phase stripped."""
     m = np.reshape(mats, (-1, 2, 2))
     anchor = np.where(np.abs(m[:, 0, 0]) > 0.3, m[:, 0, 0], m[:, 0, 1])
     normed = m * (np.abs(anchor) / anchor)[:, None, None]
-    return [k.tobytes() for k in np.round(normed, decimals) + 0.0]  # +0.0 folds -0.0 into +0.0
+    # +0.0 folds -0.0 into +0.0
+    return [k.tobytes() for k in np.round(normed, _PHASE_KEY_DECIMALS) + 0.0]
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +172,6 @@ def clifford_group() -> tuple[CliffordElement, ...]:
     )
 
 
-def coset_reps() -> tuple[CliffordElement, ...]:
-    """Coset representatives {I, P, H, PH, HP, PHP} of the Pauli subgroup."""
-    by_word = {e.word: e for e in clifford_group()}
-    return tuple(by_word[w] for w in COSET_REP_WORDS)
-
-
 def _clifford_indices(mats) -> np.ndarray:
     """Position in :func:`clifford_group` of each matrix of a (..., 2, 2) stack, up to phase."""
     index = _index_by_key()
@@ -213,7 +197,7 @@ def _row_deviations(table: dict[str, tuple[int, int, int]]) -> dict[str, float]:
     words = list(table)
     targets = unitary_stack(np.reshape([_word_matrix(w) for w in words], (-1, 2, 2)))
     angles = np.reshape([table[w] for w in words], (-1, 3)) * HALF_PI
-    return dict(zip(words, phase_distances(unitary_stack(_block_gates(angles)), targets).tolist()))
+    return dict(zip(words, phase_distances(unitary_stack(block_gates(angles)), targets).tolist()))
 
 
 def verify_angle_table(table: dict[str, tuple[int, int, int]] | None = None) -> dict[str, float]:
@@ -258,9 +242,9 @@ def verify_byproduct_bits() -> float:
     """
     n = QUARTER_TRIPLES[:, None]  # [n, 1, k]
     m = np.array(OUTCOME_TRIPLES)  # [m, k]
-    real = _block_gates(n * HALF_PI, m)
+    real = block_gates(n * HALF_PI, m)
     b1, b2 = (np.asarray(b)[..., None, None] for b in byproduct_bits(n, m))
-    pred = _block_gates(n * HALF_PI)
+    pred = block_gates(n * HALF_PI)
     pred = np.where(b2 != 0, Z.matrix @ pred, pred)
     pred = np.where(b1 != 0, X.matrix @ pred, pred)
     devs = phase_distances(unitary_stack(real), unitary_stack(pred))
@@ -338,13 +322,6 @@ class CliffordTable:
     triple_element: np.ndarray
     frame_ptm: np.ndarray  # [fx, fz]: PTM of X^fx Z^fz
 
-    def sequence_inverse(self, indices):
-        """Element undoing the gates along the last axis of ``indices``, the first applied first."""
-        v = 0
-        for g in np.asarray(indices).T:
-            v = self.product[g, v]
-        return self.inverse[v]
-
     def next_frame(self, g, m, fx, fz):
         """Frame after row g's block with outcome index (or indices) ``m``."""
         return fold_frame(self.frame_action[g], self.byproducts[g, m], fx, fz)
@@ -354,6 +331,7 @@ class CliffordTable:
 def clifford_table() -> CliffordTable:
     """The shared :class:`CliffordTable`, built on first use."""
     group = clifford_group()
+    words = [e.word for e in group]
     mats = np.stack([e.unitary.matrix for e in group])
     quarter_turns = np.array([e.quarter_turns for e in group])[:, None]
     frames = [frame_unitary(f).matrix for f in itertools.product((0, 1), repeat=2)]
@@ -365,9 +343,9 @@ def clifford_table() -> CliffordTable:
         byproducts=_frozen(
             np.stack(byproduct_bits(quarter_turns, np.array(OUTCOME_TRIPLES)), axis=-1)
         ),
-        coset_reps=_frozen(_clifford_indices([e.unitary.matrix for e in coset_reps()])),
+        coset_reps=_frozen([words.index(w) for w in COSET_REP_WORDS]),
         triple_element=_frozen(
-            _clifford_indices(unitary_stack(_block_gates(HALF_PI * QUARTER_TRIPLES)))
+            _clifford_indices(unitary_stack(block_gates(HALF_PI * QUARTER_TRIPLES)))
         ).reshape(4, 4, 4),
         frame_ptm=_frozen(unitary_ptms(np.stack(frames)).reshape(2, 2, 4, 4)),
     )
@@ -381,16 +359,10 @@ class DerandomizedDesign:
     m1*16 + m2*8 + m3*4 + m4*2 + m5.
     """
 
-    phi1: float
-    phi2: float
     angles: tuple[float, float, float, float, float]
     a: tuple[Unitary2, Unitary2, Unitary2, Unitary2, Unitary2]
     q_gate: Unitary2
     elements: tuple[Unitary2, ...]
-
-
-def design_angles(phi1: float = 0.0, phi2: float = 0.0):
-    return (phi1, np.pi / 4, float(np.arccos(1.0 / np.sqrt(3.0))), np.pi / 4, phi2)
 
 
 def derandomized_design(phi1: float = 0.0, phi2: float = 0.0) -> DerandomizedDesign:
@@ -407,7 +379,7 @@ def derandomized_design(phi1: float = 0.0, phi2: float = 0.0) -> DerandomizedDes
 
 @lru_cache(maxsize=8)
 def _design(phi1: float, phi2: float) -> DerandomizedDesign:
-    angles = design_angles(phi1, phi2)
+    angles = (phi1, np.pi / 4, float(np.arccos(1.0 / np.sqrt(3.0))), np.pi / 4, phi2)
     # tails[i] is the pattern from site i + 1 on, so tails[0] is Q
     tails = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
     for k, step in enumerate(measurement_gates(angles)):
@@ -422,8 +394,6 @@ def _design(phi1: float, phi2: float) -> DerandomizedDesign:
         elements = np.stack([elements, a @ elements], axis=1).reshape(-1, 2, 2)
 
     return DerandomizedDesign(
-        phi1=phi1,
-        phi2=phi2,
         angles=angles,
         a=Unitary2.from_stack(flips),
         q_gate=Unitary2(tails[0]),
@@ -492,28 +462,25 @@ def verify_design_reference() -> dict[str, float]:
     return deviations
 
 
-def pauli_group() -> tuple[Unitary2, Unitary2, Unitary2, Unitary2]:
-    return (I2, X, Y, Z)
-
-
 HAAR_FRAME_POTENTIAL_T2 = 2.0
+TWIRL_CHANNELS = 10
+TWIRL_SEED = 20160811
 
 
-def verify_2design(gateset: list[Unitary2], tol: float, *, n_channels: int = 10,
-                   rng: np.random.Generator | None = None) -> bool:
+def verify_2design(gateset: list[Unitary2], tol: float) -> bool:
     """True iff the set passes both 2-design diagnostics.
 
     The frame potential must not exceed the Haar value by more than ``tol``,
-    and twirling random CPTP maps over the set must leave only a depolarizing
-    channel (off-target PTM entries at most ``tol``).
+    and twirling ``TWIRL_CHANNELS`` random CPTP maps (seeded with
+    ``TWIRL_SEED``) over the set must leave only a depolarizing channel
+    (off-target PTM entries at most ``tol``).
     """
     if not gateset:
         raise ValueError("cannot certify an empty gate set")
     if frame_potential(gateset, 2) > HAAR_FRAME_POTENTIAL_T2 + tol:
         return False
-    if rng is None:
-        rng = np.random.default_rng(20160811)
-    for _ in range(n_channels):
+    rng = np.random.default_rng(TWIRL_SEED)
+    for _ in range(TWIRL_CHANNELS):
         ch = random_cptp_channel(rng, kraus_rank=2)
         tw = twirl(ch, gateset).ptm
         p = np.trace(tw[1:, 1:]) / 3.0

@@ -147,7 +147,6 @@ class WireRun:
     outcomes: list[int] = field(default_factory=list)
     injected: list[int] = field(default_factory=list)
     pauli_frame: tuple[int, int] = (0, 0)
-    seed: object = None
 
 
 def step_unitary(theta: float, m: int) -> Unitary2:
@@ -158,14 +157,6 @@ def step_unitary(theta: float, m: int) -> Unitary2:
 @lru_cache(maxsize=512)
 def _step_channel(theta: float, m: int) -> Channel:
     return channel_from_unitary(step_unitary(theta, m))
-
-
-def block_unitary(angles, outcomes) -> Unitary2:
-    """Gate applied by a block of measurements, first angle acting first."""
-    m = np.eye(2, dtype=complex)
-    for theta, out in zip(angles, outcomes):
-        m = step_unitary(theta, out).matrix @ m
-    return Unitary2(m)
 
 
 def measure_step(
@@ -242,25 +233,6 @@ def update_pauli_frame(frame, n, m) -> tuple[int, int]:
     return int(fx_new), int(fz_new)
 
 
-def final_measurement(
-    run: WireRun,
-    basis: Unitary2 = I2,
-    noise_inv: NoiseModel = NO_NOISE,
-    rng: np.random.Generator | None = None,
-    effect: Effect | None = None,
-) -> int:
-    """Sample the terminal X-basis measurement; 1 means survival.
-
-    The basis rotation absorbs the sequence inverse and any Pauli frame, and
-    is applied before the inverse-step noise so that the noisy inverse
-    decomposes as noise after the ideal rotation.
-    """
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
-    p = survival_probability(run, basis, noise_inv, effect)
-    return int(rng.random() < p)
-
-
 @lru_cache(maxsize=1)
 def _plus_effect() -> Effect:
     return projector_effect(I2)
@@ -272,7 +244,12 @@ def survival_probability(
     noise_inv: NoiseModel = NO_NOISE,
     effect: Effect | None = None,
 ) -> float:
-    """Exact Born probability that :func:`final_measurement` returns 1."""
+    """Exact Born probability that the terminal X-basis measurement survives.
+
+    The basis rotation absorbs the sequence inverse and any Pauli frame, and
+    is applied before the inverse-step noise so that the noisy inverse
+    decomposes as noise after the ideal rotation.
+    """
     if basis is I2:
         state = run.state
     else:

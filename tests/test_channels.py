@@ -23,9 +23,7 @@ from mbqcrb.channels import (
     dephasing,
     depolarizing,
     frame_potential,
-    haar_average_fidelity,
     identity_channel,
-    maximally_mixed_state,
     measure,
     plus_state,
     projector_effect,
@@ -41,6 +39,22 @@ from mbqcrb.channels import (
 from mbqcrb.gatesets import clifford_group, derandomized_design
 
 from conftest import haar_unitaries, haar_unitary
+
+
+def haar_average_fidelity(noisy, ideal, samples, rng):
+    """Monte Carlo average gate fidelity, independent of the closed form.
+
+    Samples pure states uniformly on the Bloch sphere and averages
+    tr[(U psi U^dag) noisy(psi)].
+    """
+    vecs = rng.normal(size=(samples, 3))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    blochs = np.hstack([np.ones((samples, 1)), vecs])
+    out = blochs @ noisy.ptm.T
+    targets = blochs @ channel_from_unitary(ideal).ptm.T
+    # tr(P rho) = (1 + t.r)/2 for a pure-state projector with Bloch vector t
+    fids = (1.0 + np.einsum("si,si->s", targets[:, 1:], out[:, 1:])) / 2.0
+    return float(fids.mean())
 
 
 class TestUnitary2:
@@ -75,6 +89,11 @@ class TestUnitaryStack:
             unitary_stack(stack)
         with pytest.raises(ValueError, match="not unitary"):
             Unitary2.from_stack(stack)
+
+    def test_no_relative_slack(self):
+        # a 4e-6 diagonal error is far outside 1e-12; a relative tolerance hid it
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary2(np.diag([1.0, 1.0 + 4e-6]))
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError):
@@ -173,6 +192,10 @@ class TestChannelValidation:
         # transposition map: positive but not completely positive
         with pytest.raises(ValueError):
             Channel(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+    def test_trace_row_has_no_relative_slack(self):
+        with pytest.raises(ValueError, match="trace preserving"):
+            Channel(np.diag([1.0 + 5e-6, 1.0, 1.0, 1.0]))
 
 
 class TestCompose:
@@ -325,7 +348,7 @@ class TestStatesAndEffects:
         assert measure(projector_effect(I2), plus_state()) == pytest.approx(1.0)
 
     def test_plus_on_mixed(self):
-        assert measure(projector_effect(I2), maximally_mixed_state()) == pytest.approx(0.5)
+        assert measure(projector_effect(I2), State.from_xyz(0.0, 0.0, 0.0)) == pytest.approx(0.5)
 
     def test_depolarized_plus(self):
         for p in (0.0, 0.4, 1.0):
@@ -346,6 +369,11 @@ class TestStatesAndEffects:
             Effect(np.array([[1.5, 0], [0, 0]]))
         with pytest.raises(ValueError):
             Effect(np.array([[0, 1], [0, 0]]))
+
+    def test_effect_hermiticity_has_no_relative_slack(self):
+        off = np.array([[0.5, 0.5 + 1e-7], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            Effect(off)
 
     def test_survival_effect_background(self):
         e = survival_effect(0.05)

@@ -1,10 +1,12 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
 from mbqcrb import __version__
+from mbqcrb.channels import I2, X, Y, Z
 from mbqcrb.cli import (
     ExperimentConfig,
     config_from_dict,
@@ -147,15 +149,24 @@ class TestVerifyCommand:
         assert out.count("PASS") == 5
         assert "acos(1/sqrt3)" in out
 
-    def test_corrupted_table_hook(self, capsys):
-        assert main(["verify", "--corrupt-angle-table"]) == 1
+    def test_corrupted_table_fails(self, monkeypatch, capsys):
+        import mbqcrb.cli as cli
+
+        table = dict(cli.CLIFFORD_ANGLE_TABLE)
+        table["H"] = (0, 0, 1)
+        monkeypatch.setattr(cli, "CLIFFORD_ANGLE_TABLE", table)
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL clifford-angle-table" in out
         assert "H" in out
         assert out.count("PASS") == 4
 
-    def test_pauli_design_hook(self, capsys):
-        assert main(["verify", "--pauli-design"]) == 1
+    def test_pauli_design_fails(self, monkeypatch, capsys):
+        import mbqcrb.cli as cli
+
+        paulis = SimpleNamespace(elements=(I2, X, Y, Z))
+        monkeypatch.setattr(cli, "derandomized_design", lambda: paulis)
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL derandomized-2design" in out
         assert out.count("PASS") == 4
@@ -417,6 +428,21 @@ class TestFitCommand:
         with pytest.raises(ValueError, match="not in the config"):
             read_dataset(str(out))
         assert main(["fit", str(out), "--resamples", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "index", [-1, SAMPLE["sequences_per_length"], 10**12], ids=["negative", "count", "huge"]
+    )
+    def test_sequence_index_outside_config_rejected(self, tmp_path, capsys, index):
+        out = self._make_dataset(tmp_path)
+        self._edit_rows(out, lambda rows: rows + [f"2,{index},20,40,000000000000\n"])
+        where = rf"row s=2, sequence_index={index}: sequence_index outside \[0, 8\)"
+        with pytest.raises(ValueError, match=where):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
+        assert f"sequence_index={index}:" in err
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     def _replace_header(self, path, lines):
         text = path.read_text().splitlines(keepends=True)

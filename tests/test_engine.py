@@ -10,9 +10,7 @@ from mbqcrb.channels import I2, Unitary2, plus_state
 from mbqcrb.engine import (
     RBConfig,
     SpamModel,
-    cluster_length,
     exact_sequence_fidelity,
-    gen_clifford_sequence,
     run_protocol,
     sequence_fidelity_estimate,
     sequence_inverse,
@@ -20,7 +18,7 @@ from mbqcrb.engine import (
 from mbqcrb.gatesets import (
     clifford_group,
     clifford_index,
-    coset_reps,
+    clifford_table,
     derandomized_design,
     element_from_outcomes,
 )
@@ -45,32 +43,26 @@ def item_rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-class TestGenCliffordSequence:
+class TestDrawGateIndices:
     def test_full_group_uniform(self):
         rng = item_rng(101)
         n = 100_000
-        counts = np.zeros(24)
-        for e in gen_clifford_sequence(n, "full", rng):
-            counts[clifford_index(e.unitary)] += 1
+        counts = np.bincount(engine._draw_gate_indices(n, "full", rng), minlength=24)
+        assert counts.size == 24
         sigma = np.sqrt(n * (1 / 24) * (23 / 24))
         assert np.all(np.abs(counts - n / 24) < 3 * sigma)
 
     def test_coset_membership(self):
         rng = item_rng(5)
-        words = {e.word for e in coset_reps()}
-        for e in gen_clifford_sequence(50, "coset", rng):
-            assert e.word in words
+        group = clifford_group()
+        words = {"I", "P", "H", "PH", "HP", "PHP"}
+        for g in engine._draw_gate_indices(50, "coset", rng):
+            assert group[g].word in words
 
     def test_seeded_determinism(self):
-        a = gen_clifford_sequence(10, "full", item_rng(3))
-        b = gen_clifford_sequence(10, "full", item_rng(3))
-        assert [e.word for e in a] == [e.word for e in b]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gen_clifford_sequence(0, "full", item_rng(1))
-        with pytest.raises(ValueError):
-            gen_clifford_sequence(3, "both", item_rng(1))
+        a = engine._draw_gate_indices(10, "full", item_rng(3))
+        b = engine._draw_gate_indices(10, "full", item_rng(3))
+        assert a.tolist() == b.tolist()
 
 
 class TestSequenceInverse:
@@ -112,10 +104,14 @@ class TestRBConfigValidation:
         with pytest.raises(ValueError):
             RBConfig(protocol="circuit", lengths=(1,), sequences_per_length=1, shots_per_sequence=0)
 
-    def test_cluster_lengths(self):
-        assert cluster_length("clifford-mbqc", 5) == 19
-        assert cluster_length("derandomized-mbqc", 5) == 26
-        assert cluster_length("circuit", 5) is None
+    def test_rejects_zero_length_and_unknown_mode(self):
+        with pytest.raises(ValueError, match="lengths"):
+            RBConfig(protocol="clifford-mbqc", lengths=(0,), sequences_per_length=1, shots_per_sequence=1)
+        with pytest.raises(ValueError, match="clifford_mode"):
+            RBConfig(
+                protocol="clifford-mbqc", lengths=(3,), sequences_per_length=1,
+                shots_per_sequence=1, clifford_mode="both",
+            )
 
 
 class TestNoiselessProtocols:
@@ -368,7 +364,7 @@ class TestExactVersusLiteralBruteForce:
 
     def _clifford_brute_force(self, s, noise, noise_inv, bias, mode):
         group = clifford_group()
-        pool = coset_reps() if mode == "coset" else group
+        pool = [group[k] for k in clifford_table().coset_reps] if mode == "coset" else group
         spam = SpamModel()
         total = 0.0
         nsteps = 3 * (s + 1)

@@ -3,32 +3,36 @@ import hashlib
 import numpy as np
 import pytest
 
-from mbqcrb.channels import H, I2, P, Unitary2, X, Z, frame_potential, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
+from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
     COSET_REP_WORDS,
     OUTCOME_TRIPLES,
     VerificationError,
-    angles_to_clifford,
+    _word_matrix,
+    block_gates,
     byproduct_bits,
     clifford_group,
     clifford_index,
     clifford_table,
     conjugation_bits,
-    coset_reps,
     derandomized_design,
     element_from_outcomes,
     outcome_index,
-    pauli_group,
     verify_2design,
     verify_angle_table,
     verify_byproduct_bits,
     verify_design_reference,
-    word_to_unitary,
 )
-from mbqcrb.wire import block_unitary, frame_unitary, step_unitary
+from mbqcrb.wire import frame_unitary, step_unitary
 
 HALF_PI = np.pi / 2
+PAULIS = [I2, X, Y, Z]
+
+
+def quarter_turn_gate(turns) -> Unitary2:
+    """Gate of a three-measurement block at quarter-turn angles, all outcomes zero."""
+    return Unitary2(block_gates([k * HALF_PI for k in turns]))
 
 
 class TestCliffordGroup:
@@ -42,7 +46,7 @@ class TestCliffordGroup:
 
     def test_words_match_unitaries(self):
         for e in clifford_group():
-            assert e.unitary.equals_up_to_phase(word_to_unitary(e.word))
+            assert e.unitary.equals_up_to_phase(Unitary2(_word_matrix(e.word)))
 
     def test_pairwise_distinct(self):
         group = clifford_group()
@@ -74,38 +78,45 @@ class TestCliffordGroup:
 
 class TestCosetReps:
     def test_size_and_identity(self):
-        reps = coset_reps()
+        group = clifford_group()
+        reps = [group[k] for k in clifford_table().coset_reps]
         assert len(reps) == 6
         assert reps[0].unitary.equals_up_to_phase(I2)
         assert [e.word for e in reps] == ["I", "P", "H", "PH", "HP", "PHP"]
 
     def test_pauli_cosets_partition_group(self):
         # {I, X, Y, Z} x T1 must hit each of the 24 elements exactly once
+        group = clifford_group()
         hits = []
-        for w in pauli_group():
-            for g in coset_reps():
-                hits.append(clifford_index(Unitary2(w.matrix @ g.unitary.matrix)))
+        for w in PAULIS:
+            for k in clifford_table().coset_reps:
+                hits.append(clifford_index(Unitary2(w.matrix @ group[k].unitary.matrix)))
         assert sorted(hits) == list(range(24))
 
 
-class TestAnglesToClifford:
+class TestBlockGates:
     def test_table_row_h(self):
-        assert angles_to_clifford((0.0, 0.0, 0.0)).equals_up_to_phase(H)
+        assert quarter_turn_gate((0, 0, 0)).equals_up_to_phase(H)
 
     def test_table_row_i(self):
-        assert angles_to_clifford((HALF_PI, HALF_PI, HALF_PI)).equals_up_to_phase(I2)
+        assert quarter_turn_gate((1, 1, 1)).equals_up_to_phase(I2)
 
     def test_table_row_p(self):
-        assert angles_to_clifford((0.0, 3 * HALF_PI, 3 * HALF_PI)).equals_up_to_phase(P)
+        assert quarter_turn_gate((0, 3, 3)).equals_up_to_phase(P)
 
     def test_table_row_p2_is_z(self):
         # squaring diag(1, i) gives diag(1, -1)
         assert (P @ P).equals_up_to_phase(Z)
-        assert angles_to_clifford((HALF_PI, 3 * HALF_PI, 3 * HALF_PI)).equals_up_to_phase(Z)
+        assert quarter_turn_gate((1, 3, 3)).equals_up_to_phase(Z)
 
-    def test_rejects_non_quarter_turn(self):
-        with pytest.raises(ValueError):
-            angles_to_clifford((0.3, 0.0, 0.0))
+    def test_any_number_of_steps_first_acting_first(self, rng):
+        for q in (1, 2, 5):
+            angles = rng.uniform(-np.pi, np.pi, size=q)
+            outcomes = rng.integers(0, 2, size=q)
+            expected = np.eye(2, dtype=complex)
+            for theta, m in zip(angles, outcomes):
+                expected = step_unitary(theta, m).matrix @ expected
+            assert Unitary2(block_gates(angles, outcomes)).equals_up_to_phase(Unitary2(expected))
 
 
 class TestAngleTable:
@@ -138,7 +149,7 @@ class TestByproductBits:
             for n2 in range(4):
                 for n3 in range(4):
                     n = (n1, n2, n3)
-                    base = angles_to_clifford(tuple(k * HALF_PI for k in n))
+                    base = quarter_turn_gate(n)
                     for m_int in range(8):
                         m = ((m_int >> 2) & 1, (m_int >> 1) & 1, m_int & 1)
                         realized = np.eye(2, dtype=complex)
@@ -194,14 +205,13 @@ class TestCliffordTable:
             assert np.array_equal(table.frame_action[i], conjugation_bits(a.unitary))
             for m, triple in enumerate(OUTCOME_TRIPLES):
                 # the realized block is the stored byproduct Pauli times the gate
-                realized = block_unitary(a.angles, triple)
+                realized = Unitary2(block_gates(a.angles, triple))
                 predicted = frame_unitary(table.byproducts[i, m]) @ a.unitary
                 assert realized.equals_up_to_phase(predicted), (a.word, triple)
                 assert tuple(table.byproducts[i, m]) == byproduct_bits(a.quarter_turns, triple)
         assert [group[k].word for k in table.coset_reps] == list(COSET_REP_WORDS)
         for n in np.ndindex(4, 4, 4):
-            u = angles_to_clifford(tuple(k * HALF_PI for k in n))
-            assert table.triple_element[n] == clifford_index(u)
+            assert table.triple_element[n] == clifford_index(quarter_turn_gate(n))
         for fx in (0, 1):
             for fz in (0, 1):
                 ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
@@ -234,16 +244,6 @@ class TestCliffordTable:
             for fz in (0, 1):
                 ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
                 assert table.frame_ptm[fx, fz].tobytes() == ptm.tobytes()
-
-    def test_sequence_inverse_folds_products(self, rng):
-        from mbqcrb.engine import sequence_inverse
-
-        group = clifford_group()
-        table = clifford_table()
-        for s in (1, 2, 7):
-            gates = rng.integers(0, 24, size=s)
-            expected = clifford_index(sequence_inverse([group[g].unitary for g in gates]))
-            assert table.sequence_inverse(gates) == expected
 
     def test_arrays_are_read_only(self):
         table = clifford_table()
@@ -355,7 +355,7 @@ class TestVerify2Design:
             assert verify_2design(list(derandomized_design(*phis).elements), 1e-8)
 
     def test_pauli_fails(self):
-        assert not verify_2design(list(pauli_group()), 1e-9)
+        assert not verify_2design(PAULIS, 1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

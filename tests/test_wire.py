@@ -5,6 +5,7 @@ import pytest
 
 from mbqcrb.channels import (
     I2,
+    State,
     Unitary2,
     X,
     Z,
@@ -16,7 +17,7 @@ from mbqcrb.channels import (
     plus_state,
     projector_effect,
 )
-from mbqcrb.gatesets import clifford_group, derandomized_design, element_from_outcomes
+from mbqcrb.gatesets import block_gates, clifford_group, derandomized_design, element_from_outcomes
 from mbqcrb.wire import (
     AFTER_EACH_GATE_BLOCK,
     AFTER_EACH_STEP,
@@ -24,9 +25,7 @@ from mbqcrb.wire import (
     InstrumentConfig,
     NoiseModel,
     WireRun,
-    block_unitary,
     conjugation_bits,
-    final_measurement,
     frame_unitary,
     measure_step,
     run_gate_block,
@@ -302,8 +301,7 @@ class TestPauliFrame:
             for _ in range(6):
                 e = group[rng.integers(0, 24)]
                 m = tuple(int(b) for b in rng.integers(0, 2, size=3))
-                realized = block_unitary(e.angles, m)
-                total = realized.matrix @ total
+                total = block_gates(e.angles, m) @ total
                 ideal = e.unitary.matrix @ ideal
                 frame = update_pauli_frame(frame, e.quarter_turns, m)
             # realized product == frame pauli . ideal product, up to phase
@@ -319,10 +317,8 @@ class TestPauliFrame:
 
 class TestFinalMeasurement:
     def test_plus_survives(self):
-        rng = np.random.default_rng(3)
         run = fresh_run()
         assert survival_probability(run) == pytest.approx(1.0)
-        assert final_measurement(run, I2, NO_NOISE, rng) == 1
 
     def test_depolarized_survival(self):
         run = fresh_run()
@@ -332,10 +328,8 @@ class TestFinalMeasurement:
         ) == pytest.approx((1 + p) / 2, abs=1e-12)
 
     def test_maximally_mixed_survives_half(self, rng):
-        from mbqcrb.channels import maximally_mixed_state
-
         for u in (I2, X, Z):
-            run = WireRun(state=maximally_mixed_state())
+            run = WireRun(state=State.from_xyz(0.0, 0.0, 0.0))
             assert survival_probability(run, u) == pytest.approx(0.5)
 
     def test_basis_rotation_precedes_inverse_noise(self):
@@ -346,14 +340,6 @@ class TestFinalMeasurement:
         rotated = apply(channel_from_unitary(X), run.state)
         expected = measure(projector_effect(I2), apply(noise.realize(), rotated))
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_outcome_statistics(self):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-        run = fresh_run()
-        run.state = apply(depolarizing(0.5), run.state)  # survival prob 0.75
-        n = 20_000
-        wins = sum(final_measurement(run, I2, NO_NOISE, rng) for _ in range(n))
-        assert abs(wins - 0.75 * n) < 3 * np.sqrt(n * 0.75 * 0.25)
 
 
 class TestNoiselessClosure:
@@ -419,5 +405,5 @@ class TestClusterTeleportationOracle:
             state = psi
             for theta, m in zip(angles, outcomes):
                 _, state = self._teleport(state, theta, int(m))
-            target = block_unitary(angles, outcomes).matrix @ psi
+            target = block_gates(angles, outcomes) @ psi
             assert abs(np.vdot(target, state)) == pytest.approx(1.0, abs=1e-10)
