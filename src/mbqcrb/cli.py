@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 import yaml
@@ -25,9 +26,9 @@ from .engine import (
     RBDataset,
     SequenceRecord,
     SpamModel,
-    exact_sequence_fidelity,
     run_protocol,
     sequence_fidelity_estimate,
+    _exact_fidelity,
 )
 from .fitting import MIN_RESAMPLES, bootstrap_ci, fit_decay
 from .gatesets import (
@@ -40,7 +41,7 @@ from .gatesets import (
     verify_byproduct_bits,
     verify_design_reference,
 )
-from .wire import InstrumentConfig, NoiseModel
+from .wire import InstrumentConfig, NoiseModel, _entries, _instance, _normalise
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,6 +58,9 @@ class ExperimentConfig:
     rb: RBConfig
     output: str | None = None
     verify_first: bool = False
+
+    def __post_init__(self):
+        _normalise(self, output=_instance(str, type(None)), verify_first=_instance(bool))
 
 
 def format_angle_pi(theta: float) -> str:
@@ -78,77 +82,6 @@ def _noise_to_dict(noise: NoiseModel) -> dict:
     return d
 
 
-_CONFIG_KEYS = frozenset(
-    {
-        "protocol", "lengths", "sequences_per_length", "shots_per_sequence", "seed",
-        "clifford_mode", "design_phis", "noise", "noise_inv", "instrument", "spam",
-        "output", "verify_first",
-    }
-)
-_NOISE_KEYS = frozenset({"kind", "strength", "placement", "parts"})
-_INSTRUMENT_KEYS = frozenset({"bias", "inject_randomness"})
-_SPAM_KEYS = frozenset({"prep_shrink", "effect_bias"})
-
-
-def _checked_section(d, allowed: frozenset, where: str) -> dict:
-    """``d`` itself, after checking that it is a mapping with only known keys.
-
-    A misspelled key would otherwise fall back silently to its default.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a key/value mapping")
-    unknown = [str(k) for k in d if k not in allowed]
-    if unknown:
-        raise ValueError(f"unknown key in {where}: {', '.join(unknown)}")
-    return d
-
-
-def _convert(kind, value, what: str):
-    """``kind(value)``, for a number of that kind.
-
-    Anything else, such as null, a list, a flag or a fractional count, would
-    raise a TypeError or be silently truncated; it is a config error.
-    """
-    try:
-        converted = kind(value)
-    except (TypeError, ValueError):
-        converted = None
-    if converted is None or isinstance(value, bool) or (kind is int and converted != value):
-        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
-    return converted
-
-
-def _flag(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _convert_list(kind, value, what: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return tuple(_convert(kind, x, f"{what} entry") for x in value)
-
-
-def _noise_from_dict(d: dict, where: str) -> NoiseModel:
-    _checked_section(d, _NOISE_KEYS, where)
-    kind = d.get("kind", "none")
-    parts = d.get("parts", [])
-    if not isinstance(parts, (list, tuple)):
-        raise ValueError(f"{where} parts must be a list, got {parts!r}")
-    parts = tuple(_noise_from_dict(p, f"{where} part {k + 1}") for k, p in enumerate(parts))
-    strength = _convert(float, d.get("strength", 0.0), f"{where} strength")
-    try:
-        return NoiseModel(
-            kind=kind,
-            strength=strength,
-            placement=d.get("placement", "after-each-gate-block"),
-            parts=parts,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     rb = config.rb
     d = {
@@ -160,11 +93,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "clifford_mode": rb.clifford_mode,
         "design_phis": [round(x / np.pi, 12) for x in rb.design_phis],
         "noise": _noise_to_dict(rb.noise),
-        "instrument": {
-            "bias": rb.instrument.bias,
-            "inject_randomness": rb.instrument.inject_randomness,
-        },
-        "spam": {"prep_shrink": rb.spam.prep_shrink, "effect_bias": rb.spam.effect_bias},
+        "instrument": asdict(rb.instrument),
+        "spam": asdict(rb.spam),
         "verify_first": config.verify_first,
     }
     if rb.noise_inv is not None:
@@ -174,51 +104,54 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    _checked_section(d, _CONFIG_KEYS, "config")
-    required = ("protocol", "lengths", "sequences_per_length", "shots_per_sequence")
-    missing = [k for k in required if k not in d]
+def _section(cls, d, where: str, **convert):
+    """``cls`` built from the config-file mapping ``d``, whose keys are its fields but
+    ``dependence``. Only the keys given are passed, so the defaults and checks
+    of ``cls`` apply; ``convert[key]`` turns a file value into a field value.
+    Messages name ``where``, the section's path, which is empty at the top."""
+    name = where or "config"
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a key/value mapping, got {d!r}")
+    accepted = [f for f in fields(cls) if f.name != "dependence"]
+    unknown = [str(k) for k in d if k not in {f.name for f in accepted}]
+    if unknown:
+        raise ValueError(f"unknown key in {name}: {', '.join(unknown)}")
+    missing = [f.name for f in accepted if f.default is MISSING and f.name not in d]
     if missing:
-        raise ValueError(f"config is missing required keys: {', '.join(missing)}")
-    instrument = _checked_section(d.get("instrument", {}), _INSTRUMENT_KEYS, "instrument")
-    spam = _checked_section(d.get("spam", {}), _SPAM_KEYS, "spam")
-    output = d.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError(f"output must be a file name, got {output!r}")
-    rb = RBConfig(
-        protocol=d["protocol"],
-        lengths=_convert_list(int, d["lengths"], "lengths"),
-        sequences_per_length=_convert(int, d["sequences_per_length"], "sequences_per_length"),
-        shots_per_sequence=_convert(int, d["shots_per_sequence"], "shots_per_sequence"),
-        noise=_noise_from_dict(d.get("noise", {"kind": "none"}), "noise"),
-        noise_inv=_noise_from_dict(d["noise_inv"], "noise_inv") if "noise_inv" in d else None,
-        instrument=InstrumentConfig(
-            bias=_convert(float, instrument.get("bias", 0.0), "instrument bias"),
-            inject_randomness=_flag(
-                instrument.get("inject_randomness", False), "instrument inject_randomness"
-            ),
-        ),
-        spam=SpamModel(
-            prep_shrink=_convert(float, spam.get("prep_shrink", 1.0), "spam prep_shrink"),
-            effect_bias=_convert(float, spam.get("effect_bias", 0.0), "spam effect_bias"),
-        ),
-        seed=_convert(int, d.get("seed", 0), "seed"),
-        design_phis=tuple(
-            x * np.pi for x in _convert_list(float, d.get("design_phis", [0.0, 0.0]), "design_phis")
-        ),
-        clifford_mode=d.get("clifford_mode", "coset"),
+        raise ValueError(f"{name} is missing required keys: {', '.join(missing)}")
+    values = {k: convert[k](v) if k in convert else v for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}" if where else str(exc)) from None
+
+
+def _noise_from_dict(d, where: str) -> NoiseModel:
+    parts = partial(_entries, _noise_from_dict, what=f"{where} parts")
+    return _section(NoiseModel, d, where, parts=parts)
+
+
+def config_from_dict(d) -> ExperimentConfig:
+    """The experiment a config file's top-level mapping describes; angles are in units of pi."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a key/value mapping, got {d!r}")
+    options = ("output", "verify_first")
+    rb = _section(
+        RBConfig,
+        {k: v for k, v in d.items() if k not in options},
+        "",
+        noise=lambda v: _noise_from_dict(v, "noise"),
+        noise_inv=lambda v: _noise_from_dict(v, "noise_inv"),
+        instrument=lambda v: _section(InstrumentConfig, v, "instrument"),
+        spam=lambda v: _section(SpamModel, v, "spam"),
     )
-    return ExperimentConfig(
-        rb=rb, output=output, verify_first=_flag(d.get("verify_first", False), "verify_first")
-    )
+    rb = replace(rb, design_phis=tuple(x * np.pi for x in rb.design_phis))
+    return ExperimentConfig(rb=rb, **{k: d[k] for k in options if k in d})
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} does not hold a key/value mapping")
-    return config_from_dict(data)
+        return config_from_dict(yaml.safe_load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +209,10 @@ def read_dataset(path: str) -> RBDataset:
     if "config" not in meta:
         raise ValueError(f"{path} has no embedded config")
     config = config_from_dict(json.loads(meta["config"]))
-    warnings = tuple(json.loads(meta.get("warnings", "[]")))
+    text = meta.get("warnings", "[]")
+    warnings = json.loads(text)
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ValueError(f"{path}: the warnings line must hold a JSON list of strings, got {text!r}")
     records = []
     for k, r in enumerate(rows[1:], start=1):
         if len(r) != len(_DATASET_FIELDS):
@@ -313,7 +249,7 @@ def read_dataset(path: str) -> RBDataset:
             raise ValueError(
                 f"{where}: {r.shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
             )
-    return RBDataset(config=rb, records=tuple(records), warnings=warnings)
+    return RBDataset(config=rb, records=tuple(records), warnings=tuple(warnings))
 
 
 def write_fit_report(path: str, report: dict):
@@ -393,10 +329,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _read_config(path: str) -> tuple[ExperimentConfig | None, int]:
-    """The config at ``path`` and EXIT_OK, or None and the exit code after saying why."""
+def _read_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig | None, int]:
+    """The config at ``path`` (with ``seed``, if given) and EXIT_OK, or None and the exit code."""
     try:
-        return load_config(path), EXIT_OK
+        config = load_config(path)
+        if seed is not None:
+            config = replace(config, rb=replace(config.rb, seed=seed))
+        return config, EXIT_OK
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return None, EXIT_IO
@@ -406,12 +345,9 @@ def _read_config(path: str) -> tuple[ExperimentConfig | None, int]:
 
 
 def cmd_run(args) -> int:
-    config, code = _read_config(args.config)
+    config, code = _read_config(args.config, args.seed)
     if config is None:
         return code
-    rb = config.rb
-    if args.seed is not None:
-        rb = replace(rb, seed=args.seed)
     if config.verify_first:
         for name, check in _verify_checks():
             try:
@@ -420,7 +356,7 @@ def cmd_run(args) -> int:
                 print(f"FAIL {name}: {exc}", file=sys.stderr)
                 return EXIT_VALIDATION
     try:
-        dataset = run_protocol(rb)
+        dataset = run_protocol(config.rb)
     except ValueError as exc:
         print(f"invalid experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -437,12 +373,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fit_points(dataset: RBDataset):
-    return [
-        (s, *sequence_fidelity_estimate(dataset, s)) for s in dataset.lengths()
-    ]
-
-
 def cmd_fit(args) -> int:
     if args.resamples != 0 and args.resamples < MIN_RESAMPLES:
         print(
@@ -455,11 +385,11 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"invalid dataset: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    points = _fit_points(dataset)
+    points = [(s, *sequence_fidelity_estimate(dataset, s)) for s in dataset.lengths()]
     try:
         fit = fit_decay(points)
     except ValueError as exc:
@@ -470,7 +400,7 @@ def cmd_fit(args) -> int:
     if args.resamples > 0:
         rng = np.random.Generator(
             np.random.Philox(
-                np.random.SeedSequence((dataset.config.seed & 0xFFFFFFFFFFFFFFFF, 0xB007, args.resamples))
+                np.random.SeedSequence((dataset.config.seed, 0xB007, args.resamples))
             )
         )
         ci = bootstrap_ci(dataset, args.resamples, rng)
@@ -517,16 +447,8 @@ def cmd_oracle(args) -> int:
         return code
     rb = config.rb
     lengths = rb.lengths if args.length is None else (args.length,)
-    options = dict(
-        noise=rb.noise,
-        spam=rb.spam,
-        noise_inv=rb.noise_inv,
-        bias=rb.instrument.outcome_bias,
-        clifford_mode=rb.clifford_mode,
-        design_phis=rb.design_phis,
-    )
     try:
-        results = [(s, exact_sequence_fidelity(rb.protocol, s, **options)) for s in lengths]
+        results = [(s, _exact_fidelity(rb, s)) for s in lengths]
     except ValueError as exc:
         print(f"cannot evaluate the oracle: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

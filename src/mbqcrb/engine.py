@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,6 +53,12 @@ from .wire import (
     InstrumentConfig,
     NoiseModel,
     step_unitary,
+    _choice,
+    _entries,
+    _instance,
+    _integer,
+    _normalise,
+    _real,
 )
 
 PROTOCOLS = ("circuit", "clifford-mbqc", "derandomized-mbqc")
@@ -76,10 +82,11 @@ class SpamModel:
     effect_bias: float = 0.0
 
     def __post_init__(self):
+        _normalise(self, prep_shrink=_real, effect_bias=_real)
         if not 0.0 <= self.prep_shrink <= 1.0:
-            raise ValueError("preparation shrink must lie in [0, 1]")
+            raise ValueError(f"prep_shrink must lie in [0, 1], got {self.prep_shrink}")
         if not 0.0 <= self.effect_bias <= 1.0:
-            raise ValueError("effect bias must lie in [0, 1]")
+            raise ValueError(f"effect_bias must lie in [0, 1], got {self.effect_bias}")
 
     def prep(self) -> State:
         return plus_state(self.prep_shrink)
@@ -93,7 +100,7 @@ IDEAL_SPAM = SpamModel()
 
 @dataclass(frozen=True)
 class RBConfig:
-    """Full description of one benchmarking experiment."""
+    """Full description of one benchmarking experiment; it checks every field's type and range."""
 
     protocol: str
     lengths: tuple[int, ...]
@@ -108,9 +115,20 @@ class RBConfig:
     clifford_mode: str = "coset"
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        object.__setattr__(self, "lengths", tuple(int(s) for s in self.lengths))
+        _normalise(
+            self,
+            protocol=_choice(*PROTOCOLS),
+            lengths=partial(_entries, _integer),
+            sequences_per_length=_integer,
+            shots_per_sequence=_integer,
+            noise=_instance(NoiseModel),
+            noise_inv=_instance(NoiseModel, type(None)),
+            instrument=_instance(InstrumentConfig),
+            spam=_instance(SpamModel),
+            seed=_integer,
+            design_phis=partial(_entries, _real),
+            clifford_mode=_choice(*CLIFFORD_MODES),
+        )
         if not self.lengths or any(s < 1 for s in self.lengths):
             raise ValueError("lengths must be a nonempty list of integers >= 1")
         if len(set(self.lengths)) != len(self.lengths):
@@ -119,18 +137,12 @@ class RBConfig:
             raise ValueError("sequences_per_length must be >= 1")
         if self.shots_per_sequence < 1:
             raise ValueError("shots_per_sequence must be >= 1")
-        if self.clifford_mode not in CLIFFORD_MODES:
-            raise ValueError(f"unknown clifford_mode {self.clifford_mode!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if len(self.design_phis) != 2:
             raise ValueError(
                 f"design_phis must hold exactly two angles, got {len(self.design_phis)}"
             )
-        object.__setattr__(
-            self, "design_phis", tuple(float(x) for x in self.design_phis)
-        )
-
-    def resolved_noise_inv(self) -> NoiseModel:
-        return self.noise if self.noise_inv is None else self.noise_inv
 
 
 @dataclass(frozen=True)
@@ -295,7 +307,7 @@ def _gate_operators(protocol, noise, noise_inv, spam, bias):
 
 
 def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, _PROTOCOL_TAGS[protocol], int(s), int(i))
+    entropy = (seed, _PROTOCOL_TAGS[protocol], s, i)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -334,18 +346,12 @@ def run_protocol(config: RBConfig) -> RBDataset:
     if config.protocol == "derandomized-mbqc" and config.instrument.outcome_bias != 0.0:
         warnings = (_BIAS_WARNING,)
 
-    settings = (
-        config.protocol,
-        config.noise,
-        config.resolved_noise_inv(),
-        config.spam,
-        config.instrument.outcome_bias,
-    )
+    key = _operator_key(config)
     derandomized = config.protocol == "derandomized-mbqc"
     if derandomized:
-        operator = _transfer_operator(*settings, config.clifford_mode, config.design_phis)
+        operator = _transfer_operator(*key)
     else:
-        operators = _gate_operators(*settings)
+        operators = _gate_operators(*key[:5])
     mode = "full" if config.protocol == "circuit" else config.clifford_mode
     shots = config.shots_per_sequence
     records = []
@@ -434,6 +440,14 @@ def _derandomized_operator(noise, noise_inv, spam, bias, phis):
     return op.reshape(16, 16), np.eye(4).ravel(), readout.ravel()
 
 
+def _operator_key(config: RBConfig) -> tuple:
+    """The settings the sampler and the oracle read, as ``_transfer_operator`` takes them.
+    Without ``noise_inv`` the inverse reuses the per-gate noise."""
+    noise_inv = config.noise if config.noise_inv is None else config.noise_inv
+    bias = config.instrument.outcome_bias
+    return (config.protocol, config.noise, noise_inv, config.spam, bias, config.clifford_mode, config.design_phis)
+
+
 @lru_cache(maxsize=16)
 def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
     """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0."""
@@ -454,11 +468,7 @@ def _transfer_value(operator, s: int) -> float:
     return float(readout @ x)
 
 
-def _twirled_decay_parameter(block_ptm: np.ndarray) -> float:
-    return float(np.trace(block_ptm[1:, 1:]) / 3.0)
-
-
-def _analytic_value(protocol, s, noise, noise_inv, spam) -> float:
+def _analytic_value(s, protocol, noise, noise_inv, spam) -> float:
     if protocol == "circuit":
         block = noise.base_channel().ptm
         inv_block = noise_inv.base_channel().ptm
@@ -471,11 +481,22 @@ def _analytic_value(protocol, s, noise, noise_inv, spam) -> float:
             inv_block = np.linalg.matrix_power(inv_base, 3)
         else:
             inv_block = inv_base
-    p = _twirled_decay_parameter(block)
+    p = float(np.trace(block[1:, 1:]) / 3.0)  # the twirled decay parameter
     decay = np.diag([1.0, p**s, p**s, p**s])
     prep = spam.prep().bloch
     effect = spam.effect().bloch_coeffs
     return float(effect @ inv_block @ decay @ prep)
+
+
+def _exact_fidelity(config: RBConfig, s: int) -> ExactSequenceFidelity:
+    """The oracle of ``config``'s experiment at length ``s``, which need not be one of its lengths."""
+    s = _integer(s, "sequence length")
+    if s < 1:
+        raise ValueError("sequence length must be >= 1")
+    key = _operator_key(config)
+    return ExactSequenceFidelity(
+        enumerated=_transfer_value(_transfer_operator(*key), s), analytic=_analytic_value(s, *key[:4])
+    )
 
 
 def exact_sequence_fidelity(
@@ -489,22 +510,18 @@ def exact_sequence_fidelity(
     clifford_mode: str = "coset",
     design_phis: tuple[float, float] = (0.0, 0.0),
 ) -> ExactSequenceFidelity:
-    """Exact sequence fidelity at any length, from the protocol's transfer operator.
+    """Exact sequence fidelity at length ``s``, from the protocol's transfer operator.
 
-    Exact also under gate- and outcome-dependent noise and biased outcomes.
-    Also evaluates the zeroth-order decay value from the twirled noise; the
-    two agree (to numerical precision) whenever the realized noise is gate
-    independent and outcomes are unbiased.
+    Each setting means what the RBConfig field of that name means and passes
+    the same check, so what an RBConfig rejects raises ValueError here too.
+    ``spam`` None is ideal, and ``bias`` in [-1/2, 1/2] is the bias of the
+    outcomes the wire acts on: an instrument's ``outcome_bias``. Exact also
+    under gate- and outcome-dependent noise and biased outcomes; ``analytic``
+    is the twirled-noise decay value, equal to it when the realized noise is
+    gate independent and outcomes are unbiased.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if s < 1:
-        raise ValueError("sequence length must be >= 1")
-    if spam is None:
-        spam = IDEAL_SPAM
-    dinv = noise if noise_inv is None else noise_inv
-    operator = _transfer_operator(
-        protocol, noise, dinv, spam, float(bias), clifford_mode, tuple(design_phis)
-    )
-    analytic = _analytic_value(protocol, s, noise, dinv, spam)
-    return ExactSequenceFidelity(enumerated=_transfer_value(operator, s), analytic=analytic)
+    # the lengths and counts are placeholders: the oracle reads only the settings
+    instrument = InstrumentConfig(bias=bias)
+    spam = IDEAL_SPAM if spam is None else spam
+    config = RBConfig(protocol, (1,), 1, 1, noise, noise_inv, instrument, spam, 0, design_phis, clifford_mode)
+    return _exact_fidelity(config, s)

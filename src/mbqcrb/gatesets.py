@@ -386,7 +386,7 @@ def _design(phi1: float, phi2: float) -> DerandomizedDesign:
         tails[: k + 1] = step @ tails[: k + 1]
     flips = unitary_stack(tails @ Z.matrix @ _dagger(tails))
     for i, a in enumerate(flips, 1):
-        if abs(np.trace(a)) > 1e-10 or not np.allclose(a, _dagger(a), atol=1e-10):
+        if abs(np.trace(a)) > 1e-10 or not np.allclose(a, _dagger(a), rtol=0, atol=1e-10):
             raise VerificationError(f"flip matrix A{i} is not a pi rotation")
     # each flip doubles the stack and appends the next outcome bit, m1 most significant
     elements = tails[:1]

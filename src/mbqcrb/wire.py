@@ -9,8 +9,10 @@ only through that effective channel.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -38,6 +40,56 @@ from .gatesets import measurement_gates
 
 AFTER_EACH_STEP = "after-each-step"
 AFTER_EACH_GATE_BLOCK = "after-each-gate-block"
+
+
+# Field checks of the config types: each takes a value and the field's name and
+# returns the value to store, or raises ValueError naming the field.
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a flag, a fraction or anything but a number is an error."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{what} must be int, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float; a flag or anything but a number is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite float, got {value!r}")
+    return float(value)
+
+
+def _entries(check, value, what: str) -> tuple:
+    """``value``, a list or tuple, as a tuple of entries that pass ``check``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(check(x, f"{what} entry {k}") for k, x in enumerate(value, 1))
+
+
+def _choice(*choices):
+    def check(value, what: str):
+        if value not in choices:
+            raise ValueError(f"{what} must be one of {', '.join(choices)}; got {value!r}")
+        return value
+    return check
+
+
+def _instance(*kinds):
+    def check(value, what: str):
+        if not isinstance(value, kinds):
+            raise ValueError(f"{what} must be a {kinds[0].__name__}, got {value!r}")
+        return value
+    return check
+
+
+def _normalise(config, **checks) -> None:
+    """Store each named field of the frozen ``config`` as its checked value."""
+    for name, check in checks.items():
+        object.__setattr__(config, name, check(getattr(config, name), name))
+
 
 NOISE_KINDS = (
     "none",
@@ -68,16 +120,19 @@ class NoiseModel:
     parts: tuple["NoiseModel", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.placement not in (AFTER_EACH_STEP, AFTER_EACH_GATE_BLOCK):
-            raise ValueError(f"unknown noise placement {self.placement!r}")
+        _normalise(
+            self,
+            kind=_choice(*NOISE_KINDS),
+            strength=_real,
+            placement=_choice(AFTER_EACH_STEP, AFTER_EACH_GATE_BLOCK),
+            parts=partial(_entries, _instance(NoiseModel)),
+        )
         if self.kind == "composite" and not self.parts:
-            raise ValueError("composite noise requires parts")
+            raise ValueError("parts must be given for composite noise")
         if self.parts and self.kind != "composite":
-            raise ValueError(f"{self.kind} noise takes no parts; only composite noise does")
+            raise ValueError(f"parts are taken only by composite noise, not by {self.kind}")
         if self.strength != 0.0 and self.kind in ("none", "composite"):
-            raise ValueError(f"{self.kind} noise takes no strength")
+            raise ValueError(f"strength is not taken by {self.kind} noise")
 
     @property
     def trivial(self) -> bool:
@@ -130,6 +185,7 @@ class InstrumentConfig:
     inject_randomness: bool = False
 
     def __post_init__(self):
+        _normalise(self, bias=_real, inject_randomness=_instance(bool))
         if not -0.5 <= self.bias <= 0.5:
             raise ValueError(f"bias must lie in [-1/2, 1/2], got {self.bias}")
 

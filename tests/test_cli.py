@@ -1,9 +1,12 @@
 import hashlib
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbqcrb import __version__
 from mbqcrb.channels import I2, X, Y, Z
@@ -18,6 +21,8 @@ from mbqcrb.cli import (
     write_dataset,
 )
 from mbqcrb.engine import (
+    CLIFFORD_MODES,
+    PROTOCOLS,
     RBConfig,
     SpamModel,
     exact_sequence_fidelity,
@@ -48,6 +53,71 @@ def write_sample_config(path, **overrides):
     return data
 
 
+PLACEMENTS = st.sampled_from(["after-each-step", "after-each-gate-block"])
+SIMPLE_NOISE = st.builds(
+    NoiseModel,
+    kind=st.sampled_from(["depolarizing", "dephasing", "amplitude-damping", "unitary-overrotation"]),
+    strength=st.floats(0.0, 1.0),
+    placement=PLACEMENTS,
+)
+NOISE = st.one_of(
+    st.builds(NoiseModel, placement=PLACEMENTS),
+    SIMPLE_NOISE,
+    st.builds(
+        NoiseModel,
+        kind=st.just("composite"),
+        placement=PLACEMENTS,
+        parts=st.lists(SIMPLE_NOISE, min_size=1, max_size=3).map(tuple),
+    ),
+)
+# multiples of pi/8, which survive the file's units of pi rounded to 12 digits
+PHI = st.integers(-16, 16).map(lambda k: k / 8 * np.pi)
+EXPERIMENT_CONFIGS = st.builds(
+    ExperimentConfig,
+    rb=st.builds(
+        RBConfig,
+        protocol=st.sampled_from(PROTOCOLS),
+        lengths=st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True).map(tuple),
+        sequences_per_length=st.integers(1, 1000),
+        shots_per_sequence=st.integers(1, 10**6),
+        noise=NOISE,
+        noise_inv=st.none() | NOISE,
+        instrument=st.builds(
+            InstrumentConfig, bias=st.floats(-0.5, 0.5), inject_randomness=st.booleans()
+        ),
+        spam=st.builds(SpamModel, prep_shrink=st.floats(0.0, 1.0), effect_bias=st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        design_phis=st.tuples(PHI, PHI),
+        clifford_mode=st.sampled_from(CLIFFORD_MODES),
+    ),
+    output=st.none() | st.text(min_size=1),
+    verify_first=st.booleans(),
+)
+
+# Each config-file section and the type whose fields are its keys.
+SECTIONS = {
+    None: RBConfig,
+    "noise": NoiseModel,
+    "noise_inv": NoiseModel,
+    "instrument": InstrumentConfig,
+    "spam": SpamModel,
+}
+
+
+def wrong_type_cases():
+    """(section, field, value) for every field of every section and a value of the wrong type.
+
+    A numeric string is a string: it must not be read as the number it spells.
+    """
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            if f.name == "dependence":  # a callable, which no file can hold
+                continue
+            values = [None, "1", ["1"]] + ([] if f.type in ("bool", bool) else [True])
+            for value in values:
+                yield pytest.param(section, f.name, value, id=f"{section or 'config'}-{f.name}-{value!r}")
+
+
 class TestConfigRoundTrip:
     def test_dict_to_config_to_dict(self):
         cfg = config_from_dict(dict(SAMPLE))
@@ -68,6 +138,11 @@ class TestConfigRoundTrip:
         cfg = ExperimentConfig(rb=rb, output="x.csv", verify_first=True)
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
+
+    @given(EXPERIMENT_CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_config_survives_the_round_trip(self, config):
+        assert config_from_dict(config_to_dict(config)) == config
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -302,6 +377,46 @@ class TestRunCommand:
             assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, name, value", wrong_type_cases())
+    def test_every_field_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, section, name, value):
+        data = dict(SAMPLE)
+        if section is None:
+            data[name] = value
+        else:
+            data[section] = {**SAMPLE[section], name: value}
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "ds.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
+    @pytest.mark.parametrize("given_by", ["option", "config"])
+    def test_seed_outside_range_rejected(self, tmp_path, capsys, seed, given_by):
+        # a seed outside [0, 2**64) used to alias a seed inside it
+        cfg_path = tmp_path / "cfg.yaml"
+        out = tmp_path / "ds.csv"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        if given_by == "option":
+            write_sample_config(cfg_path)
+            argv += ["--seed", str(seed)]
+        else:
+            write_sample_config(cfg_path, seed=seed)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and f"seed must lie in [0, 2**64), got {seed}" in err
+        assert not out.exists()
+
+    def test_seeds_at_both_ends_of_the_range_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / f"{seed}.csv"
+            assert main(["run", "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]) == 0
+            assert read_dataset(str(out)).config.seed == seed
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -442,6 +557,19 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
         assert f"sequence_index={index}:" in err
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
+    @pytest.mark.parametrize("line", ["null", "5", '"abc"'], ids=["null", "number", "string"])
+    def test_warnings_line_must_hold_a_list_of_strings(self, tmp_path, capsys, line):
+        out = self._make_dataset(tmp_path)
+        text = out.read_text().splitlines(keepends=True)
+        k = next(i for i, row in enumerate(text) if row.startswith("# warnings: "))
+        out.write_text("".join(text[:k] + [f"# warnings: {line}\n"] + text[k + 1 :]))
+        with pytest.raises(ValueError, match="warnings line must hold a JSON list of strings"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     def _replace_header(self, path, lines):

@@ -114,6 +114,39 @@ class TestRBConfigValidation:
             )
 
 
+class TestSettingsRejectedByTheLibrary:
+    """The config types and the oracle apply the checks that config files get."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"lengths": (1.5, 2, 3)}, {"shots_per_sequence": True}],
+        ids=["fractional-length", "flag-as-count"],
+    )
+    def test_config_field_of_the_wrong_type(self, overrides):
+        settings = dict(protocol="circuit", lengths=(1, 2, 3), sequences_per_length=1, shots_per_sequence=1)
+        with pytest.raises(ValueError):
+            RBConfig(**{**settings, **overrides})
+
+    def test_noise_strength_given_as_text(self):
+        with pytest.raises(ValueError, match="strength"):
+            NoiseModel("depolarizing", "0.9")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"clifford_mode": "cosett"},
+            {"bias": -0.9},
+            {"design_phis": (1.0,)},
+            {"design_phis": (0, 0, 5)},
+        ],
+        ids=["mode", "bias", "one-phi", "three-phis"],
+    )
+    def test_oracle_setting_a_config_rejects(self, options):
+        for protocol in ("clifford-mbqc", "derandomized-mbqc"):
+            with pytest.raises(ValueError):
+                exact_sequence_fidelity(protocol, 2, DEP, **options)
+
+
 class TestNoiselessProtocols:
     @pytest.mark.parametrize("protocol", ["circuit", "clifford-mbqc", "derandomized-mbqc"])
     def test_every_shot_survives(self, protocol):

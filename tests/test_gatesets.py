@@ -337,6 +337,20 @@ class TestDerandomizedDesign:
         with pytest.raises(ValueError):
             derandomized_design(np.nan, 0.0)
 
+    def test_flip_slightly_off_hermitian_rejected(self, monkeypatch):
+        # unitary and traceless, but 1e-6 off Hermitian: every flip built from
+        # it is then no pi rotation, however small the relative error
+        import mbqcrb.gatesets as gatesets
+
+        off = Unitary2(np.array([[0, 1], [np.exp(1e-6j), 0]]))
+        monkeypatch.setattr(gatesets, "Z", off)
+        gatesets._design.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="not a pi rotation"):
+                derandomized_design(0.3, 0.0)
+        finally:
+            gatesets._design.cache_clear()
+
     def test_built_once_per_phis(self):
         assert derandomized_design() is derandomized_design(0.0, 0.0)
         assert derandomized_design(0.4, -1.2) is derandomized_design(0.4, -1.2)
