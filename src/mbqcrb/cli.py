@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import __version__
+from . import MIN_RESAMPLES, __version__
 from .engine import (
     RBConfig,
     RBDataset,
@@ -30,7 +30,6 @@ from .engine import (
     sequence_fidelity_estimate,
     _exact_fidelity,
 )
-from .fitting import MIN_RESAMPLES, bootstrap_ci, fit_decay
 from .gatesets import (
     CLIFFORD_ANGLE_TABLE,
     VerificationError,
@@ -145,7 +144,13 @@ def config_from_dict(d) -> ExperimentConfig:
         instrument=lambda v: _section(InstrumentConfig, v, "instrument"),
         spam=lambda v: _section(SpamModel, v, "spam"),
     )
-    rb = replace(rb, design_phis=tuple(x * np.pi for x in rb.design_phis))
+    phis = tuple(x * np.pi for x in rb.design_phis)
+    for k, (x, phi) in enumerate(zip(rb.design_phis, phis), 1):
+        if not np.isfinite(phi):
+            raise ValueError(
+                f"design_phis entry {k} is {x!r} (units of pi), too large to convert to radians"
+            )
+    rb = replace(rb, design_phis=phis)
     return ExperimentConfig(rb=rb, **{k: d[k] for k in options if k in d})
 
 
@@ -374,6 +379,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # imported here, so run, oracle and verify never load fitting
+    from .fitting import bootstrap_ci, fit_decay
+
     if args.resamples != 0 and args.resamples < MIN_RESAMPLES:
         print(
             f"invalid --resamples {args.resamples}: use 0 (no bootstrap) or >= {MIN_RESAMPLES}",

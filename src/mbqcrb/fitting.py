@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MIN_RESAMPLES
+
 PARAM_LOWER = np.array([-1.0, 0.0, 0.0])  # a0, b0, p
 PARAM_UPPER = np.array([1.0, 1.0, 1.0])
 _DEGENERATE_SPREAD = 1e-12
-MIN_RESAMPLES = 100
 MAX_ITERATIONS = 500
 REL_TOL = 1e-12
 
@@ -77,8 +78,8 @@ def _parse_points(points):
 
 
 def _initial_guess(s, y):
-    distinct = np.unique(s)
-    tail = np.isin(s, distinct[-2:])
+    # s is sorted: the tail is every point at its two largest distinct lengths
+    tail = s >= s[s < s[-1]][-1]
     b0 = float(np.clip(y[tail].mean(), 0.0, 1.0))
     resid = y - b0
     sgn = 1.0 if resid[0] >= 0.0 else -1.0
@@ -211,20 +212,28 @@ def fit_decay(points) -> DecayFit:
 def _resample_points(dataset, resamples: int, rng: np.random.Generator):
     """Per-length means and weights (resamples, lengths) of bootstrap resamples.
 
-    Draws one ``rng.integers(0, k, size=k)`` per (resample, length), in that
-    order, into one index array; each length's block of it then gives that
-    length's means and ddof=1 standard errors for every resample at once.
-    A resample with a zero standard error at some length gets unit weights.
+    Each resample draws ``k`` indices below ``k`` for every length with ``k``
+    sequences, in length order, into one index array; each length's block of
+    it then gives that length's means and ddof=1 standard errors for every
+    resample at once. A run of consecutive lengths with the same ``k`` is
+    drawn by one ``rng.integers`` call: bounded int64 draws below 2**32 take
+    one 32-bit word per value and keep no state between calls, so this gives
+    the same indices as one ``rng.integers(0, k, size=k)`` per (resample,
+    length). A resample with a zero standard error at some length gets unit
+    weights.
     """
     lengths = dataset.lengths()
     fractions = [dataset.survival_fractions(s) for s in lengths]
-    edges = np.cumsum([0] + [f.size for f in fractions])
+    sizes = [f.size for f in fractions]
+    edges = np.cumsum([0] + sizes)
     blocks = list(zip(fractions, edges[:-1], edges[1:]))
-    widest = max(f.size for f in fractions)
-    picks = np.empty((resamples, edges[-1]), dtype=np.min_scalar_type(widest - 1))
+    # (k, lo, hi) of each run of consecutive lengths with k sequences each
+    starts = [j for j in range(len(sizes)) if j == 0 or sizes[j] != sizes[j - 1]]
+    runs = [(sizes[a], edges[a], edges[b]) for a, b in zip(starts, starts[1:] + [len(sizes)])]
+    picks = np.empty((resamples, edges[-1]), dtype=np.min_scalar_type(max(sizes) - 1))
     for row in picks:
-        for f, lo, hi in blocks:
-            row[lo:hi] = rng.integers(0, f.size, size=f.size)
+        for k, lo, hi in runs:
+            row[lo:hi] = rng.integers(0, k, size=hi - lo)
     means = np.empty((resamples, len(lengths)))
     stderrs = np.zeros_like(means)
     for j, (f, lo, hi) in enumerate(blocks):
@@ -247,13 +256,32 @@ def bootstrap_ci(
     """95% percentile bootstrap interval for p, resampling sequences per length.
 
     ``dataset`` is any object exposing ``lengths()`` and
-    ``survival_fractions(s)`` (see the engine's RBDataset). Sequences are
-    drawn by one ``rng.integers`` call per (resample, length), in that order,
-    so a seed always resamples the same sequences; every resample is then
-    fitted in one batched solve, as ``fit_decay`` would fit it alone.
+    ``survival_fractions(s)`` (see the engine's RBDataset). A seed always
+    resamples the same sequences as one ``rng.integers`` call per (resample,
+    length) would; every resample is then fitted in one batched solve, as
+    ``fit_decay`` would fit it alone. The interval's ends are the 2.5% and
+    97.5% points of the fitted p values, bit for bit as
+    ``np.percentile(p, [2.5, 97.5])`` gives them.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"bootstrap needs at least {MIN_RESAMPLES} resamples")
     x, _, _, _ = _fit_rows(*_resample_points(dataset, resamples, rng))
-    low, high = np.percentile(x[:, 2], [2.5, 97.5])
-    return float(low), float(high)
+    return _central_95(x[:, 2])
+
+
+def _central_95(values) -> tuple[float, float]:
+    """The 2.5% and 97.5% points of ``values``, as ``np.percentile`` gives them.
+
+    This is numpy's "linear" rule written out: np.percentile calls np.unique,
+    which in numpy 2.x imports numpy.ma on first use, about 15 ms of a cold
+    ``fit``.
+    """
+    v = np.sort(values)
+    ends = []
+    for q in (2.5, 97.5):
+        index = (v.size - 1) * (q / 100)
+        lo = int(index)
+        a, b = v[lo], v[min(lo + 1, v.size - 1)]
+        t = index - lo
+        ends.append(float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)))
+    return tuple(ends)

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -8,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbqcrb
 from mbqcrb import __version__
 from mbqcrb.channels import I2, X, Y, Z
 from mbqcrb.cli import (
@@ -342,6 +346,11 @@ class TestRunCommand:
         [
             ({"design_phis": [0.0, 0.0, 0.0]}, "design_phis"),
             ({"design_phis": []}, "design_phis"),
+            # finite in the file's units of pi, but not in radians
+            (
+                {"design_phis": [1.0e308, 0.0]},
+                "design_phis entry 1 is 1e+308 (units of pi), too large to convert to radians\n",
+            ),
             (
                 {
                     "noise": {
@@ -364,7 +373,10 @@ class TestRunCommand:
                 "strength",
             ),
         ],
-        ids=["three-phis", "no-phis", "parts-without-composite", "none-strength", "composite-strength"],
+        ids=[
+            "three-phis", "no-phis", "overflowing-phi", "parts-without-composite", "none-strength",
+            "composite-strength",
+        ],
     )
     def test_value_the_config_cannot_use_rejected(self, tmp_path, capsys, overrides, key):
         cfg_path = tmp_path / "cfg.yaml"
@@ -689,6 +701,69 @@ class TestOracleCommand:
         for s, exact in zip((1, 2), values):
             mean, stderr = sequence_fidelity_estimate(dataset, s)
             assert abs(mean - exact) < 5 * stderr, (s, mean, exact, stderr)
+
+
+def run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this test's package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestColdLoading:
+    """A command loads only the modules it uses."""
+
+    def test_import_loads_no_module(self):
+        code = "import sys, mbqcrb\nprint(sorted(m for m in sys.modules if m.startswith('mbqcrb.')))\n"
+        assert run_child(code) == "[]\n"
+
+    def test_run_oracle_and_verify_do_not_load_fitting(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
+        code = (
+            "import sys\n"
+            "from mbqcrb.cli import main\n"
+            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
+            "assert main(['--quiet', 'verify']) == 0\n"
+            "assert 'mbqcrb.fitting' not in sys.modules\n"
+        )
+        run_child(code)
+
+    def test_fit_does_not_load_numpy_ma(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        out = tmp_path / "ds.csv"
+        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from mbqcrb.cli import main\n"
+            f"assert main(['--quiet', 'fit', {str(out)!r}, '--resamples', '100']) == 0\n"
+            "assert 'mbqcrb.fitting' in sys.modules\n"
+            "print(eager, 'numpy.ma' in sys.modules)\n"
+        )
+        eager, loaded = run_child(code).split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert loaded == "False"
+
+    def test_every_exported_name_resolves(self):
+        import importlib
+
+        listed = dir(mbqcrb)
+        for name, module in mbqcrb._MODULE_OF.items():
+            value = getattr(importlib.import_module(f"mbqcrb.{module}"), name)
+            assert getattr(mbqcrb, name) is value
+            assert name in listed
+        assert sorted(mbqcrb.__all__) == sorted(mbqcrb._MODULE_OF)
+        for module in mbqcrb._EXPORTS:
+            assert module in listed and getattr(mbqcrb, module).__name__ == f"mbqcrb.{module}"
+        with pytest.raises(AttributeError):
+            mbqcrb.no_such_name
 
 
 class TestEndToEnd:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pathlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import yaml
 from mbqcrb.cli import main
 from mbqcrb.engine import RBConfig, SpamModel, exact_sequence_fidelity, run_protocol
 from mbqcrb.fitting import (
+    _central_95,
     _fit_rows,
     _parse_points,
     _resample_points,
@@ -227,6 +229,26 @@ class TestBootstrapCI:
         assert low <= 0.9 <= high
         assert high - low < 0.2
 
+    def test_interval_equals_numpy_percentile(self):
+        # every size from 100 to 1000, with distinct values, ties and all equal
+        rng = np.random.default_rng(11)
+        for n in range(100, 1001):
+            kind = n % 3
+            if kind == 0:
+                p = rng.random(n)
+            elif kind == 1:
+                p = rng.choice(rng.random(5), size=n)
+            else:
+                p = np.full(n, rng.random())
+            assert _central_95(p) == tuple(np.percentile(p, [2.5, 97.5]))
+
+    def test_bootstrap_interval_is_the_percentile_of_the_fits(self):
+        dataset = bound_active_dataset()
+        for resamples in (100, 137, 200):
+            x, _, _, _ = _fit_rows(*_resample_points(dataset, resamples, np.random.default_rng(4)))
+            expected = tuple(np.percentile(x[:, 2], [2.5, 97.5]))
+            assert bootstrap_ci(dataset, resamples, np.random.default_rng(4)) == expected
+
 
 class ArrayDataset:
     """Per-sequence survival fractions given length by length."""
@@ -239,6 +261,18 @@ class ArrayDataset:
 
     def survival_fractions(self, s):
         return self._fractions[s]
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
 
 
 def resample_loop(dataset, resamples, rng):
@@ -386,6 +420,21 @@ class TestRowsIndependentOfBatch:
         assert np.all(w == 1.0)
         low, high = bootstrap_ci(dataset, 100, np.random.default_rng(3))
         assert 0.0 <= low <= high <= 1.0
+
+    @pytest.mark.parametrize(
+        "counts", [(5, 5, 3, 3, 5), (4, 4, 4), (1, 1, 2, 2), (3, 7, 7, 7)], ids=str
+    )
+    def test_runs_of_equal_counts_share_one_draw(self, counts):
+        # one rng.integers call per run of consecutive lengths with the same
+        # count draws what one call per length would
+        rng = np.random.default_rng(sum(counts))
+        dataset = ArrayDataset(
+            {2**j: 0.5 + 0.45 * 0.9 ** 2**j + 0.05 * rng.random(k) for j, k in enumerate(counts)}
+        )
+        self._check_rows_alone([dataset], 25)
+        rng = CountingRng(np.random.default_rng(0))
+        _resample_points(dataset, 25, rng)
+        assert rng.calls == 25 * len(list(itertools.groupby(counts)))
 
 
 class TestSolveRows:
