@@ -468,19 +468,16 @@ def _transfer_value(operator, s: int) -> float:
     return float(readout @ x)
 
 
+# The measurement steps in one gate block and in the inverse block: a noise
+# placed after each step acts that many times per block.
+_BLOCK_STEPS = {"circuit": (1, 1), "clifford-mbqc": (3, 3), "derandomized-mbqc": (5, 1)}
+
+
 def _analytic_value(s, protocol, noise, noise_inv, spam) -> float:
-    if protocol == "circuit":
-        block = noise.base_channel().ptm
-        inv_block = noise_inv.base_channel().ptm
-    else:
-        q = 3 if protocol == "clifford-mbqc" else 5
-        base = noise.base_channel().ptm
-        block = np.linalg.matrix_power(base, q) if noise.placement == AFTER_EACH_STEP else base
-        inv_base = noise_inv.base_channel().ptm
-        if protocol == "clifford-mbqc" and noise_inv.placement == AFTER_EACH_STEP:
-            inv_block = np.linalg.matrix_power(inv_base, 3)
-        else:
-            inv_block = inv_base
+    block, inv_block = (
+        np.linalg.matrix_power(n.base_channel().ptm, steps if n.placement == AFTER_EACH_STEP else 1)
+        for n, steps in zip((noise, noise_inv), _BLOCK_STEPS[protocol])
+    )
     p = float(np.trace(block[1:, 1:]) / 3.0)  # the twirled decay parameter
     decay = np.diag([1.0, p**s, p**s, p**s])
     prep = spam.prep().bloch

@@ -1,15 +1,22 @@
 """Zeroth-order decay fitting: F(s) = A0 p^s + B0.
 
 The decay parameter p carries the average gate fidelity (1 + p) / 2; A0 and
-B0 absorb preparation and measurement imperfections. Fitting is a
-deterministic two-stage scheme: plateau/log-linear initialization followed by
-bounded, damped Gauss-Newton refinement.
+B0 absorb preparation and measurement imperfections. The fit minimizes the
+weighted squared residuals over |A0| <= 1, 0 <= B0 <= 1 and 0 <= p <= 1.
 
-One solver fits a batch of data rows that share their lengths. Every row
-keeps its own damping, its own accept/reject decision, its own stop and its
-own iteration cap, so a row's fit does not depend on the rest of its batch.
-``fit_decay`` is a batch of one; ``bootstrap_ci`` fits all its resamples in
-one batch.
+A0 and B0 enter the model linearly, so the fit is a search in p alone
+(variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)):
+for a fixed p the best bounded (A0, B0) has a closed form. Each local minimum
+of the profiled cost Q(p) on a coarse grid of p is refined by bisection on the
+sign of dQ/dp down to machine epsilon, and the cheapest is kept. Nothing stops
+at a tolerance or an iteration cap, so every fit is exact within its basin of
+Q and meets the KKT conditions, with A0 or B0 on its bound or not. It is the
+global minimum unless a basin of Q, say one narrower than a grid cell, holds
+no local minimum of the grid.
+
+Every row of a batch that shares its lengths is fitted from its own data
+alone, so ``fit_decay`` (a batch of one) and ``bootstrap_ci`` (all its
+resamples in one batch) give each row the same fit.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ import numpy as np
 
 from . import MIN_RESAMPLES
 
-PARAM_LOWER = np.array([-1.0, 0.0, 0.0])  # a0, b0, p
-PARAM_UPPER = np.array([1.0, 1.0, 1.0])
 _DEGENERATE_SPREAD = 1e-12
-MAX_ITERATIONS = 500
-REL_TOL = 1e-12
+# The coarse grid of p: evenly spaced in log(p / (1 - p)) with step 1/2 from
+# -20 to 20, and closed by 0 and 1. Near p = 1 the model's features scale
+# with 1 - p, and near p = 0 with p; this resolves both to half their scale.
+_GRID = np.concatenate([[0.0], 1.0 / (1.0 + np.exp(-np.arange(-20.0, 20.25, 0.5))), [1.0]])
 
 
 @dataclass(frozen=True)
@@ -49,27 +56,24 @@ def fidelity_from_p(p: float) -> float:
 
 
 def _check_points(s, y):
+    if not np.all(np.isfinite(s)) or np.any(s < 1.0):
+        raise ValueError("sequence lengths must be finite and >= 1")
     if len(set(s.tolist())) < 3:
         raise ValueError("fitting requires at least 3 distinct sequence lengths")
-    if np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
-        raise ValueError("sequence-fidelity means must lie in [0, 1]")
+    if not np.all(np.isfinite(y)) or np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
+        raise ValueError("sequence-fidelity means must be finite and lie in [0, 1]")
 
 
 def _parse_points(points):
     lengths, means, errs = [], [], []
     for pt in points:
-        if len(pt) == 2:
-            s, mean = pt
-            err = None
-        else:
-            s, mean, err = pt
+        s, mean, err = pt if len(pt) == 3 else (*pt, None)
         lengths.append(float(s))
         means.append(float(mean))
         errs.append(err)
-    s = np.asarray(lengths)
-    y = np.asarray(means)
+    s, y = np.asarray(lengths), np.asarray(means)
     _check_points(s, y)
-    if any(e is None or not e > 0.0 for e in errs):
+    if any(e is None or not 0.0 < e < np.inf for e in errs):
         w = np.ones_like(y)
     else:
         w = 1.0 / np.asarray(errs, dtype=float) ** 2
@@ -77,122 +81,117 @@ def _parse_points(points):
     return s[order], y[order], w[order]
 
 
-def _initial_guess(s, y):
-    # s is sorted: the tail is every point at its two largest distinct lengths
-    tail = s >= s[s < s[-1]][-1]
-    b0 = float(np.clip(y[tail].mean(), 0.0, 1.0))
-    resid = y - b0
-    sgn = 1.0 if resid[0] >= 0.0 else -1.0
-    usable = sgn * resid > 1e-12
-    if usable.sum() >= 2:
-        slope, intercept = np.polyfit(s[usable], np.log(sgn * resid[usable]), 1)
-        p0 = float(np.clip(np.exp(slope), 1e-6, 1.0 - 1e-6))
-        a0 = float(np.clip(sgn * np.exp(intercept), -1.0, 1.0))
-    else:
-        p0 = 0.9
-        a0 = float(np.clip(resid[0], -1.0, 1.0))
-    return np.array([a0, b0, p0])
+def _candidates(u, y, w):
+    """Five bounded (a0, b0) at each p, the best one among them, and their costs.
+
+    ``u`` holds p^s; ``y`` and ``w`` (..., n) broadcast against it, and each
+    result is (5, ...). At a fixed p the cost is a convex quadratic in (a0,
+    b0), least at the point the weight-centred sums give. Where that leaves
+    the box, the least cost in the box is one of the four edges' own
+    least-squares points, clamped to its edge.
+    """
+    sw = w.sum(-1)
+    yb = (w * y).sum(-1) / sw
+    dy = y - yb[..., None]
+    syy = (w * dy * dy).sum(-1)
+    # u is centred on its plain mean c, so on a grid uc is shared by all rows
+    c = u.sum(-1) / u.shape[-1]
+    uc = u - c[..., None]
+    s1 = (w * uc).sum(-1)
+    ub = c + s1 / sw
+    suu = (w * (uc * uc)).sum(-1) - s1 * s1 / sw
+    suy = (w * dy * uc).sum(-1)
+    suu0 = suu + sw * ub * ub  # the sum of w u^2
+    # suu is 0 only where u is constant, and suu0 only where u is 0; the
+    # numerators over them are then 0 too, and dividing by 1 gives a0 = 0
+    den, den0 = suu + (suu == 0.0), suu0 + (suu0 == 0.0)
+    one = np.ones_like(suu)
+    # unconstrained, then the edges a0 = 1, a0 = -1, b0 = 0 and b0 = 1
+    a = np.stack(
+        [suy / den, one, -one, (suy + sw * ub * yb) / den0, (suy + sw * ub * (yb - 1.0)) / den0]
+    ).clip(-1.0, 1.0)
+    b = (yb - a * ub).clip(0.0, 1.0)
+    b[3], b[4] = 0.0, 1.0
+    cost = syy - 2.0 * a * suy + a * a * suu + sw * (a * ub + b - yb) ** 2
+    return a, b, cost
 
 
-def _residuals(x, s, y, sqrtw):
-    return sqrtw * (x[:, :1] * x[:, 2:] ** s + x[:, 1:2] - y)
+def _profile(s, y, w, p):
+    """The best bounded (a0, b0) of each row of y at its p (rows,), and whether Q rises there.
+
+    By the envelope theorem dQ/dp = 2 a0 sum w r s p^(s-1) at the best (a0, b0).
+    """
+    v = p[:, None] ** (s - 1.0)
+    u = v * p[:, None]
+    a, b, cost = _candidates(u, y, w)
+    a, b = (c[cost.argmin(axis=0), np.arange(len(p))] for c in (a, b))
+    r = a[:, None] * u + b[:, None] - y
+    return a, b, a * (w * r * s * v).sum(axis=1) > 0.0
 
 
-def _squared_norms(r):
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def _solve_rows(a, b):
-    """Solve a[i] @ d[i] = b[i] for every row; a singular row gets NaN."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        for i in range(len(b)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _cost(s, y, w, x):
+    """The weighted squared residuals of each row of y at its (a0, b0, p) in x."""
+    r = x[:, :1] * x[:, 2:] ** s + x[:, 1:2] - y
+    return (w * r * r).sum(axis=1)
 
 
 def _fit_rows(s, y, w):
-    """Bounded, damped Gauss-Newton fit of A0 p^s + B0 to every row of y.
+    """Fit A0 p^s + B0 to every row of y by variable projection.
 
     ``s`` (n,) holds the lengths, sorted; ``y`` and ``w`` (rows, n) hold the
-    means and the weights. Each trial step solves the damped normal equations
-    of all rows still pending at once. A row accepts its step when the cost
-    does not rise (its damping then falls by 3, else it rises by 10), and
-    stops when its step is below ``REL_TOL``, when no damping gives a step, or
-    after ``MAX_ITERATIONS``. A row whose means spread by less than 1e-12 is
-    degenerate: A0 = 0, p = 1 and B0 its mean, with no iteration.
+    means and the weights. Each local minimum of a row's profiled cost Q(p)
+    on ``_GRID`` takes the grid cell on the side where Q falls (the lower one
+    from p = 1, where a0 = 0 leaves dQ/dp at 0) and bisects it on the sign
+    of dQ/dp, keeping Q rising at the upper end, until it is narrower than
+    machine epsilon. The lower end, or the grid point if that costs less, is
+    a local minimum of Q; the row takes the cheapest. A row whose means
+    spread by less than 1e-12 is degenerate: A0 = 0, p = 1 and B0 its mean.
 
     Returns the parameters (rows, 3) as (a0, b0, p), the weighted costs, the
-    iteration counts and the degenerate mask.
+    bisection step counts and the degenerate mask.
     """
-    sqrtw = np.sqrt(w)
+    # 16 rows at a time, since the grid's sums make (rows, grid, n) temporaries
+    u, chunks = _GRID[:, None] ** s, range(0, len(y), 16)
+    costs = np.vstack(
+        [_candidates(u, y[k : k + 16, None], w[k : k + 16, None])[2].min(axis=0) for k in chunks]
+    )
+    padded = np.pad(costs, ((0, 0), (1, 1)), constant_values=np.inf)
+    # the row and the grid point of each local minimum
+    row, best = np.nonzero((costs < padded[:, :-2]) & (costs <= padded[:, 2:]))
+    y, w, start = y[row], w[row], _GRID[best]
+    a, b, lower = _profile(s, y, w, start)
+    at_start = np.column_stack([a, b, start])
+    lower |= best == _GRID.size - 1
+    lo = np.where(lower, _GRID[np.maximum(best - 1, 0)], start)
+    hi = np.where(lower, start, _GRID[np.minimum(best + 1, _GRID.size - 1)])
     degenerate = np.ptp(y, axis=1) < _DEGENERATE_SPREAD
-    active = np.flatnonzero(~degenerate)
-    x = np.empty((len(y), 3))
+    iterations = np.zeros(len(y), dtype=int)
+    while (pending := (hi - lo > np.finfo(float).eps) & ~degenerate).any():
+        iterations += pending
+        p = (lo + hi) / 2.0
+        rising = _profile(s, y, w, p)[2]
+        hi = np.where(pending & rising, p, hi)
+        lo = np.where(pending & ~rising, p, lo)
+    x = np.column_stack([*_profile(s, y, w, lo)[:2], lo])
+    cost, start_cost = _cost(s, y, w, x), _cost(s, y, w, at_start)
+    x = np.where((start_cost < cost)[:, None], at_start, x)
+    cost = np.minimum(cost, start_cost)
+    # each row's cheapest minimum: the first of its row in cost order
+    order = np.lexsort((cost, row))
+    order = order[np.r_[True, row[order][1:] != row[order][:-1]]]
+    x, y, w, iterations, degenerate = (v[order] for v in (x, y, w, iterations, degenerate))
     x[degenerate] = 0.0, 0.0, 1.0
     x[degenerate, 1] = y[degenerate].mean(axis=1)
-    # The start comes from np.polyfit row by row: where the step rule stops
-    # early, an ulp in the start moves a0 by 1e-9.
-    for row in active:
-        x[row] = _initial_guess(s, y[row])
-    r = _residuals(x, s, y, sqrtw)
-    cost = _squared_norms(r)
-    lam = np.full(len(y), 1e-3)
-    iterations = np.zeros(len(y), dtype=int)
-    damping = np.eye(3)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        if active.size == 0:
-            break
-        iterations[active] = iteration
-        a0, p = x[active, :1], x[active, 2:]
-        jac = np.empty((active.size, s.size, 3))
-        jac[..., 0] = p**s
-        jac[..., 1] = 1.0
-        jac[..., 2] = a0 * s * p ** (s - 1)
-        jac *= sqrtw[active, :, None]
-        # Stacked matmuls make the same BLAS call for every row, so a row
-        # gets the same bits in a batch of any size.
-        jac_t = jac.transpose(0, 2, 1)
-        grad = (jac_t @ r[active, :, None])[..., 0]
-        hess = jac_t @ jac
-        pending = np.arange(active.size)
-        stepped = np.zeros(active.size, dtype=bool)
-        converged = np.zeros(active.size, dtype=bool)
-        for _ in range(60):
-            if pending.size == 0:
-                break
-            rows = active[pending]
-            delta = _solve_rows(hess[pending] + lam[rows, None, None] * damping, grad[pending])
-            candidate = np.clip(x[rows] - delta, PARAM_LOWER, PARAM_UPPER)
-            r_new = _residuals(candidate, s, y[rows], sqrtw[rows])
-            cost_new = _squared_norms(r_new)
-            ok = cost_new <= cost[rows]
-            took = rows[ok]
-            step = candidate[ok] - x[took]
-            x[took], r[took], cost[took] = candidate[ok], r_new[ok], cost_new[ok]
-            lam[took] = np.maximum(lam[took] / 3.0, 1e-14)
-            lam[rows[~ok]] *= 10.0
-            stepped[pending[ok]] = True
-            converged[pending[ok]] = (
-                np.abs(step) <= REL_TOL * (np.abs(x[took]) + REL_TOL)
-            ).all(axis=1)
-            pending = pending[~ok]
-        active = active[stepped & ~converged]
-    return x, cost, iterations, degenerate
+    return x, _cost(s, y, w, x), iterations, degenerate
 
 
 def fit_decay(points) -> DecayFit:
     """Weighted least-squares fit of A0 p^s + B0 to sequence-fidelity points.
 
     ``points`` holds (s, mean) or (s, mean, stderr) tuples; inverse-variance
-    weights are used when every stderr is present and positive. Parameters
-    are constrained to |A0| <= 1, 0 <= B0 <= 1, 0 <= p <= 1. Constant data
-    yields a degenerate fit flagged as such, with p pinned to 1.
+    weights are used when every stderr is present, positive and finite.
+    Parameters are constrained to |A0| <= 1, 0 <= B0 <= 1, 0 <= p <= 1.
+    Constant data yields a degenerate fit flagged as such, with p pinned to 1.
     """
     s, y, w = _parse_points(points)
     x, cost, iterations, degenerate = _fit_rows(s, y[None], w[None])
