@@ -34,7 +34,6 @@ from .channels import (
     Effect,
     State,
     Unitary2,
-    channel_from_unitary,
     plus_state,
     survival_effect,
     unitary_ptms,
@@ -45,6 +44,7 @@ from .gatesets import (
     clifford_group,
     clifford_table,
     derandomized_design,
+    measurement_gates,
 )
 from .wire import (
     AFTER_EACH_GATE_BLOCK,
@@ -52,7 +52,6 @@ from .wire import (
     NO_NOISE,
     InstrumentConfig,
     NoiseModel,
-    step_unitary,
     _choice,
     _entries,
     _instance,
@@ -201,25 +200,23 @@ def sequence_inverse(realized: list[Unitary2]) -> Unitary2:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _step_ptm(theta: float, m: int, noise: NoiseModel) -> np.ndarray:
-    """PTM of one wire step, followed by the noise when it is placed after each step."""
-    ptm = channel_from_unitary(step_unitary(theta, m)).ptm
-    if (not noise.trivial) and noise.placement == AFTER_EACH_STEP:
-        ptm = noise.realize(theta, m).ptm @ ptm
-    return ptm
-
-
 @lru_cache(maxsize=32)
 def _block_table(patterns: tuple[tuple[float, ...], ...], noise: NoiseModel) -> np.ndarray:
     """Every measured block's PTM, flat over (pattern, outcome index).
 
     Row ``k * 2**q + m`` is the block of angle pattern ``patterns[k]`` whose
-    q outcomes spell m, the first outcome most significant.
+    q outcomes spell m, the first outcome most significant. Each distinct
+    (angle, outcome) step's PTM is built once, followed by the noise when it
+    is placed after each step.
     """
     q = len(patterns[0])
     blocks = list(itertools.product(patterns, itertools.product((0, 1), repeat=q)))
-    steps = np.array([[_step_ptm(t, bit, noise) for t, bit in zip(*block)] for block in blocks])
+    index = {}  # position of each distinct step among the step PTMs
+    rows = [index.setdefault(step, len(index)) for block in blocks for step in zip(*block)]
+    step_ptms = unitary_ptms(measurement_gates(*zip(*index)))
+    if (not noise.trivial) and noise.placement == AFTER_EACH_STEP:
+        step_ptms = np.array([noise.realize(t, m).ptm for t, m in index]) @ step_ptms
+    steps = step_ptms[rows].reshape(len(blocks), q, 4, 4)
     ptm = np.eye(4)
     for k in range(q):
         ptm = steps[:, k] @ ptm
@@ -245,16 +242,6 @@ def _outcome_weights(q: int, bias: float) -> np.ndarray:
     for _ in range(q):
         w = np.outer(w, (0.5 - bias, 0.5 + bias)).ravel()
     return w
-
-
-def _frame_steps() -> np.ndarray:
-    """Clifford frame after each block, ``[g * 8 + m, f]``, frames coded 2 fx + fz.
-
-    Row g * 8 + m is row g's block with outcome index m; f is the frame before it.
-    """
-    g, m, f = np.ix_(range(24), range(len(OUTCOME_TRIPLES)), range(4))
-    fx, fz = clifford_table().next_frame(g, m, f // 2, f % 2)
-    return (2 * fx + fz).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +275,8 @@ def _gate_operators(protocol, noise, noise_inv, spam, bias):
         gates = noise.realize().ptm @ table.ptm
         return gates, effect @ noise_inv.realize().ptm @ table.ptm[inv], prep
     w = _outcome_weights(3, bias)
-    frames = _frame_steps().reshape(24, 8, 4)  # [g, m, f]
+    turns = np.transpose([e.quarter_turns for e in clifford_group()])
+    frames = table.frame_step[tuple(turns)]  # [g, m, f]
     # gather the outcomes that move frame f to frame f2 under gate g
     moves = frames[..., None] == np.arange(4)  # [g, m, f, f2]
     gates = np.einsum("gmfF,m,gmij->gFifj", moves, w, _clifford_blocks(noise))

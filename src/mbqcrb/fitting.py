@@ -28,6 +28,9 @@ import numpy as np
 from . import MIN_RESAMPLES
 
 _DEGENERATE_SPREAD = 1e-12
+# The weights 1/stderr^2 then stay below 1e120, so the squared weight sums of
+# _candidates stay finite for up to 1e34 lengths.
+_MIN_STDERR = 1e-60
 # The coarse grid of p: evenly spaced in log(p / (1 - p)) with step 1/2 from
 # -20 to 20, and closed by 0 and 1. Near p = 1 the model's features scale
 # with 1 - p, and near p = 0 with p; this resolves both to half their scale.
@@ -76,6 +79,11 @@ def _parse_points(points):
     if any(e is None or not 0.0 < e < np.inf for e in errs):
         w = np.ones_like(y)
     else:
+        k = int(np.argmin(errs))
+        if errs[k] < _MIN_STDERR:
+            raise ValueError(
+                f"stderr {float(errs[k]):g} at length {lengths[k]:g} is below {_MIN_STDERR:g}"
+            )
         w = 1.0 / np.asarray(errs, dtype=float) ** 2
     order = np.argsort(s)
     return s[order], y[order], w[order]
@@ -189,7 +197,8 @@ def fit_decay(points) -> DecayFit:
     """Weighted least-squares fit of A0 p^s + B0 to sequence-fidelity points.
 
     ``points`` holds (s, mean) or (s, mean, stderr) tuples; inverse-variance
-    weights are used when every stderr is present, positive and finite.
+    weights are used when every stderr is present, positive and finite, and a
+    stderr below 1e-60, whose weight would overflow the fit, is an error.
     Parameters are constrained to |A0| <= 1, 0 <= B0 <= 1, 0 <= p <= 1.
     Constant data yields a degenerate fit flagged as such, with p pinned to 1.
     """

@@ -287,44 +287,28 @@ def frame_unitary(frame) -> Unitary2:
     return Unitary2(m)
 
 
-def fold_frame(action, bits, fx, fz):
-    """Pauli frame after one gate block: (b + A f) mod 2.
-
-    The old frame (fx, fz) is conjugated through the block's all-zeros gate,
-    whose GF(2) action is ``action``, and the block's byproduct ``bits``
-    (b1, b2) are XORed on top. Broadcasts over arrays of actions, frames and bits.
-    """
-    return (
-        (bits[..., 0] + action[..., 0, 0] * fx + action[..., 0, 1] * fz) % 2,
-        (bits[..., 1] + action[..., 1, 0] * fx + action[..., 1, 1] * fz) % 2,
-    )
-
-
 OUTCOME_TRIPLES = tuple(itertools.product((0, 1), repeat=3))
 QUARTER_TRIPLES = _frozen(list(np.ndindex(4, 4, 4)))  # every (n1, n2, n3), n3 fastest
 
 
 @dataclass(frozen=True)
 class CliffordTable:
-    """Read-only arrays indexed by position in :func:`clifford_group` (0 is I).
+    """Read-only arrays of Clifford facts, built once by :func:`clifford_table`.
 
-    ``byproducts[g, m]`` holds row g's byproduct bits for outcome triple
-    ``OUTCOME_TRIPLES[m]``; ``triple_element[n]`` is the element any
-    quarter-turn triple n realizes with all outcomes zero.
+    Group elements are indexed by position in :func:`clifford_group` (0 is
+    I). ``frame_step[n1, n2, n3, m, f]`` is the Pauli frame, coded 2 fx + fz,
+    after the wire block of quarter turns (n1, n2, n3) with outcome triple
+    ``OUTCOME_TRIPLES[m]``, entered with frame f: the old frame conjugated
+    through the block's all-zeros gate, with the block's byproduct bits
+    XORed on top.
     """
 
     product: np.ndarray  # [g, v]: element g applied after v
     inverse: np.ndarray
     ptm: np.ndarray
-    frame_action: np.ndarray  # conjugation_bits of each element
-    byproducts: np.ndarray
     coset_reps: np.ndarray
-    triple_element: np.ndarray
     frame_ptm: np.ndarray  # [fx, fz]: PTM of X^fx Z^fz
-
-    def next_frame(self, g, m, fx, fz):
-        """Frame after row g's block with outcome index (or indices) ``m``."""
-        return fold_frame(self.frame_action[g], self.byproducts[g, m], fx, fz)
+    frame_step: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -333,21 +317,20 @@ def clifford_table() -> CliffordTable:
     group = clifford_group()
     words = [e.word for e in group]
     mats = np.stack([e.unitary.matrix for e in group])
-    quarter_turns = np.array([e.quarter_turns for e in group])[:, None]
     frames = [frame_unitary(f).matrix for f in itertools.product((0, 1), repeat=2)]
+    action = _conjugation_bits(unitary_stack(block_gates(HALF_PI * QUARTER_TRIPLES)))
+    bits = np.stack(byproduct_bits(QUARTER_TRIPLES[:, None], np.array(OUTCOME_TRIPLES)), axis=-1)
+    f = np.arange(4)
+    # [n, m, (fx, fz), f]: frame f conjugated through the all-zeros gate, byproducts on top
+    step = (bits[..., None] + action[:, None] @ np.stack([f // 2, f % 2])) % 2
+    step = step.reshape(4, 4, 4, len(OUTCOME_TRIPLES), 2, 4)
     return CliffordTable(
         product=_frozen(_clifford_indices(mats[:, None] @ mats)),
         inverse=_frozen(_clifford_indices(_dagger(mats))),
         ptm=_frozen(unitary_ptms(mats)),
-        frame_action=_frozen(_conjugation_bits(mats)),
-        byproducts=_frozen(
-            np.stack(byproduct_bits(quarter_turns, np.array(OUTCOME_TRIPLES)), axis=-1)
-        ),
         coset_reps=_frozen([words.index(w) for w in COSET_REP_WORDS]),
-        triple_element=_frozen(
-            _clifford_indices(unitary_stack(block_gates(HALF_PI * QUARTER_TRIPLES)))
-        ).reshape(4, 4, 4),
         frame_ptm=_frozen(unitary_ptms(np.stack(frames)).reshape(2, 2, 4, 4)),
+        frame_step=_frozen(2 * step[..., 0, :] + step[..., 1, :]),
     )
 
 

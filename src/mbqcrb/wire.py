@@ -35,7 +35,7 @@ from .channels import (
     I2,
 )
 # conjugation_bits and frame_unitary live with the gate set; they stay importable from here.
-from .gatesets import byproduct_bits, clifford_table, conjugation_bits, fold_frame, frame_unitary
+from .gatesets import clifford_table, conjugation_bits, frame_unitary
 from .gatesets import measurement_gates
 
 AFTER_EACH_STEP = "after-each-step"
@@ -276,17 +276,21 @@ def run_gate_block(
 def update_pauli_frame(frame, n, m) -> tuple[int, int]:
     """Fold one Clifford block's byproducts into an existing Pauli frame.
 
-    The old frame is conjugated through the block's all-zeros gate and the
-    block's own byproduct bits are XORed on top.
+    ``n`` holds the block's quarter turns and ``m`` its outcomes. The old
+    frame is conjugated through the block's all-zeros gate and the block's
+    own byproduct bits are XORed on top: one lookup in the table's
+    ``frame_step``.
     """
     fx, fz = (int(b) for b in frame)
+    n, m = tuple(int(k) for k in n), tuple(int(b) for b in m)
     if fx not in (0, 1) or fz not in (0, 1):
         raise ValueError("frame entries must be bits")
-    n = tuple(int(k) for k in n)
-    bits = np.array(byproduct_bits(n, m))
-    table = clifford_table()
-    fx_new, fz_new = fold_frame(table.frame_action[table.triple_element[n]], bits, fx, fz)
-    return int(fx_new), int(fz_new)
+    if len(n) != 3 or not all(0 <= k <= 3 for k in n):
+        raise ValueError("quarter turns must be three entries in {0, 1, 2, 3}")
+    if len(m) != 3 or not all(b in (0, 1) for b in m):
+        raise ValueError("outcomes must be three bits")
+    f = int(clifford_table().frame_step[n][4 * m[0] + 2 * m[1] + m[2], 2 * fx + fz])
+    return f // 2, f % 2
 
 
 @lru_cache(maxsize=1)

@@ -129,6 +129,19 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="finite"):
             fit_decay(points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1, 0.9, 1e-100), (2, 0.8, 1e-100), (3, 0.7, 1e-100)],
+            [(1, 0.9, 1e-200), (2, 0.8, 1e-200), (3, 0.7, 1e-200)],
+            [(1, 0.9, 1e-80), (2, 0.8, 0.01), (3, 0.7, 0.01)],
+        ],
+        ids=["all-1e-100", "all-1e-200", "one-1e-80"],
+    )
+    def test_rejects_stderrs_whose_weights_overflow(self, points):
+        with pytest.raises(ValueError, match="stderr 1e-[0-9]+ at length 1 is below"):
+            fit_decay(points)
+
     def test_infinite_stderr_gives_unit_weights(self):
         inf = float("inf")
         points = [(1, 0.9), (2, 0.8), (3, 0.72), (4, 0.66)]

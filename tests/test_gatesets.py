@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
+from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, phase_distances, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
     COSET_REP_WORDS,
@@ -15,7 +15,6 @@ from mbqcrb.gatesets import (
     clifford_group,
     clifford_index,
     clifford_table,
-    conjugation_bits,
     derandomized_design,
     element_from_outcomes,
     outcome_index,
@@ -202,30 +201,35 @@ class TestCliffordTable:
                 assert table.product[i, j] == clifford_index(a.unitary @ b.unitary)
             assert table.inverse[i] == clifford_index(a.unitary.dagger())
             assert np.allclose(table.ptm[i], channel_from_unitary(a.unitary).ptm, atol=1e-12)
-            assert np.array_equal(table.frame_action[i], conjugation_bits(a.unitary))
-            for m, triple in enumerate(OUTCOME_TRIPLES):
-                # the realized block is the stored byproduct Pauli times the gate
-                realized = Unitary2(block_gates(a.angles, triple))
-                predicted = frame_unitary(table.byproducts[i, m]) @ a.unitary
-                assert realized.equals_up_to_phase(predicted), (a.word, triple)
-                assert tuple(table.byproducts[i, m]) == byproduct_bits(a.quarter_turns, triple)
         assert [group[k].word for k in table.coset_reps] == list(COSET_REP_WORDS)
-        for n in np.ndindex(4, 4, 4):
-            assert table.triple_element[n] == clifford_index(quarter_turn_gate(n))
         for fx in (0, 1):
             for fz in (0, 1):
                 ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
                 assert np.array_equal(table.frame_ptm[fx, fz], ptm)
 
-    # SHA-256 of each integer array as int64 bytes, recorded from the
-    # element-by-element build of the table.
+    def test_frame_step_matches_matrices(self):
+        # entered with frame f, block n with outcomes m leaves frame f':
+        # block(n, m) P_f = P_f' block(n, 0) up to phase, over all 2048 cases
+        step = clifford_table().frame_step
+        n = np.array(list(np.ndindex(4, 4, 4))).reshape(4, 4, 4, 1, 1, 3)
+        m = np.array(OUTCOME_TRIPLES).reshape(8, 1, 3)
+        paulis = np.stack([frame_unitary((f // 2, f % 2)).matrix for f in range(4)])
+        realized = block_gates(n * HALF_PI, m) @ paulis
+        predicted = paulis[step] @ block_gates(n * HALF_PI)
+        assert realized.shape == predicted.shape == (4, 4, 4, 8, 4, 2, 2)
+        assert np.all(phase_distances(realized, predicted) < 1e-10)
+
+    # SHA-256 of each integer array as int64 bytes: product, inverse and
+    # coset_reps recorded from the element-by-element build of the table,
+    # frame_step from the frame fold it replaced, over all 64 triples.
     PINNED = {
         "product": ((24, 24), "ade9303509b4c0694940ff2c45e3b34a8ba8279069e163e3559efc1041db284d"),
         "inverse": ((24,), "0b9358f1cfbb7959aefa90d132fbf23b233bc9dd75e993b3050465896eb9499f"),
-        "frame_action": ((24, 2, 2), "3d87b1215398150fcc913ba7db675844920dc6308dc622fc86206ea50b03303b"),
-        "byproducts": ((24, 8, 2), "f17e89cbbedf5a3c620a8af2048f4028f8bea808c6b5bc983b90ba8db5ac913d"),
         "coset_reps": ((6,), "0904e93407888cc68d1bb9372202a6922e152011c1878f319d07372f2ebc1fa0"),
-        "triple_element": ((4, 4, 4), "b5c37c73a19ec7514177e3a6d87fe249fb2f51a94eef2d248abbe1fbb7ed75d1"),
+        "frame_step": (
+            (4, 4, 4, 8, 4),
+            "75881225578fa4ff1833efde8b1be9049928352f03a18b15289fefdf498c86a2",
+        ),
     }
 
     def test_integer_arrays_pinned(self):
@@ -250,7 +254,7 @@ class TestCliffordTable:
         with pytest.raises(ValueError):
             table.product[0, 0] = 1
         with pytest.raises(ValueError):
-            table.triple_element[0, 0, 0] = 1
+            table.frame_step[0, 0, 0, 0, 0] = 1
 
     def test_not_built_by_import_group_or_verify(self):
         import os

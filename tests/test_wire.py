@@ -313,6 +313,13 @@ class TestPauliFrame:
             update_pauli_frame((0, 2), (0, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             update_pauli_frame((0, 0), (0, 5, 0), (0, 0, 0))
+        # a table lookup alone would wrap -1 around to 3
+        with pytest.raises(ValueError):
+            update_pauli_frame((0, 0), (0, -1, 0), (0, 0, 0))
+        with pytest.raises(ValueError):
+            update_pauli_frame((0, 0), (0, 0, 0), (0, 2, 0))
+        with pytest.raises(ValueError):
+            update_pauli_frame((0, 0), (0, 0), (0, 0, 0))
 
 
 class TestFinalMeasurement:
