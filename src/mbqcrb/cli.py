@@ -1,8 +1,9 @@
 """Command-line front end: verify the gate sets, run experiments, fit decays.
 
-Configs are YAML key/value files; datasets are CSV with a commented metadata
-preamble; fit reports are YAML. Angles in configs and reports are given in
-units of pi, with the design's arccos(1/sqrt(3)) angle written symbolically.
+Configs are YAML key/value files, with no key repeated in a mapping;
+datasets are CSV with a commented metadata preamble; fit reports are YAML.
+Angles in configs and reports are given in units of pi, with the design's
+arccos(1/sqrt(3)) angle written symbolically.
 All outputs embed the toolkit version and the full config, and are
 byte-reproducible for a fixed seed.
 """
@@ -14,11 +15,11 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
-import yaml
 
 from . import MIN_RESAMPLES, __version__
 from .engine import (
@@ -154,9 +155,37 @@ def config_from_dict(d) -> ExperimentConfig:
     return ExperimentConfig(rb=rb, **{k: d[k] for k in options if k in d})
 
 
+def _config_loader():
+    """``yaml.SafeLoader`` that raises ValueError on a key repeated in one
+    mapping, at any depth. Built on call, so importing this module loads no yaml."""
+    import yaml
+
+    class ConfigLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            if isinstance(node, yaml.MappingNode):
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue  # a key merged in with << may be overridden
+                    key = self.construct_object(key_node, deep=deep)
+                    if not isinstance(key, Hashable):
+                        continue  # the base class rejects it
+                    if key in seen:
+                        raise ValueError(
+                            f"duplicate key {key!r} (line {key_node.start_mark.line + 1})"
+                        )
+                    seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return ConfigLoader
+
+
 def load_config(path: str) -> ExperimentConfig:
+    """The experiment of the YAML config at ``path``; a repeated key raises ValueError."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
+        return config_from_dict(yaml.load(fh, Loader=_config_loader()))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +287,8 @@ def read_dataset(path: str) -> RBDataset:
 
 
 def write_fit_report(path: str, report: dict):
+    import yaml
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# mbqcrb-fit-v1\n")
         yaml.safe_dump(report, fh, sort_keys=False)
@@ -336,6 +367,8 @@ def cmd_verify(args) -> int:
 
 def _read_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig | None, int]:
     """The config at ``path`` (with ``seed``, if given) and EXIT_OK, or None and the exit code."""
+    import yaml  # only the commands that read a config load it
+
     try:
         config = load_config(path)
         if seed is not None:

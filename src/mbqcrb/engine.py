@@ -23,7 +23,6 @@ distribution.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -300,6 +299,8 @@ def _item_rng(seed: int, protocol: str, s: int, i: int) -> np.random.Generator:
 
 
 def _digest(array) -> str:
+    import hashlib  # here, so that oracle and verify never load OpenSSL
+
     data = np.ascontiguousarray(array, dtype=np.int64).tobytes()
     return hashlib.sha256(data).hexdigest()[:12]
 
@@ -405,12 +406,12 @@ def _group_operator(gates, readout, x0, pool):
     """
     table = clifford_table()
     d = len(x0)
-    op = np.zeros((24, 24, d, d))
+    op = np.zeros((24, d, 24, d))  # [product class, state] x [class, state]
     # for fixed v, g -> product[g, v] is a bijection: every entry is set once
-    op[table.product[pool], np.arange(24)] = gates[pool][:, None] / len(pool)
+    op[table.product[pool], :, np.arange(24)] = gates[pool][:, None] / len(pool)
     start = np.zeros((24, d))
     start[0] = x0
-    return op.transpose(0, 2, 1, 3).reshape(24 * d, 24 * d), start.ravel(), readout.ravel()
+    return op.reshape(24 * d, 24 * d), start.ravel(), readout.ravel()
 
 
 def _derandomized_operator(noise, noise_inv, spam, bias, phis):
@@ -438,13 +439,19 @@ def _operator_key(config: RBConfig) -> tuple:
 
 @lru_cache(maxsize=16)
 def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
-    """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0."""
+    """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0.
+
+    The parts are fresh arrays that nothing else holds, so they are made
+    read-only in place rather than copied.
+    """
     if protocol == "derandomized-mbqc":
         parts = _derandomized_operator(noise, noise_inv, spam, bias, phis)
     else:
         pool = _gate_pool("full" if protocol == "circuit" else mode)
         parts = _group_operator(*_gate_operators(protocol, noise, noise_inv, spam, bias), pool)
-    return tuple(_frozen(a) for a in parts)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
 
 
 def _transfer_value(operator, s: int) -> float:

@@ -28,8 +28,6 @@ from .channels import (
     _frozen,
     frame_potential,
     phase_distances,
-    random_cptp_channel,
-    twirl,
     unitary_ptms,
     unitary_stack,
     z_rotation,
@@ -446,27 +444,32 @@ def verify_design_reference() -> dict[str, float]:
 
 
 HAAR_FRAME_POTENTIAL_T2 = 2.0
-TWIRL_CHANNELS = 10
-TWIRL_SEED = 20160811
+
+# The Haar twirl as a superoperator on row-major flattened PTMs: it keeps
+# E_00 and sends the unital block E[1:, 1:] to (tr / 3) I.
+_UNITAL = np.diag([0.0, 1.0, 1.0, 1.0]).ravel()
+_HAAR_TWIRL = np.outer(np.eye(16)[0], np.eye(16)[0]) + np.outer(_UNITAL, _UNITAL) / 3.0
+
+
+def _twirl_superoperator(gateset: list[Unitary2]) -> np.ndarray:
+    """The set's twirl on row-major flattened PTMs: (1/N) sum_U (R_U (x) R_U)^T,
+    which sends E to the average of R_U^T E R_U, as :func:`channels.twirl` does."""
+    r = unitary_ptms(np.stack([u.matrix for u in gateset]))
+    return np.einsum("nki,nlj->ijkl", r, r).reshape(16, 16) / len(r)
 
 
 def verify_2design(gateset: list[Unitary2], tol: float) -> bool:
     """True iff the set passes both 2-design diagnostics.
 
     The frame potential must not exceed the Haar value by more than ``tol``,
-    and twirling ``TWIRL_CHANNELS`` random CPTP maps (seeded with
-    ``TWIRL_SEED``) over the set must leave only a depolarizing channel
-    (off-target PTM entries at most ``tol``).
+    and the set's twirl superoperator must match the Haar twirl entrywise
+    within ``tol``. The superoperator is the twirl of all 16 matrix units,
+    which span every PTM, so the twirl check is exact and uses no random
+    channels; ``verify`` therefore loads neither ``numpy.random`` nor, through
+    it, OpenSSL.
     """
     if not gateset:
         raise ValueError("cannot certify an empty gate set")
     if frame_potential(gateset, 2) > HAAR_FRAME_POTENTIAL_T2 + tol:
         return False
-    rng = np.random.default_rng(TWIRL_SEED)
-    for _ in range(TWIRL_CHANNELS):
-        ch = random_cptp_channel(rng, kraus_rank=2)
-        tw = twirl(ch, gateset).ptm
-        p = np.trace(tw[1:, 1:]) / 3.0
-        if np.max(np.abs(tw - np.diag([1.0, p, p, p]))) > tol:
-            return False
-    return True
+    return bool(np.max(np.abs(_twirl_superoperator(gateset) - _HAAR_TWIRL)) <= tol)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -429,6 +430,50 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]) == 0
             assert read_dataset(str(out)).config.seed == seed
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\n"
+                "shots_per_sequence: 10\nseed: 1\nseed: 7\n",
+                "duplicate key 'seed' (line 6)",
+            ),
+            (
+                "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\n"
+                "shots_per_sequence: 10\nnoise:\n  kind: depolarizing\n"
+                "  strength: 0.9\n  strength: 0.8\n",
+                "duplicate key 'strength' (line 8)",
+            ),
+        ],
+        ids=["top-level", "nested"],
+    )
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, message, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        out = tmp_path / "ds.csv"
+        argv = [command, "--config", str(cfg_path)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid config: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ValueError) as raised:
+            load_config(str(cfg_path))
+        assert str(raised.value) == message
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\n"
+            "shots_per_sequence: 10\nnoise: &dep {kind: depolarizing, strength: 0.9}\n"
+            "noise_inv:\n  <<: *dep\n  strength: 0.8\n"
+        )
+        rb = load_config(str(cfg_path)).rb
+        assert (rb.noise.strength, rb.noise_inv.strength) == (0.9, 0.8)
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -731,6 +776,36 @@ class TestColdLoading:
             "assert 'mbqcrb.fitting' not in sys.modules\n"
         )
         run_child(code)
+
+    def test_verify_and_oracle_load_neither_openssl_nor_numpy_random(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
+        code = (
+            "import json, sys\n"
+            "import numpy\n"
+            "def loaded():\n"
+            "    return [m for m in ('yaml', 'hashlib', '_hashlib', 'numpy.random') if m in sys.modules]\n"
+            "eager = loaded()\n"
+            "from mbqcrb.cli import main\n"
+            "assert main(['--quiet', 'verify']) == 0\n"
+            "after_verify = loaded()\n"
+            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
+            "after_oracle = loaded()\n"
+            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            "print(json.dumps([eager, after_verify, after_oracle, loaded()]))\n"
+        )
+        eager, verify, oracle, run = json.loads(run_child(code).splitlines()[-1])
+        # a module that a bare ``import numpy`` loads (numpy 1.x imports
+        # numpy.random, and with it hashlib) cannot be kept out
+        for module in ("yaml", "hashlib", "_hashlib", "numpy.random"):
+            if module not in eager:
+                assert module not in verify
+        for module in ("hashlib", "_hashlib", "numpy.random"):
+            if module not in eager:
+                assert module not in oracle
+        assert "yaml" in oracle
+        assert "hashlib" in run  # the dataset digests need it: the check sees a load
 
     def test_fit_does_not_load_numpy_ma(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -8,6 +8,7 @@ import pytest
 from mbqcrb import engine
 from mbqcrb.channels import I2, Unitary2, plus_state
 from mbqcrb.engine import (
+    PROTOCOLS,
     RBConfig,
     SpamModel,
     exact_sequence_fidelity,
@@ -301,7 +302,38 @@ class TestSequenceFidelityEstimate:
             sequence_fidelity_estimate(self._dataset(), 9)
 
 
+# The oracle-ladder settings of the benchmark: gate-dependent noise and biased outcomes.
+LADDER_NOISE = NoiseModel(kind="amplitude-damping", strength=0.02, placement=AFTER_EACH_STEP)
+LADDER_SPAM = SpamModel(prep_shrink=0.98, effect_bias=0.01)
+
+
+def ladder_operator(protocol, mode="coset"):
+    return engine._transfer_operator(
+        protocol, LADDER_NOISE, LADDER_NOISE, LADDER_SPAM, 0.1, mode, (0.0, 0.0)
+    )
+
+
 class TestExactOracle:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_transfer_operator_is_read_only(self, protocol):
+        for part in ladder_operator(protocol):
+            with pytest.raises(ValueError):
+                part.flat[0] = part.flat[0]
+
+    # SHA-256 of M recorded from the transpose-and-copy construction: writing
+    # M in place must give the same bytes
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("coset", "36888717b3d69198e3b926a6562ba0ed4ccdafb275a1346810d794fe5e8b6aca"),
+            ("full", "454868b2338b833ed9d4d6960e18e3fddd501a84bf4e045c72d9b353aba0452d"),
+        ],
+    )
+    def test_transfer_operator_bytes_pinned(self, mode, digest):
+        op = ladder_operator("clifford-mbqc", mode)[0]
+        assert op.shape == (384, 384)
+        assert hashlib.sha256(op.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("protocol,smax", [("circuit", 4), ("clifford-mbqc", 3), ("derandomized-mbqc", 3)])
     def test_noiseless_is_one(self, protocol, smax):
         for s in range(1, smax + 1):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mbqcrb import gatesets
 from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, phase_distances, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
@@ -24,6 +25,8 @@ from mbqcrb.gatesets import (
     verify_design_reference,
 )
 from mbqcrb.wire import frame_unitary, step_unitary
+
+from conftest import haar_unitaries
 
 HALF_PI = np.pi / 2
 PAULIS = [I2, X, Y, Z]
@@ -374,6 +377,34 @@ class TestVerify2Design:
 
     def test_pauli_fails(self):
         assert not verify_2design(PAULIS, 1e-9)
+
+    @pytest.mark.parametrize(
+        "gateset, deviation",
+        [(PAULIS, 2 / 3), ([e.unitary for e in clifford_group()[:12]], 1 / 3)],
+        ids=["paulis", "half-clifford"],
+    )
+    def test_twirl_check_alone_rejects(self, monkeypatch, gateset, deviation):
+        # with the frame potential passing, only the twirl check stands between
+        # these sets and certification
+        monkeypatch.setattr(gatesets, "frame_potential", lambda gates, t: 2.0)
+        assert not verify_2design(gateset, 1e-9)
+        off = np.max(np.abs(gatesets._twirl_superoperator(gateset) - gatesets._HAAR_TWIRL))
+        assert off == pytest.approx(deviation, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["clifford", "derandomized", "haar-random"])
+    def test_twirl_superoperator_matches_channel_twirl(self, rng, name):
+        # on a 2-design the superoperator is symmetric; five random gates, a set
+        # not closed under inversion, tell it from its transpose
+        gates = {
+            "clifford": lambda: [e.unitary for e in clifford_group()],
+            "derandomized": lambda: list(derandomized_design().elements),
+            "haar-random": lambda: list(Unitary2.from_stack(haar_unitaries(rng, 5))),
+        }[name]()
+        sup = gatesets._twirl_superoperator(gates)
+        for _ in range(20):
+            ch = random_cptp_channel(rng, kraus_rank=2)
+            got = (sup @ ch.ptm.ravel()).reshape(4, 4)
+            assert np.max(np.abs(got - twirl(ch, gates).ptm)) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
