@@ -218,8 +218,23 @@ def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None)
         fh.write(buf.getvalue())
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.loads`` that raises ValueError on a key
+    repeated in one object, at any depth."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_dataset(path: str) -> RBDataset:
-    """Load a dataset CSV; drawn gate indices are not stored, only digests."""
+    """Load a dataset CSV; drawn gate indices are not stored, only digests.
+
+    A preamble line given twice, or a key repeated in the config, raises
+    ValueError rather than letting the last one win.
+    """
     meta = {}
     body = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -234,7 +249,10 @@ def read_dataset(path: str) -> RBDataset:
                 text = line[1:].strip()
                 if ":" in text:
                     key, _, value = text.partition(":")
-                    meta[key.strip()] = value.strip()
+                    key = key.strip()
+                    if key in meta:
+                        raise ValueError(f"{path}: the {key} line appears more than once")
+                    meta[key] = value.strip()
             elif line.strip():
                 body.append(line)
     rows = list(csv.reader(body))
@@ -242,7 +260,11 @@ def read_dataset(path: str) -> RBDataset:
         raise ValueError(f"{path} is not a recognized dataset file")
     if "config" not in meta:
         raise ValueError(f"{path} has no embedded config")
-    config = config_from_dict(json.loads(meta["config"]))
+    try:
+        entries = json.loads(meta["config"], object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: the config line: {exc}") from None
+    config = config_from_dict(entries)
     text = meta.get("warnings", "[]")
     warnings = json.loads(text)
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):

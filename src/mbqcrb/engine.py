@@ -14,8 +14,12 @@ block, so averages over them are linear. In the circuit model and the
 Clifford wire a sequence survives, averaged over its outcome strings, with
 probability readout[v] . B[g_s] ... B[g_1] x0 for per-gate operators B;
 averaging over sequences too gives F(s) = readout . M^s x0 for a transfer
-operator M built from the same B. In the derandomized protocol the outcomes
-are the sequence, and F(s) comes from a 16-dimensional transfer operator.
+operator M over (product class, state) built from the same B. M is applied,
+not formed: one step gathers each class's predecessors and sums B[g] over
+the pool, |pool| * 24 * d^2 multiply-adds on O(|pool| * 24 * d) memory,
+where the dense M would hold (24 d)^2 entries. In the derandomized protocol
+the outcomes are the sequence, and F(s) comes from a 16-dimensional transfer
+operator applied the same way.
 Every shot draws fresh outcomes, so the sampler draws each sequence's
 survivals as Born coins at its outcome-averaged survival, which is exact in
 distribution.
@@ -397,21 +401,23 @@ class ExactSequenceFidelity:
     analytic: float
 
 
-def _group_operator(gates, readout, x0, pool):
-    """Transfer operator over (ideal product v, state): M = sum_g P_g (x) B[g] / |pool|.
+def _group_transfer(gates, readout, x0, pool):
+    """The transfer operator M over (ideal product v, state), in parts that apply it without forming it.
 
-    The sum runs over the gates of ``pool`` and P_g moves product class v to
-    product[g, v]. The state holds, per class, the per-gate state summed over
-    the sequences in it, and the readout applies readout[v] to class v.
+    The state X holds, per product class v, the per-gate state summed over
+    the sequences whose ideal product is v. One step of M is
+    X[u] <- sum_{g in pool} B[g] X[product[inverse[g], u]] / |pool|: the
+    sequences that reach class u through gate g came from class g^-1 u.
+    Returns the operators B[g]^T / |pool| stacked over the pool, the gather
+    index [u, g] -> product[inverse[g], u], the start state (x0 in the
+    identity's class) and the per-class readout.
     """
     table = clifford_table()
     d = len(x0)
-    op = np.zeros((24, d, 24, d))  # [product class, state] x [class, state]
-    # for fixed v, g -> product[g, v] is a bijection: every entry is set once
-    op[table.product[pool], :, np.arange(24)] = gates[pool][:, None] / len(pool)
     start = np.zeros((24, d))
     start[0] = x0
-    return op.reshape(24 * d, 24 * d), start.ravel(), readout.ravel()
+    stacked = (gates[pool] / len(pool)).transpose(0, 2, 1).reshape(len(pool) * d, d)
+    return stacked, table.product[table.inverse[pool]].T.copy(), start, readout
 
 
 def _derandomized_operator(noise, noise_inv, spam, bias, phis):
@@ -421,12 +427,14 @@ def _derandomized_operator(noise, noise_inv, spam, bias, phis):
     the noisy block PTM and R(U_m) the ideal PTM of the element realized by
     outcome index m. Peeling off the first block gives
     Y <- sum_m w_m R(U_m)^T Y C_m, and the survival is effect . D_inv Y prep.
+    Returned in ``_group_transfer``'s form, with one class and one operator.
     """
     w = _outcome_weights(5, bias)
     rot = unitary_ptms(np.stack([u.matrix for u in derandomized_design(*phis).elements]))
     op = np.einsum("m,mia,mjb->abij", w, rot, _design_blocks(noise, phis))
     readout = np.outer(spam.effect().bloch_coeffs @ noise_inv.realize().ptm, spam.prep().bloch)
-    return op.reshape(16, 16), np.eye(4).ravel(), readout.ravel()
+    index = np.zeros((1, 1), dtype=np.int64)
+    return op.reshape(16, 16).T, index, np.eye(4).reshape(1, 16), readout.reshape(1, 16)
 
 
 def _operator_key(config: RBConfig) -> tuple:
@@ -439,28 +447,35 @@ def _operator_key(config: RBConfig) -> tuple:
 
 @lru_cache(maxsize=16)
 def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
-    """``(M, x0, readout)`` of one oracle setting, so that F(s) = readout . M^s x0.
-
-    The parts are fresh arrays that nothing else holds, so they are made
-    read-only in place rather than copied.
+    """``(stacked, index, x0, readout)`` of one oracle setting, in the form of
+    ``_group_transfer``; the derandomized protocol is one class with its
+    16x16 operator. The parts are fresh arrays, or views of them, that
+    nothing else holds, so they are made read-only in place rather than copied.
     """
     if protocol == "derandomized-mbqc":
         parts = _derandomized_operator(noise, noise_inv, spam, bias, phis)
     else:
         pool = _gate_pool("full" if protocol == "circuit" else mode)
-        parts = _group_operator(*_gate_operators(protocol, noise, noise_inv, spam, bias), pool)
+        parts = _group_transfer(*_gate_operators(protocol, noise, noise_inv, spam, bias), pool)
     for a in parts:
         a.setflags(write=False)
     return parts
 
 
 def _transfer_value(operator, s: int) -> float:
-    """``readout . M^s x0`` by s matrix-vector products, which at benchmarking
-    lengths cost less and round less than ``np.linalg.matrix_power``."""
-    op, x, readout = operator
+    """F(s) = readout . M^s x0, with M applied s times and never formed.
+
+    Each step gathers every class's predecessors (24 * |pool| * d entries)
+    and sums B[g] over them in one matrix product of 24 * |pool| * d^2
+    multiply-adds: as many as the dense M takes for the whole group, a
+    quarter of them for the coset reps. With one class the step is x @ op.T
+    on a transposed view, the same BLAS call as op @ x, so the derandomized
+    values that ``run`` draws from keep their bits.
+    """
+    stacked, index, x, readout = operator
     for _ in range(s):
-        x = op @ x
-    return float(readout @ x)
+        x = x.take(index, axis=0).reshape(len(x), -1) @ stacked
+    return float(readout.ravel() @ x.ravel())
 
 
 # The measurement steps in one gate block and in the inverse block: a noise

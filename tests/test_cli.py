@@ -629,6 +629,29 @@ class TestFitCommand:
         assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("# config: {", '# config: {"seed": 99, ', "the config line: duplicate key 'seed'"),
+            ('"noise": {', '"noise": {"strength": 0.5, ', "the config line: duplicate key 'strength'"),
+            ("# warnings:", "# config: {}\n# warnings:", "the config line appears more than once"),
+            ("# warnings: []\n", "# warnings: []\n# warnings: []\n", "the warnings line appears more than once"),
+        ],
+        ids=["top-level-key", "nested-key", "config-line", "warnings-line"],
+    )
+    def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
+        # json.loads and the preamble dict would otherwise keep the last value
+        out = self._make_dataset(tmp_path)
+        text = out.read_text()
+        assert old in text
+        out.write_text(text.replace(old, new, 1))
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == f"{out}: {message}"
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {out}: {message}\n"
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
     def _replace_header(self, path, lines):
         text = path.read_text().splitlines(keepends=True)
         assert text[0] == "# mbqcrb-dataset-v2\n"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,49 @@ def ladder_operator(protocol, mode="coset"):
     )
 
 
+def dense_transfer_operator(gates, readout, x0, pool):
+    """Test-only reference: the dense M = sum_g P_g (x) B[g] / |pool| that the
+    engine applies without forming, with its start state and readout.
+
+    P_g moves product class v to product[g, v], and the state holds, per
+    class, the per-gate state summed over the sequences in it.
+    """
+    table = clifford_table()
+    d = len(x0)
+    op = np.zeros((24, d, 24, d))  # [product class, state] x [class, state]
+    # for fixed v, g -> product[g, v] is a bijection: every entry is set once
+    op[table.product[pool], :, np.arange(24)] = gates[pool][:, None] / len(pool)
+    start = np.zeros((24, d))
+    start[0] = x0
+    return op.reshape(24 * d, 24 * d), start.ravel(), readout.ravel()
+
+
+def dense_value(dense, s):
+    op, x, readout = dense
+    for _ in range(s):
+        x = op @ x
+    return float(readout @ x)
+
+
+# (protocol, mode) of the three group oracles, and the noise they are checked under
+GROUP_ORACLES = {
+    "circuit": ("circuit", "coset"),
+    "coset": ("clifford-mbqc", "coset"),
+    "full": ("clifford-mbqc", "full"),
+}
+
+
+def group_settings(variant, noise_name):
+    protocol, mode = GROUP_ORACLES[variant]
+    noise = LADDER_NOISE if noise_name == "ladder" else DEPENDENCE_NOISE[noise_name]
+    return protocol, noise, noise, LADDER_SPAM, 0.1, mode, (0.0, 0.0)
+
+
+def dense_reference(protocol, noise, noise_inv, spam, bias, mode, phis):
+    pool = engine._gate_pool("full" if protocol == "circuit" else mode)
+    return dense_transfer_operator(*engine._gate_operators(protocol, noise, noise_inv, spam, bias), pool)
+
+
 class TestExactOracle:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_transfer_operator_is_read_only(self, protocol):
@@ -320,8 +364,8 @@ class TestExactOracle:
             with pytest.raises(ValueError):
                 part.flat[0] = part.flat[0]
 
-    # SHA-256 of M recorded from the transpose-and-copy construction: writing
-    # M in place must give the same bytes
+    # SHA-256 of the dense M recorded from the engine's former transpose-and-copy
+    # construction, kept as the reference the matrix-free step is checked against
     @pytest.mark.parametrize(
         "mode, digest",
         [
@@ -330,9 +374,51 @@ class TestExactOracle:
         ],
     )
     def test_transfer_operator_bytes_pinned(self, mode, digest):
-        op = ladder_operator("clifford-mbqc", mode)[0]
+        op = dense_reference(*group_settings(mode, "ladder"))[0]
         assert op.shape == (384, 384)
         assert hashlib.sha256(op.tobytes()).hexdigest() == digest
+
+    # the circuit model reads no angle or outcome, so dependence noise has no context there
+    @pytest.mark.parametrize(
+        "variant, noise_name",
+        [("circuit", "ladder")] + [(v, n) for v in ("coset", "full") for n in ("ladder", "block", "step")],
+    )
+    def test_matrix_free_step_matches_dense_reference(self, variant, noise_name):
+        settings = group_settings(variant, noise_name)
+        operator = engine._transfer_operator(*settings)
+        dense = dense_reference(*settings)
+        for s in (1, 2, 3, 4, 50, 200):
+            assert engine._transfer_value(operator, s) == pytest.approx(dense_value(dense, s), abs=1e-13), s
+
+    @pytest.mark.parametrize("noise_name", ["ladder", "block", "step"])
+    def test_derandomized_step_keeps_the_bits_of_op_at_x(self, noise_name):
+        # run draws its Born coins from this value: the one-class step must
+        # round exactly as the matrix-vector product of the 16x16 operator
+        noise, noise_inv = LADDER_NOISE, LADDER_NOISE
+        if noise_name != "ladder":  # the inverse is a readout rotation: no block context
+            noise, noise_inv = DEPENDENCE_NOISE[noise_name], NoiseModel(kind="depolarizing", strength=0.98)
+        operator = engine._transfer_operator(
+            "derandomized-mbqc", noise, noise_inv, LADDER_SPAM, 0.1, "coset", (0.3, 1.1)
+        )
+        stacked, _, x0, readout = operator
+        op, x = np.ascontiguousarray(stacked.T), x0.ravel()
+        for s in range(1, 201):
+            x = op @ x
+            assert engine._transfer_value(operator, s) == float(readout.ravel() @ x), s
+
+    def test_full_mode_oracle_never_holds_the_dense_operator(self):
+        # the dense M of the Clifford wire alone is 384**2 doubles, 1.18 MB
+        clifford_table(), clifford_group()  # shared tables, built once per process
+        engine._block_table.cache_clear()
+        tracemalloc.start()
+        try:
+            operator = engine._transfer_operator.__wrapped__(*group_settings("full", "ladder"))
+            for s in (1, 2, 3, 4, 200):
+                engine._transfer_value(operator, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
     @pytest.mark.parametrize("protocol,smax", [("circuit", 4), ("clifford-mbqc", 3), ("derandomized-mbqc", 3)])
     def test_noiseless_is_one(self, protocol, smax):
@@ -400,28 +486,25 @@ class TestExactOracle:
         assert ex.analytic == pytest.approx(ex.enumerated, abs=1e-9)
 
     def test_gate_dependent_noise_deviation_reported(self):
-        # per-gate depolarizing strengths varying +-10%: the enumeration
-        # deviates from the gate-independent model; report the magnitude
+        # per-gate depolarizing strengths varying +-10%. The fold must match
+        # the dense reference; and since a depolarizing channel commutes with
+        # every gate, the average over independent gates stays on the model at
+        # the mean strength, so the reported deviation is rounding only
         from mbqcrb.channels import depolarizing
-        from mbqcrb.engine import _group_operator, _transfer_value
-        from mbqcrb.gatesets import clifford_table
 
-        group = clifford_group()
         strengths = [0.9 * (1 + 0.1 * np.cos(2 * np.pi * k / 24)) for k in range(24)]
-        steps = [
-            depolarizing(min(pk, 1.0)).ptm @ g
-            for pk, g in zip(strengths, clifford_table().ptm)
-        ]
-        prep = plus_state().bloch
-        effect = SpamModel().effect().bloch_coeffs
         table = clifford_table()
-        readout = effect @ table.ptm[table.inverse]
-        value = _transfer_value(_group_operator(np.array(steps), readout, prep, np.arange(24)), 2)
+        steps = np.array([depolarizing(min(pk, 1.0)).ptm @ g for pk, g in zip(strengths, table.ptm)])
+        prep = plus_state().bloch
+        readout = SpamModel().effect().bloch_coeffs @ table.ptm[table.inverse]
+        parts = (steps, readout, prep, np.arange(24))
+        value = engine._transfer_value(engine._group_transfer(*parts), 2)
+        assert value == pytest.approx(dense_value(dense_transfer_operator(*parts), 2), abs=1e-13)
         p_mean = float(np.mean(strengths))
         model = 0.5 * p_mean**2 + 0.5
         deviation = abs(value - model)
         print(f"gate-dependent noise: enumeration {value:.8f}, model {model:.8f}, deviation {deviation:.2e}")
-        assert np.isfinite(deviation)
+        assert deviation < 1e-12
 
 
 class TestExactVersusLiteralBruteForce:
