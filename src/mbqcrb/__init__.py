@@ -2,7 +2,7 @@
 
 The public names below load their module on first access, so a process
 imports only the modules it uses: ``run``, ``oracle`` and ``verify`` never
-load ``fitting``.
+load ``fitting``, and no command loads the literal ``wire``.
 """
 
 from importlib import import_module as _import_module
@@ -33,12 +33,11 @@ _EXPORTS = {
         "twirl",
         "z_rotation",
     ),
+    "config": ("InstrumentConfig", "NoiseModel", "RBConfig", "SpamModel"),
     "engine": (
         "ExactSequenceFidelity",
-        "RBConfig",
         "RBDataset",
         "SequenceRecord",
-        "SpamModel",
         "exact_sequence_fidelity",
         "run_protocol",
         "sequence_fidelity_estimate",
@@ -59,8 +58,6 @@ _EXPORTS = {
         "verify_design_reference",
     ),
     "wire": (
-        "InstrumentConfig",
-        "NoiseModel",
         "WireRun",
         "measure_step",
         "run_gate_block",

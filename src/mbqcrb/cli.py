@@ -1,7 +1,8 @@
-"""Command-line front end: verify the gate sets, run experiments, fit decays.
+"""Command-line front end: the dataset and report files, and the commands
+that verify the gate sets, run experiments, fit decays and evaluate the oracle.
 
-Configs are YAML key/value files, with no key repeated in a mapping;
-datasets are CSV with a commented metadata preamble; fit reports are YAML.
+Configs are YAML key/value files, read and checked by ``config``; datasets
+are CSV with a commented metadata preamble; fit reports are YAML.
 Angles in configs and reports are given in units of pi, with the design's
 arccos(1/sqrt(3)) angle written symbolically.
 All outputs embed the toolkit version and the full config, and are
@@ -15,18 +16,15 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Hashable
-from dataclasses import MISSING, asdict, dataclass, fields, replace
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 
 from . import MIN_RESAMPLES, __version__
+from .config import ExperimentConfig, config_from_dict, config_to_dict, load_config
 from .engine import (
-    RBConfig,
     RBDataset,
     SequenceRecord,
-    SpamModel,
     run_protocol,
     sequence_fidelity_estimate,
     _exact_fidelity,
@@ -41,7 +39,6 @@ from .gatesets import (
     verify_byproduct_bits,
     verify_design_reference,
 )
-from .wire import InstrumentConfig, NoiseModel, _entries, _instance, _normalise
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,141 +48,11 @@ DESIGN_TOL = 1e-9
 _ACOS_SQRT3 = float(np.arccos(1.0 / np.sqrt(3.0)))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Serializable mirror of an RBConfig plus output path and toggles."""
-
-    rb: RBConfig
-    output: str | None = None
-    verify_first: bool = False
-
-    def __post_init__(self):
-        _normalise(self, output=_instance(str, type(None)), verify_first=_instance(bool))
-
-
 def format_angle_pi(theta: float) -> str:
     """Angle as a multiple of pi, or the symbolic design angle."""
     if abs(theta - _ACOS_SQRT3) < 1e-12:
         return "acos(1/sqrt3)"
     return repr(round(theta / np.pi, 12))
-
-
-def _noise_to_dict(noise: NoiseModel) -> dict:
-    d = {"kind": noise.kind}
-    if noise.kind not in ("none", "composite"):
-        d["strength"] = noise.strength
-    d["placement"] = noise.placement
-    if noise.parts:
-        d["parts"] = [_noise_to_dict(p) for p in noise.parts]
-    if noise.dependence is not None:
-        raise ValueError("noise with a dependence map cannot be serialized")
-    return d
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    rb = config.rb
-    d = {
-        "protocol": rb.protocol,
-        "lengths": list(rb.lengths),
-        "sequences_per_length": rb.sequences_per_length,
-        "shots_per_sequence": rb.shots_per_sequence,
-        "seed": rb.seed,
-        "clifford_mode": rb.clifford_mode,
-        "design_phis": [round(x / np.pi, 12) for x in rb.design_phis],
-        "noise": _noise_to_dict(rb.noise),
-        "instrument": asdict(rb.instrument),
-        "spam": asdict(rb.spam),
-        "verify_first": config.verify_first,
-    }
-    if rb.noise_inv is not None:
-        d["noise_inv"] = _noise_to_dict(rb.noise_inv)
-    if config.output is not None:
-        d["output"] = config.output
-    return d
-
-
-def _section(cls, d, where: str, **convert):
-    """``cls`` built from the config-file mapping ``d``, whose keys are its fields but
-    ``dependence``. Only the keys given are passed, so the defaults and checks
-    of ``cls`` apply; ``convert[key]`` turns a file value into a field value.
-    Messages name ``where``, the section's path, which is empty at the top."""
-    name = where or "config"
-    if not isinstance(d, dict):
-        raise ValueError(f"{name} must be a key/value mapping, got {d!r}")
-    accepted = [f for f in fields(cls) if f.name != "dependence"]
-    unknown = [str(k) for k in d if k not in {f.name for f in accepted}]
-    if unknown:
-        raise ValueError(f"unknown key in {name}: {', '.join(unknown)}")
-    missing = [f.name for f in accepted if f.default is MISSING and f.name not in d]
-    if missing:
-        raise ValueError(f"{name} is missing required keys: {', '.join(missing)}")
-    values = {k: convert[k](v) if k in convert else v for k, v in d.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}" if where else str(exc)) from None
-
-
-def _noise_from_dict(d, where: str) -> NoiseModel:
-    parts = partial(_entries, _noise_from_dict, what=f"{where} parts")
-    return _section(NoiseModel, d, where, parts=parts)
-
-
-def config_from_dict(d) -> ExperimentConfig:
-    """The experiment a config file's top-level mapping describes; angles are in units of pi."""
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a key/value mapping, got {d!r}")
-    options = ("output", "verify_first")
-    rb = _section(
-        RBConfig,
-        {k: v for k, v in d.items() if k not in options},
-        "",
-        noise=lambda v: _noise_from_dict(v, "noise"),
-        noise_inv=lambda v: _noise_from_dict(v, "noise_inv"),
-        instrument=lambda v: _section(InstrumentConfig, v, "instrument"),
-        spam=lambda v: _section(SpamModel, v, "spam"),
-    )
-    phis = tuple(x * np.pi for x in rb.design_phis)
-    for k, (x, phi) in enumerate(zip(rb.design_phis, phis), 1):
-        if not np.isfinite(phi):
-            raise ValueError(
-                f"design_phis entry {k} is {x!r} (units of pi), too large to convert to radians"
-            )
-    rb = replace(rb, design_phis=phis)
-    return ExperimentConfig(rb=rb, **{k: d[k] for k in options if k in d})
-
-
-def _config_loader():
-    """``yaml.SafeLoader`` that raises ValueError on a key repeated in one
-    mapping, at any depth. Built on call, so importing this module loads no yaml."""
-    import yaml
-
-    class ConfigLoader(yaml.SafeLoader):
-        def construct_mapping(self, node, deep=False):
-            if isinstance(node, yaml.MappingNode):
-                seen = set()
-                for key_node, _ in node.value:
-                    if key_node.tag == "tag:yaml.org,2002:merge":
-                        continue  # a key merged in with << may be overridden
-                    key = self.construct_object(key_node, deep=deep)
-                    if not isinstance(key, Hashable):
-                        continue  # the base class rejects it
-                    if key in seen:
-                        raise ValueError(
-                            f"duplicate key {key!r} (line {key_node.start_mark.line + 1})"
-                        )
-                    seen.add(key)
-            return super().construct_mapping(node, deep=deep)
-
-    return ConfigLoader
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """The experiment of the YAML config at ``path``; a repeated key raises ValueError."""
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(yaml.load(fh, Loader=_config_loader()))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +133,10 @@ def read_dataset(path: str) -> RBDataset:
         raise ValueError(f"{path}: the config line: {exc}") from None
     config = config_from_dict(entries)
     text = meta.get("warnings", "[]")
-    warnings = json.loads(text)
+    try:
+        warnings = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: the warnings line: {exc}") from None
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValueError(f"{path}: the warnings line must hold a JSON list of strings, got {text!r}")
     records = []
@@ -389,8 +259,6 @@ def cmd_verify(args) -> int:
 
 def _read_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig | None, int]:
     """The config at ``path`` (with ``seed``, if given) and EXIT_OK, or None and the exit code."""
-    import yaml  # only the commands that read a config load it
-
     try:
         config = load_config(path)
         if seed is not None:
@@ -399,7 +267,7 @@ def _read_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig |
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return None, EXIT_IO
-    except (ValueError, yaml.YAMLError) as exc:
+    except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return None, EXIT_VALIDATION
 

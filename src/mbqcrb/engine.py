@@ -1,11 +1,12 @@
 """Randomized-benchmarking protocol execution and exact oracles.
 
-Three protocols share one dataset format: a circuit-model baseline where
-gates act directly as channels, the Clifford wire protocol (three
-measurements per gate, byproducts tracked as a Pauli frame, inverse realized
-as one extra gate block), and the derandomized fixed-pattern protocol (five
-measurements per gate, realized elements read off the outcomes, inverse
-absorbed into a rotated final measurement).
+An experiment's settings and their checks live in ``config``; this module
+samples and evaluates them. Three protocols share one dataset format: a
+circuit-model baseline where gates act directly as channels, the Clifford
+wire protocol (three measurements per gate, byproducts tracked as a Pauli
+frame, inverse realized as one extra gate block), and the derandomized
+fixed-pattern protocol (five measurements per gate, realized elements read
+off the outcomes, inverse absorbed into a rotated final measurement).
 
 A measured block's channel depends only on its gate and outcome pattern, so
 both wire protocols read it from one table of block PTMs per noise model,
@@ -29,18 +30,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .channels import (
-    Effect,
-    State,
-    Unitary2,
-    plus_state,
-    survival_effect,
-    unitary_ptms,
-    _frozen,
+from .channels import Unitary2, unitary_ptms, _frozen
+from .config import (
+    AFTER_EACH_GATE_BLOCK,
+    AFTER_EACH_STEP,
+    IDEAL_SPAM,
+    NO_NOISE,
+    PROTOCOLS,
+    InstrumentConfig,
+    NoiseModel,
+    RBConfig,
+    SpamModel,
+    _integer,
 )
 from .gatesets import (
     OUTCOME_TRIPLES,
@@ -49,102 +54,10 @@ from .gatesets import (
     derandomized_design,
     measurement_gates,
 )
-from .wire import (
-    AFTER_EACH_GATE_BLOCK,
-    AFTER_EACH_STEP,
-    NO_NOISE,
-    InstrumentConfig,
-    NoiseModel,
-    _choice,
-    _entries,
-    _instance,
-    _integer,
-    _normalise,
-    _real,
-)
 
-PROTOCOLS = ("circuit", "clifford-mbqc", "derandomized-mbqc")
 _PROTOCOL_TAGS = {name: k for k, name in enumerate(PROTOCOLS)}
 
-CLIFFORD_MODES = ("coset", "full")
-
 _BIAS_WARNING = "derandomized outcomes are biased and randomness injection is off"
-
-
-@dataclass(frozen=True)
-class SpamModel:
-    """State-preparation and measurement imperfections.
-
-    ``prep_shrink`` scales the prepared |+> Bloch vector toward the center;
-    ``effect_bias`` is the dark response of the survival readout on the
-    orthogonal state.
-    """
-
-    prep_shrink: float = 1.0
-    effect_bias: float = 0.0
-
-    def __post_init__(self):
-        _normalise(self, prep_shrink=_real, effect_bias=_real)
-        if not 0.0 <= self.prep_shrink <= 1.0:
-            raise ValueError(f"prep_shrink must lie in [0, 1], got {self.prep_shrink}")
-        if not 0.0 <= self.effect_bias <= 1.0:
-            raise ValueError(f"effect_bias must lie in [0, 1], got {self.effect_bias}")
-
-    def prep(self) -> State:
-        return plus_state(self.prep_shrink)
-
-    def effect(self) -> Effect:
-        return survival_effect(self.effect_bias)
-
-
-IDEAL_SPAM = SpamModel()
-
-
-@dataclass(frozen=True)
-class RBConfig:
-    """Full description of one benchmarking experiment; it checks every field's type and range."""
-
-    protocol: str
-    lengths: tuple[int, ...]
-    sequences_per_length: int
-    shots_per_sequence: int
-    noise: NoiseModel = NO_NOISE
-    noise_inv: NoiseModel | None = None  # None: reuse the per-gate noise
-    instrument: InstrumentConfig = InstrumentConfig()
-    spam: SpamModel = IDEAL_SPAM
-    seed: int = 0
-    design_phis: tuple[float, float] = (0.0, 0.0)
-    clifford_mode: str = "coset"
-
-    def __post_init__(self):
-        _normalise(
-            self,
-            protocol=_choice(*PROTOCOLS),
-            lengths=partial(_entries, _integer),
-            sequences_per_length=_integer,
-            shots_per_sequence=_integer,
-            noise=_instance(NoiseModel),
-            noise_inv=_instance(NoiseModel, type(None)),
-            instrument=_instance(InstrumentConfig),
-            spam=_instance(SpamModel),
-            seed=_integer,
-            design_phis=partial(_entries, _real),
-            clifford_mode=_choice(*CLIFFORD_MODES),
-        )
-        if not self.lengths or any(s < 1 for s in self.lengths):
-            raise ValueError("lengths must be a nonempty list of integers >= 1")
-        if len(set(self.lengths)) != len(self.lengths):
-            raise ValueError("lengths must be distinct")
-        if self.sequences_per_length < 1:
-            raise ValueError("sequences_per_length must be >= 1")
-        if self.shots_per_sequence < 1:
-            raise ValueError("shots_per_sequence must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if len(self.design_phis) != 2:
-            raise ValueError(
-                f"design_phis must hold exactly two angles, got {len(self.design_phis)}"
-            )
 
 
 @dataclass(frozen=True)

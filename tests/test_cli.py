@@ -25,8 +25,8 @@ from mbqcrb.cli import (
     read_dataset,
     write_dataset,
 )
+from mbqcrb.config import CLIFFORD_MODES
 from mbqcrb.engine import (
-    CLIFFORD_MODES,
     PROTOCOLS,
     RBConfig,
     SpamModel,
@@ -170,7 +170,7 @@ class TestConfigRoundTrip:
 
     def test_dependence_not_serializable(self):
         rb = RBConfig(
-            protocol="circuit",
+            protocol="clifford-mbqc",
             lengths=(1,),
             sequences_per_length=1,
             shots_per_sequence=1,
@@ -464,6 +464,23 @@ class TestRunCommand:
             load_config(str(cfg_path))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_yaml_syntax_error_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("protocol: [circuit\n")
+        out = tmp_path / "ds.csv"
+        argv = [command, "--config", str(cfg_path)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid config: while parsing a flow sequence")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^while parsing a flow sequence"):
+            load_config(str(cfg_path))
+
     def test_merged_key_may_be_overridden(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
@@ -636,8 +653,13 @@ class TestFitCommand:
             ('"noise": {', '"noise": {"strength": 0.5, ', "the config line: duplicate key 'strength'"),
             ("# warnings:", "# config: {}\n# warnings:", "the config line appears more than once"),
             ("# warnings: []\n", "# warnings: []\n# warnings: []\n", "the warnings line appears more than once"),
+            (
+                "# warnings: []\n",
+                "# warnings: [,]\n",
+                "the warnings line: Expecting value: line 1 column 2 (char 1)",
+            ),
         ],
-        ids=["top-level-key", "nested-key", "config-line", "warnings-line"],
+        ids=["top-level-key", "nested-key", "config-line", "warnings-line", "warnings-json"],
     )
     def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
         # json.loads and the preamble dict would otherwise keep the last value
@@ -797,6 +819,22 @@ class TestColdLoading:
             f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
             "assert main(['--quiet', 'verify']) == 0\n"
             "assert 'mbqcrb.fitting' not in sys.modules\n"
+        )
+        run_child(code)
+
+    def test_no_command_loads_the_literal_wire(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
+        code = (
+            "import sys\n"
+            "from mbqcrb.cli import main\n"
+            "assert main(['--quiet', 'verify']) == 0\n"
+            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
+            f"assert main(['--quiet', 'fit', {out!r}, '--resamples', '100']) == 0\n"
+            "assert 'mbqcrb.fitting' in sys.modules\n"
+            "assert 'mbqcrb.wire' not in sys.modules\n"
         )
         run_child(code)
 

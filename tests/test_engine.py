@@ -38,6 +38,7 @@ from mbqcrb.wire import (
 from conftest import ScriptedRng
 
 DEP = NoiseModel(kind="depolarizing", strength=0.9)
+DEPENDENT = NoiseModel(dependence=lambda angles, outcomes: DEP)
 NONE = NoiseModel()
 
 
@@ -147,6 +148,24 @@ class TestSettingsRejectedByTheLibrary:
         for protocol in ("clifford-mbqc", "derandomized-mbqc"):
             with pytest.raises(ValueError):
                 exact_sequence_fidelity(protocol, 2, DEP, **options)
+
+    @pytest.mark.parametrize(
+        "protocol, noise, noise_inv, field",
+        [
+            ("circuit", DEPENDENT, None, "noise"),
+            ("circuit", DEP, DEPENDENT, "noise_inv"),
+            ("derandomized-mbqc", DEP, DEPENDENT, "noise_inv"),
+            ("derandomized-mbqc", DEPENDENT, None, "noise"),
+        ],
+        ids=["circuit-gates", "circuit-inverse", "derandomized-inverse", "derandomized-reused-inverse"],
+    )
+    def test_dependence_where_no_angle_or_outcome_is_given(self, protocol, noise, noise_inv, field):
+        # the map would be called with (None, None): rejected up front, naming the field
+        message = f"^{field} has a dependence map, but the {protocol} protocol gives it no angle or outcome$"
+        with pytest.raises(ValueError, match=message):
+            RBConfig(protocol, (1,), 1, 1, noise, noise_inv)
+        with pytest.raises(ValueError, match=message):
+            exact_sequence_fidelity(protocol, 2, noise, None, noise_inv)
 
 
 class TestNoiselessProtocols:
