@@ -155,11 +155,13 @@ def read_dataset(path: str) -> RBDataset:
                     f"{path}: data row {k} ({','.join(r)}) field {name} is not an integer: {text!r}"
                 ) from None
         s, index, survivals, shots = counts
-        records.append(
-            SequenceRecord(
+        try:
+            record = SequenceRecord(
                 s=s, index=index, gate_indices=(), survivals=survivals, shots=shots, digest=r[4]
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {k} ({','.join(r)}): {exc}") from None
+        records.append(record)
     rb = config.rb
     seen = set()
     for r in records:

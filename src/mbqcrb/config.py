@@ -107,7 +107,9 @@ class NoiseModel:
     and the overrotation angle (radians, about Z) for unitary-overrotation.
     ``dependence``, when set, receives the step angle and outcome (or the
     block's angle and outcome tuples, for block placement) and returns the
-    NoiseModel or Channel to apply there instead.
+    NoiseModel or Channel to apply there instead. A NoiseModel it returns,
+    and each of a composite's ``parts`` (applied in order), is realized with
+    that same context.
     """
 
     kind: str = "none"
@@ -135,17 +137,36 @@ class NoiseModel:
     def trivial(self) -> bool:
         return self.kind == "none" and self.dependence is None
 
+    @property
+    def dependent(self) -> bool:
+        """True when a dependence map, here or in a part, reads the step's context."""
+        return self.dependence is not None or any(p.dependent for p in self.parts)
+
     def base_channel(self) -> Channel:
         return _base_channel(self)
 
     def realize(self, theta=None, outcome=None) -> Channel:
-        """Channel to apply at a step (or block) with the given context."""
+        """Channel to apply at a step (or block) with the given context.
+
+        A composite realizes each part with that context, the first part
+        acting first; with no dependent part it is its cached base channel.
+        """
         if self.dependence is not None:
             resolved = self.dependence(theta, outcome)
             if isinstance(resolved, Channel):
                 return resolved
-            return resolved.base_channel()
+            return resolved.realize(theta, outcome)
+        if self.dependent:
+            return _chain(p.realize(theta, outcome) for p in self.parts)
         return self.base_channel()
+
+
+def _chain(channels) -> Channel:
+    """The channels applied in order, the first acting first."""
+    ch = identity_channel()
+    for c in channels:
+        ch = compose(c, ch)
+    return ch
 
 
 @lru_cache(maxsize=256)
@@ -160,10 +181,7 @@ def _base_channel(noise: "NoiseModel") -> Channel:
         return amplitude_damping(noise.strength)
     if noise.kind == "unitary-overrotation":
         return channel_from_unitary(z_rotation(noise.strength))
-    ch = identity_channel()
-    for part in noise.parts:
-        ch = compose(part.base_channel(), ch)
-    return ch
+    return _chain(p.base_channel() for p in noise.parts)
 
 
 NO_NOISE = NoiseModel()
@@ -276,7 +294,7 @@ class RBConfig:
         inverse = "noise" if self.noise_inv is None else "noise_inv"
         unmeasured = {"circuit": (inverse, "noise"), "derandomized-mbqc": (inverse,)}
         for name in unmeasured.get(self.protocol, ()):
-            if getattr(self, name).dependence is not None:
+            if getattr(self, name).dependent:
                 raise ValueError(
                     f"{name} has a dependence map, but the {self.protocol} protocol gives it no angle or outcome"
                 )

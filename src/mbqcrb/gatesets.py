@@ -17,12 +17,10 @@ import numpy as np
 
 from .channels import (
     H,
-    I2,
     P,
     PHASE_TOL,
     Unitary2,
     X,
-    Y,
     Z,
     _dagger,
     _frozen,
@@ -122,42 +120,46 @@ def block_gates(angles, outcomes=0) -> np.ndarray:
     return reduce(np.matmul, steps[::-1])
 
 
-_PHASE_KEY_DECIMALS = 6
+_FRAME_BITS = np.array([(1, 0), (1, 1), (0, 1)])  # (fx, fz) of X, Y, Z
 
 
-def _phase_keys(mats) -> list[bytes]:
-    """Hashable form of each unitary of a (..., 2, 2) stack, global phase stripped."""
-    m = np.reshape(mats, (-1, 2, 2))
-    anchor = np.where(np.abs(m[:, 0, 0]) > 0.3, m[:, 0, 0], m[:, 0, 1])
-    normed = m * (np.abs(anchor) / anchor)[:, None, None]
-    # +0.0 folds -0.0 into +0.0
-    return [k.tobytes() for k in np.round(normed, _PHASE_KEY_DECIMALS) + 0.0]
+def _signed_perms(ptms) -> np.ndarray:
+    """The unital 3x3 block of each PTM of a (..., 4, 4) stack, rounded to integers.
+
+    For a Clifford it is the signed permutation by which conjugation moves
+    X, Y and Z, which names the element up to global phase.
+    """
+    return np.rint(ptms[..., 1:, 1:]).astype(np.int8)
+
+
+def _positions(keys, perms) -> np.ndarray:
+    """Position of each signed permutation of a (..., 3, 3) stack among ``perms``, or -1."""
+    hits = (keys[..., None, :, :] == perms).all(axis=(-2, -1))
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+
+
+def _frame_bits(perms) -> np.ndarray:
+    """(fx', fz') images of X (column 0) and Z (column 1) under each signed permutation."""
+    return _FRAME_BITS.T @ np.abs(perms[..., ::2])
 
 
 @lru_cache(maxsize=None)
 def clifford_group() -> tuple[CliffordElement, ...]:
     """All 24 single-qubit Cliffords, ordered and keyed by generator word.
 
-    The group is rebuilt by breadth-first closure over {P, H} with
-    up-to-phase deduplication and checked against the angle table rows; the
-    composition-order convention is pinned by the I and H rows.
+    Every row is a word in P and H, so 24 rows with distinct signed
+    permutations whose products stay among them are exactly the group P and
+    H generate. The composition-order convention is pinned by the I and H
+    rows.
     """
     table = CLIFFORD_ANGLE_TABLE
     words = tuple(table)
     mats = unitary_stack([_word_matrix(w) for w in words])
-
-    # Closure from the identity under right-multiplication by P and H.
-    seen = set(_phase_keys(I2.matrix))
-    frontier = I2.matrix[None]
-    while len(frontier):
-        products = (frontier[:, None] @ np.stack([P.matrix, H.matrix])).reshape(-1, 2, 2)
-        fresh = {k: v for k, v in zip(_phase_keys(products), products) if k not in seen}
-        seen.update(fresh)
-        frontier = unitary_stack(np.reshape(list(fresh.values()), (-1, 2, 2)))
-    if len(seen) != 24:
-        raise VerificationError(f"closure over P, H produced {len(seen)} elements, expected 24")
-    if set(_phase_keys(mats)) != seen:
-        raise VerificationError("angle-table words do not enumerate the closure of P, H")
+    perms = _signed_perms(unitary_ptms(mats))
+    if len(words) != 24 or (_positions(perms, perms) != np.arange(24)).any():
+        raise VerificationError("angle-table words do not name 24 distinct elements")
+    if (_positions(perms[:, None] @ perms, perms) < 0).any():
+        raise VerificationError("products of angle-table words leave the table")
 
     # Pin the angle composition order before trusting the rest of the table.
     for word, dev in _row_deviations({w: table[w] for w in ("H", "I")}).items():
@@ -170,24 +172,18 @@ def clifford_group() -> tuple[CliffordElement, ...]:
     )
 
 
-def _clifford_indices(mats) -> np.ndarray:
-    """Position in :func:`clifford_group` of each matrix of a (..., 2, 2) stack, up to phase."""
-    index = _index_by_key()
-    try:
-        found = [index[k] for k in _phase_keys(mats)]
-    except KeyError:
-        raise ValueError("unitary is not a Clifford element") from None
-    return np.reshape(found, np.shape(mats)[:-2])
-
-
 def clifford_index(u: Unitary2) -> int:
-    """Position of ``u`` in :func:`clifford_group`, matched up to phase."""
-    return int(_clifford_indices(u.matrix))
+    """Position of ``u`` in :func:`clifford_group`, matched up to phase.
 
-
-@lru_cache(maxsize=None)
-def _index_by_key() -> dict[bytes, int]:
-    return {k: i for i, k in enumerate(_phase_keys([e.unitary.matrix for e in clifford_group()]))}
+    The candidate is the element whose signed permutation ``u``'s PTM
+    rounds to. It is accepted only within ``PHASE_TOL`` of ``u``, the one
+    equality rule of the package; anything else raises ValueError.
+    """
+    key = _signed_perms(unitary_ptms(u.matrix[None]))[0]
+    k = int(_positions(key, _signed_perms(clifford_table().ptm)))
+    if k < 0 or not u.equals_up_to_phase(clifford_group()[k].unitary):
+        raise ValueError("unitary is not a Clifford element")
+    return k
 
 
 def _row_deviations(table: dict[str, tuple[int, int, int]]) -> dict[str, float]:
@@ -252,26 +248,15 @@ def verify_byproduct_bits() -> float:
     return max(0.0, float(devs.max()))
 
 
-_FRAME_PAULIS = np.stack([X.matrix, Y.matrix, Z.matrix])
-_FRAME_BITS = np.array([(1, 0), (1, 1), (0, 1)])  # (fx, fz) of X, Y, Z
-
-
-def _conjugation_bits(mats: np.ndarray) -> np.ndarray:
-    """:func:`conjugation_bits` of each matrix of an (n, 2, 2) stack."""
-    conj = mats[:, None] @ np.stack([X.matrix, Z.matrix]) @ _dagger(mats)[:, None]
-    hits = phase_distances(conj[:, :, None], _FRAME_PAULIS) < PHASE_TOL  # [n, X or Z, pauli]
-    if not hits.any(axis=-1).all():
-        raise ValueError("unitary does not normalize the Pauli group")
-    return _FRAME_BITS[hits.argmax(axis=-1)].swapaxes(-1, -2)
-
-
 def conjugation_bits(u: Unitary2) -> np.ndarray:
     """GF(2) action of frame conjugation by a Clifford ``u``.
 
     Returns the 2x2 bit matrix A with u X^fx Z^fz u^dag = X^fx' Z^fz' up to
-    phase, (fx', fz') = A (fx, fz).
+    phase, (fx', fz') = A (fx, fz): its columns say where the signed
+    permutation of ``u``'s element sends X and Z. ``u`` is matched as by
+    :func:`clifford_index`, so a non-Clifford raises ValueError.
     """
-    return _conjugation_bits(u.matrix[None])[0]
+    return _frame_bits(_signed_perms(clifford_table().ptm[clifford_index(u)]))
 
 
 def frame_unitary(frame) -> Unitary2:
@@ -314,18 +299,22 @@ def clifford_table() -> CliffordTable:
     """The shared :class:`CliffordTable`, built on first use."""
     group = clifford_group()
     words = [e.word for e in group]
-    mats = np.stack([e.unitary.matrix for e in group])
+    ptm = unitary_ptms(np.stack([e.unitary.matrix for e in group]))
+    perms = _signed_perms(ptm)
     frames = [frame_unitary(f).matrix for f in itertools.product((0, 1), repeat=2)]
-    action = _conjugation_bits(unitary_stack(block_gates(HALF_PI * QUARTER_TRIPLES)))
+    blocks = _signed_perms(unitary_ptms(block_gates(HALF_PI * QUARTER_TRIPLES)))
+    if (_positions(blocks, perms) < 0).any():
+        raise VerificationError("a quarter-turn block is not a Clifford element")
+    action = _frame_bits(blocks)
     bits = np.stack(byproduct_bits(QUARTER_TRIPLES[:, None], np.array(OUTCOME_TRIPLES)), axis=-1)
     f = np.arange(4)
     # [n, m, (fx, fz), f]: frame f conjugated through the all-zeros gate, byproducts on top
     step = (bits[..., None] + action[:, None] @ np.stack([f // 2, f % 2])) % 2
     step = step.reshape(4, 4, 4, len(OUTCOME_TRIPLES), 2, 4)
     return CliffordTable(
-        product=_frozen(_clifford_indices(mats[:, None] @ mats)),
-        inverse=_frozen(_clifford_indices(_dagger(mats))),
-        ptm=_frozen(unitary_ptms(mats)),
+        product=_frozen(_positions(perms[:, None] @ perms, perms)),
+        inverse=_frozen(_positions(perms.swapaxes(-1, -2), perms)),
+        ptm=_frozen(ptm),
         coset_reps=_frozen([words.index(w) for w in COSET_REP_WORDS]),
         frame_ptm=_frozen(unitary_ptms(np.stack(frames)).reshape(2, 2, 4, 4)),
         frame_step=_frozen(2 * step[..., 0, :] + step[..., 1, :]),

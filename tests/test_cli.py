@@ -600,6 +600,17 @@ class TestFitCommand:
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err.startswith("invalid dataset: ")
 
+    @pytest.mark.parametrize("survivals", [-1, 41, 999])
+    def test_survivals_outside_shots_name_the_row(self, tmp_path, capsys, survivals):
+        out = self._make_dataset(tmp_path)
+        row = f"2,1,{survivals},40,000000000000"
+        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
+        with pytest.raises(ValueError, match=rf"data row 2 \({row}\): survival count {survivals} outside \[0, 40\]"):
+            read_dataset(str(out))
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid dataset: {out}: data row 2") and len(err.strip().splitlines()) == 1
+
     def test_shots_mismatch_rejected(self, tmp_path):
         out = self._make_dataset(tmp_path)
         def fewer_shots(rows):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mbqcrb import engine
-from mbqcrb.channels import I2, Unitary2, plus_state
+from mbqcrb.channels import Channel, I2, Unitary2, plus_state
 from mbqcrb.engine import (
     PROTOCOLS,
     RBConfig,
@@ -156,8 +156,15 @@ class TestSettingsRejectedByTheLibrary:
             ("circuit", DEP, DEPENDENT, "noise_inv"),
             ("derandomized-mbqc", DEP, DEPENDENT, "noise_inv"),
             ("derandomized-mbqc", DEPENDENT, None, "noise"),
+            ("circuit", NoiseModel(kind="composite", parts=(DEP, DEPENDENT)), None, "noise"),
         ],
-        ids=["circuit-gates", "circuit-inverse", "derandomized-inverse", "derandomized-reused-inverse"],
+        ids=[
+            "circuit-gates",
+            "circuit-inverse",
+            "derandomized-inverse",
+            "derandomized-reused-inverse",
+            "circuit-composite-part",
+        ],
     )
     def test_dependence_where_no_angle_or_outcome_is_given(self, protocol, noise, noise_inv, field):
         # the map would be called with (None, None): rejected up front, naming the field
@@ -166,6 +173,68 @@ class TestSettingsRejectedByTheLibrary:
             RBConfig(protocol, (1,), 1, 1, noise, noise_inv)
         with pytest.raises(ValueError, match=message):
             exact_sequence_fidelity(protocol, 2, noise, None, noise_inv)
+
+
+class TestCompositeNoise:
+    def test_dependent_part_is_realized_at_each_block(self):
+        calls = []
+
+        def half(angles, outcomes):
+            calls.append((angles, outcomes))
+            return NoiseModel(kind="depolarizing", strength=0.5)
+
+        part = NoiseModel(dependence=half)
+        alone = exact_sequence_fidelity("clifford-mbqc", 3, part).enumerated
+        composite = NoiseModel(kind="composite", parts=(part,))
+        assert exact_sequence_fidelity("clifford-mbqc", 3, composite).enumerated == alone
+        assert calls and all(a is not None and o is not None for a, o in calls)
+        assert abs(alone - 0.53125) < 1e-12
+        # a composite returned by a dependence map realizes its parts too
+        nested = NoiseModel(dependence=lambda angles, outcomes: composite)
+        assert exact_sequence_fidelity("clifford-mbqc", 3, nested).enumerated == alone
+
+    @pytest.mark.parametrize("placement", ["after-each-gate-block", AFTER_EACH_STEP])
+    def test_parts_act_in_order_at_the_step_context(self, placement):
+        damp = NoiseModel(kind="amplitude-damping", strength=0.05)
+        part = NoiseModel(
+            dependence=lambda angles, outcomes: NoiseModel(
+                kind="unitary-overrotation", strength=0.1 + 0.05 * float(np.sum(outcomes))
+            )
+        )
+        composite = NoiseModel(kind="composite", parts=(part, damp), placement=placement)
+        folded = NoiseModel(
+            placement=placement,
+            dependence=lambda angles, outcomes: Channel(
+                damp.base_channel().ptm @ part.realize(angles, outcomes).ptm
+            ),
+        )
+        for protocol in ("clifford-mbqc", "derandomized-mbqc"):
+            got = exact_sequence_fidelity(protocol, 4, composite, None, NONE)
+            want = exact_sequence_fidelity(protocol, 4, folded, None, NONE)
+            assert abs(got.enumerated - want.enumerated) < 1e-14
+
+    # recorded before composites realized their parts at each step: a composite
+    # with no dependent part, the only kind a config file can hold, keeps its bits
+    STATIC = {
+        ("after-each-gate-block", "circuit"): 0.8854709238942087,
+        ("after-each-gate-block", "clifford-mbqc"): 0.8854709238942086,
+        ("after-each-gate-block", "derandomized-mbqc"): 0.8854709238942089,
+        ("after-each-step", "circuit"): 0.8854709238942087,
+        ("after-each-step", "clifford-mbqc"): 0.7260132963206487,
+        ("after-each-step", "derandomized-mbqc"): 0.6595958237231957,
+    }
+
+    @pytest.mark.parametrize("placement, protocol", sorted(STATIC))
+    def test_static_composite_keeps_its_bits(self, placement, protocol):
+        parts = (
+            NoiseModel(kind="depolarizing", strength=0.97),
+            NoiseModel(kind="amplitude-damping", strength=0.02),
+        )
+        noise = NoiseModel(kind="composite", parts=parts, placement=placement)
+        assert not noise.dependent
+        assert noise.realize(0.5, 1) is noise.base_channel()
+        got = exact_sequence_fidelity(protocol, 5, noise).enumerated
+        assert got == self.STATIC[placement, protocol]
 
 
 class TestNoiselessProtocols:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbqcrb import gatesets
-from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, phase_distances, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary
+from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, phase_distances, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary, z_rotation
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
     COSET_REP_WORDS,
@@ -16,6 +16,7 @@ from mbqcrb.gatesets import (
     clifford_group,
     clifford_index,
     clifford_table,
+    conjugation_bits,
     derandomized_design,
     element_from_outcomes,
     outcome_index,
@@ -72,10 +73,49 @@ class TestCliffordGroup:
                 assert abs(theta / HALF_PI - round(theta / HALF_PI)) < 1e-12
 
     def test_clifford_index_rejects_outsiders(self):
-        from mbqcrb.channels import z_rotation
-
         with pytest.raises(ValueError):
             clifford_index(z_rotation(0.3))
+
+
+class TestCliffordKey:
+    """clifford_index and conjugation_bits find a candidate by the signed
+    permutation of a unitary's PTM and accept it only within PHASE_TOL."""
+
+    def test_within_phase_tol_maps_to_the_element(self):
+        # phase distance 2.5e-11: the same gate under the package's one rule
+        near = Unitary2(P.matrix @ z_rotation(1e-5).matrix)
+        assert near.equals_up_to_phase(P)
+        assert clifford_index(near) == clifford_index(P) == list(CLIFFORD_ANGLE_TABLE).index("P")
+        assert np.array_equal(conjugation_bits(near), conjugation_bits(P))
+
+    @pytest.mark.parametrize(
+        "u",
+        [Unitary2(P.matrix @ z_rotation(1e-4).matrix), z_rotation(0.3), z_rotation(np.pi / 4)],
+        ids=["P-beyond-tol", "rotation-0.3", "eighth-turn"],
+    )
+    def test_outsiders_raise(self, u):
+        with pytest.raises(ValueError, match="^unitary is not a Clifford element$"):
+            clifford_index(u)
+        with pytest.raises(ValueError, match="^unitary is not a Clifford element$"):
+            conjugation_bits(u)
+
+    def test_global_phase_ignored(self):
+        for k, e in enumerate(clifford_group()):
+            for phase in (1j, -1.0, np.exp(0.7j)):
+                u = Unitary2(phase * e.unitary.matrix)
+                assert clifford_index(u) == k
+                assert np.array_equal(conjugation_bits(u), conjugation_bits(e.unitary))
+
+    def test_duplicated_row_fails_the_group_check(self, monkeypatch):
+        # P3's row renamed PP, which names P2 again: 24 rows, 23 elements
+        table = {("PP" if w == "P3" else w): n for w, n in CLIFFORD_ANGLE_TABLE.items()}
+        monkeypatch.setattr(gatesets, "CLIFFORD_ANGLE_TABLE", table)
+        clifford_group.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="24 distinct"):
+                clifford_group()
+        finally:
+            clifford_group.cache_clear()
 
 
 class TestCosetReps:
@@ -197,18 +237,37 @@ class TestByproductBits:
 
 class TestCliffordTable:
     def test_entries_match_matrix_computation(self):
+        # checked against the unitaries up to phase, not through clifford_index,
+        # which reads the same signed permutations the table is built from
         group = clifford_group()
         table = clifford_table()
         for i, a in enumerate(group):
             for j, b in enumerate(group):
-                assert table.product[i, j] == clifford_index(a.unitary @ b.unitary)
-            assert table.inverse[i] == clifford_index(a.unitary.dagger())
+                assert (a.unitary @ b.unitary).equals_up_to_phase(group[table.product[i, j]].unitary)
+            assert a.unitary.dagger().equals_up_to_phase(group[table.inverse[i]].unitary)
             assert np.allclose(table.ptm[i], channel_from_unitary(a.unitary).ptm, atol=1e-12)
         assert [group[k].word for k in table.coset_reps] == list(COSET_REP_WORDS)
         for fx in (0, 1):
             for fz in (0, 1):
                 ptm = channel_from_unitary(frame_unitary((fx, fz))).ptm
                 assert np.array_equal(table.frame_ptm[fx, fz], ptm)
+
+    @staticmethod
+    def _conjugation_holds(u: Unitary2, a) -> bool:
+        """u X^fx Z^fz u^dag = X^fx' Z^fz' up to phase, (fx', fz') = A (fx, fz), for X and Z."""
+        return all(
+            (u @ frame_unitary(f) @ u.dagger()).equals_up_to_phase(frame_unitary(a @ f % 2))
+            for f in (np.array([1, 0]), np.array([0, 1]))
+        )
+
+    def test_conjugation_bits_match_matrices(self):
+        # the 24 elements and the 64 all-zeros quarter-turn blocks
+        gates = [e.unitary for e in clifford_group()]
+        gates += [quarter_turn_gate(n) for n in np.ndindex(4, 4, 4)]
+        for u in gates:
+            a = conjugation_bits(u)
+            assert a.shape == (2, 2) and set(a.ravel().tolist()) <= {0, 1}
+            assert self._conjugation_holds(u, a)
 
     def test_frame_step_matches_matrices(self):
         # entered with frame f, block n with outcomes m leaves frame f':
