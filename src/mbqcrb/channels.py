@@ -53,7 +53,7 @@ class Unitary2:
     """A 2x2 unitary, equal to another up to global phase.
 
     Two unitaries are considered the same gate when |tr(U^dag V)| = 2 within
-    tolerance; all gate identities in this package hold only in that sense.
+    ``PHASE_TOL``; all gate identities in this package hold only in that sense.
     """
 
     __slots__ = ("_m",)
@@ -88,8 +88,8 @@ class Unitary2:
         """2 - |tr(U^dag V)|; zero iff the two agree up to global phase."""
         return float(phase_distances(self._m, other._m))
 
-    def equals_up_to_phase(self, other: "Unitary2", tol: float = PHASE_TOL) -> bool:
-        return self.phase_distance(other) < tol
+    def equals_up_to_phase(self, other: "Unitary2") -> bool:
+        return self.phase_distance(other) < PHASE_TOL
 
     def __repr__(self):
         return f"Unitary2({np.array2string(self._m, precision=6)})"

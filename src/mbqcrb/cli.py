@@ -3,8 +3,8 @@ that verify the gate sets, run experiments, fit decays and evaluate the oracle.
 
 Configs are YAML key/value files, read and checked by ``config``; datasets
 are CSV with a commented metadata preamble; fit reports are YAML.
-Angles in configs and reports are given in units of pi, with the design's
-arccos(1/sqrt(3)) angle written symbolically.
+Angles in configs and reports are given in units of pi; only the design
+pattern that ``verify`` prints writes its arccos(1/sqrt(3)) angle symbolically.
 All outputs embed the toolkit version and the full config, and are
 byte-reproducible for a fixed seed.
 """
@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -67,15 +68,21 @@ _DATASET_MAGIC = "mbqcrb-dataset-v2"
 _CIRCUIT_DATASET_MAGIC = "mbqcrb-dataset-v1"
 _READABLE_HEADERS = (f"# {_CIRCUIT_DATASET_MAGIC}", f"# {_DATASET_MAGIC}")
 _DATASET_FIELDS = ("s", "sequence_index", "survivals", "shots", "gate_digest")
+_INTEGER = re.compile("-?[0-9]+")  # a count field: ASCII digits, nothing else
+
+
+def _write_preamble(fh, magic: str, config: dict) -> None:
+    """The magic, version and config lines that open a dataset or curve table."""
+    fh.write(f"# {magic}\n")
+    fh.write(f"# version: {__version__}\n")
+    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
 
 
 def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None):
     config = ExperimentConfig(rb=dataset.config, output=output_name)
     buf = io.StringIO()
     circuit = dataset.config.protocol == "circuit"
-    buf.write(f"# {_CIRCUIT_DATASET_MAGIC if circuit else _DATASET_MAGIC}\n")
-    buf.write(f"# version: {__version__}\n")
-    buf.write(f"# config: {json.dumps(config_to_dict(config), sort_keys=True)}\n")
+    _write_preamble(buf, _CIRCUIT_DATASET_MAGIC if circuit else _DATASET_MAGIC, config_to_dict(config))
     buf.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_DATASET_FIELDS)
@@ -148,12 +155,11 @@ def read_dataset(path: str) -> RBDataset:
             )
         counts = []
         for name, text in zip(_DATASET_FIELDS[:4], r):
-            try:
-                counts.append(int(text))
-            except ValueError:
+            if not _INTEGER.fullmatch(text):
                 raise ValueError(
                     f"{path}: data row {k} ({','.join(r)}) field {name} is not an integer: {text!r}"
-                ) from None
+                )
+            counts.append(int(text))
         s, index, survivals, shots = counts
         try:
             record = SequenceRecord(
@@ -190,9 +196,7 @@ def write_fit_report(path: str, report: dict):
 
 def write_curve_table(path: str, rows, report_meta: dict):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# mbqcrb-curve-v1\n")
-        fh.write(f"# version: {__version__}\n")
-        fh.write(f"# config: {json.dumps(report_meta, sort_keys=True)}\n")
+        _write_preamble(fh, "mbqcrb-curve-v1", report_meta)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "mean", "stderr", "model"])
         for row in rows:
@@ -240,16 +244,24 @@ def _verify_checks():
     ]
 
 
-def cmd_verify(args) -> int:
+def _run_checks(quiet: bool, fail_stream) -> list[str]:
+    """Run the verification suite: a PASS line per passed check on stdout unless ``quiet``,
+    a FAIL line per failed one on ``fail_stream``. Returns the failed checks' names."""
     failed = []
     for name, check in _verify_checks():
         try:
             detail = check()
-            if not args.quiet:
-                print(f"PASS {name}: {detail}")
         except (VerificationError, ValueError) as exc:
             failed.append(name)
-            print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}", file=fail_stream)
+        else:
+            if not quiet:
+                print(f"PASS {name}: {detail}")
+    return failed
+
+
+def cmd_verify(args) -> int:
+    failed = _run_checks(args.quiet, sys.stdout)
     if failed:
         print(f"verification failed: {', '.join(failed)}")
         return EXIT_VALIDATION
@@ -278,13 +290,8 @@ def cmd_run(args) -> int:
     config, code = _read_config(args.config, args.seed)
     if config is None:
         return code
-    if config.verify_first:
-        for name, check in _verify_checks():
-            try:
-                check()
-            except (VerificationError, ValueError) as exc:
-                print(f"FAIL {name}: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+    if config.verify_first and _run_checks(quiet=True, fail_stream=sys.stderr):
+        return EXIT_VALIDATION
     try:
         dataset = run_protocol(config.rb)
     except ValueError as exc:

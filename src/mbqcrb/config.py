@@ -132,6 +132,7 @@ class NoiseModel:
             raise ValueError(f"parts are taken only by composite noise, not by {self.kind}")
         if self.strength != 0.0 and self.kind in ("none", "composite"):
             raise ValueError(f"strength is not taken by {self.kind} noise")
+        self.base_channel()  # the channel factory checks the strength's range
 
     @property
     def trivial(self) -> bool:

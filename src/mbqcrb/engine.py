@@ -95,9 +95,8 @@ class RBDataset:
         return np.array([r.survivals / r.shots for r in rows])
 
 
-def _draw_gate_indices(s: int, mode: str, rng: np.random.Generator) -> np.ndarray:
-    """Group indices of ``s`` gates drawn uniformly from the group or its coset reps."""
-    pool = _gate_pool(mode)
+def _draw_gate_indices(s: int, pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Group indices of ``s`` gates drawn uniformly from ``pool``."""
     return pool[rng.integers(0, len(pool), size=s)]
 
 
@@ -165,9 +164,11 @@ def _outcome_weights(q: int, bias: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gate_pool(mode: str) -> np.ndarray:
-    """Group indices a gate is drawn from: the whole group, or the coset reps."""
-    return clifford_table().coset_reps if mode == "coset" else np.arange(24)
+def _gate_pool(protocol: str, mode: str) -> np.ndarray:
+    """Group indices a gate is drawn from: the coset reps for a coset-mode
+    Clifford wire, the whole group for every other protocol."""
+    coset = protocol == "clifford-mbqc" and mode == "coset"
+    return clifford_table().coset_reps if coset else np.arange(24)
 
 
 def _gate_operators(protocol, noise, noise_inv, spam, bias):
@@ -258,7 +259,7 @@ def run_protocol(config: RBConfig) -> RBDataset:
         operator = _transfer_operator(*key)
     else:
         operators = _gate_operators(*key[:5])
-    mode = "full" if config.protocol == "circuit" else config.clifford_mode
+    pool = _gate_pool(config.protocol, config.clifford_mode)
     shots = config.shots_per_sequence
     records = []
     for s in config.lengths:
@@ -267,7 +268,7 @@ def run_protocol(config: RBConfig) -> RBDataset:
             gates = np.zeros((len(rngs), 0), dtype=np.int64)
             survival = np.full(len(rngs), _transfer_value(operator, s))
         else:
-            gates = np.array([_draw_gate_indices(s, mode, rng) for rng in rngs])
+            gates = np.array([_draw_gate_indices(s, pool, rng) for rng in rngs])
             survival = _outcome_averaged_survival(operators, gates)
         records += [
             SequenceRecord(
@@ -368,7 +369,7 @@ def _transfer_operator(protocol, noise, noise_inv, spam, bias, mode, phis):
     if protocol == "derandomized-mbqc":
         parts = _derandomized_operator(noise, noise_inv, spam, bias, phis)
     else:
-        pool = _gate_pool("full" if protocol == "circuit" else mode)
+        pool = _gate_pool(protocol, mode)
         parts = _group_transfer(*_gate_operators(protocol, noise, noise_inv, spam, bias), pool)
     for a in parts:
         a.setflags(write=False)

@@ -10,6 +10,7 @@ outcome bits.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -86,22 +87,16 @@ class CliffordElement:
 
 
 def _word_matrix(word: str) -> np.ndarray:
-    """Product of generators P and H named by ``word`` (e.g. "P2HP3")."""
+    """Product of generators P and H named by ``word`` (e.g. "P2HP3"), left to right: each
+    generator takes an optional one-digit power, and any other character is an error."""
     m = np.eye(2, dtype=complex)
     if word == "I":
         return m
-    i = 0
-    while i < len(word):
-        if word[i] not in "PH":
-            raise ValueError(f"unknown generator {word[i]!r} in word {word!r}")
-        g = P.matrix if word[i] == "P" else H.matrix
-        power = 1
-        if i + 1 < len(word) and word[i + 1].isdigit():
-            power = int(word[i + 1])
-            i += 1
-        for _ in range(power):
-            m = m @ g
-        i += 1
+    for g, power, other in re.findall("([PH])([0-9]?)|([^PH])", word):
+        if other:
+            raise ValueError(f"unknown generator {other!r} in word {word!r}")
+        for _ in range(int(power or 1)):
+            m = m @ (P.matrix if g == "P" else H.matrix)
     return m
 
 
@@ -162,9 +157,7 @@ def clifford_group() -> tuple[CliffordElement, ...]:
         raise VerificationError("products of angle-table words leave the table")
 
     # Pin the angle composition order before trusting the rest of the table.
-    for word, dev in _row_deviations({w: table[w] for w in ("H", "I")}).items():
-        if not dev < PHASE_TOL:
-            raise VerificationError(f"angle composition order check failed on row {word}")
+    verify_angle_table({w: table[w] for w in ("H", "I")})
 
     return tuple(
         CliffordElement(unitary=u, word=w, angles=tuple(k * HALF_PI for k in table[w]))
@@ -186,21 +179,17 @@ def clifford_index(u: Unitary2) -> int:
     return k
 
 
-def _row_deviations(table: dict[str, tuple[int, int, int]]) -> dict[str, float]:
-    """Phase distance between each row's angle-triple gate and its named word."""
-    words = list(table)
-    targets = unitary_stack(np.reshape([_word_matrix(w) for w in words], (-1, 2, 2)))
-    angles = np.reshape([table[w] for w in words], (-1, 3)) * HALF_PI
-    return dict(zip(words, phase_distances(unitary_stack(block_gates(angles)), targets).tolist()))
-
-
 def verify_angle_table(table: dict[str, tuple[int, int, int]] | None = None) -> dict[str, float]:
     """Check every angle row against its named gate.
 
     Returns the phase distance per row on success; raises
     :class:`VerificationError` naming the offending rows otherwise.
     """
-    deviations = _row_deviations(CLIFFORD_ANGLE_TABLE if table is None else table)
+    table = CLIFFORD_ANGLE_TABLE if table is None else table
+    words = list(table)
+    targets = unitary_stack(np.reshape([_word_matrix(w) for w in words], (-1, 2, 2)))
+    angles = np.reshape([table[w] for w in words], (-1, 3)) * HALF_PI
+    deviations = dict(zip(words, phase_distances(unitary_stack(block_gates(angles)), targets).tolist()))
     failures = [w for w, dev in deviations.items() if dev > PHASE_TOL]
     if failures:
         raise VerificationError(f"angle table rows failed: {', '.join(failures)}")

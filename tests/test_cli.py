@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -373,10 +374,32 @@ class TestRunCommand:
                 },
                 "strength",
             ),
+            # checked where the NoiseModel is built, not first by run or oracle
+            (
+                {"noise": {"kind": "depolarizing", "strength": 1.5}},
+                "noise depolarizing parameter must lie in [0, 1], got 1.5\n",
+            ),
+            (
+                {"noise": {"kind": "dephasing", "strength": -0.2}},
+                "noise flip probability must lie in [0, 1], got -0.2\n",
+            ),
+            (
+                {"noise": {"kind": "amplitude-damping", "strength": 1.01}},
+                "noise damping probability must lie in [0, 1], got 1.01\n",
+            ),
+            (
+                {
+                    "noise": {
+                        "kind": "composite",
+                        "parts": [{"kind": "dephasing", "strength": 0.1}, {"kind": "depolarizing", "strength": 2}],
+                    }
+                },
+                "noise parts entry 2 depolarizing parameter must lie in [0, 1], got 2.0\n",
+            ),
         ],
         ids=[
             "three-phis", "no-phis", "overflowing-phi", "parts-without-composite", "none-strength",
-            "composite-strength",
+            "composite-strength", "depolarizing-range", "dephasing-range", "damping-range", "part-range",
         ],
     )
     def test_value_the_config_cannot_use_rejected(self, tmp_path, capsys, overrides, key):
@@ -403,6 +426,37 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid config: ") and name in err
+        assert not out.exists()
+
+    def test_verify_first_runs_on_the_intact_package(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, verify_first=True)
+        out = tmp_path / "ds.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_dataset(str(out)).records) == 6 * 8
+
+    @pytest.mark.parametrize(
+        "broken", [("clifford-angle-table",), ("clifford-angle-table", "byproduct-bits")], ids=["one", "two"]
+    )
+    def test_verify_first_stops_the_run_on_failed_checks(self, tmp_path, monkeypatch, capsys, broken):
+        import mbqcrb.cli as cli
+        import mbqcrb.gatesets as gatesets
+
+        table = dict(cli.CLIFFORD_ANGLE_TABLE)
+        table["H"] = (0, 0, 1)
+        monkeypatch.setattr(cli, "CLIFFORD_ANGLE_TABLE", table)
+        if "byproduct-bits" in broken:
+            right = gatesets.byproduct_bits
+            monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, verify_first=True)
+        out = tmp_path / "ds.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # every failed check is reported, each on one line
+        assert [line.partition(": ")[0] for line in captured.err.splitlines()] == [f"FAIL {n}" for n in broken]
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
@@ -568,9 +622,9 @@ class TestFitCommand:
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     def _edit_rows(self, path, edit):
-        lines = path.read_text().splitlines(keepends=True)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         body = lines.index("s,sequence_index,survivals,shots,gate_digest\n") + 1
-        path.write_text("".join(lines[:body] + edit(lines[body:])))
+        path.write_text("".join(lines[:body] + edit(lines[body:])), encoding="utf-8")
 
     def test_duplicate_rows_rejected(self, tmp_path):
         out = self._make_dataset(tmp_path)
@@ -590,15 +644,24 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "row, field",
-        [("2,x,10,40,000000000000", "sequence_index"), ("2,1,10,4.0,000000000000", "shots")],
+        [
+            ("2,x,10,40,000000000000", "sequence_index"),
+            ("2,1,10,4.0,000000000000", "shots"),
+            # spellings that int() reads as 10: only ASCII digits are a count
+            ("2,1,1_0,40,000000000000", "survivals"),
+            ("2,1,\uff11\uff10,40,000000000000", "survivals"),
+            ("2,1, 10 ,40,000000000000", "survivals"),
+            ("2,1,+10,40,000000000000", "survivals"),
+        ],
     )
     def test_row_with_non_integer_field_rejected(self, tmp_path, capsys, row, field):
         out = self._make_dataset(tmp_path)
         self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
-        with pytest.raises(ValueError, match=rf"data row 2 \({row}\) field {field} is not an integer"):
+        with pytest.raises(ValueError, match=rf"data row 2 \({re.escape(row)}\) field {field} is not an integer"):
             read_dataset(str(out))
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err.startswith("invalid dataset: ")
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     @pytest.mark.parametrize("survivals", [-1, 41, 999])
     def test_survivals_outside_shots_name_the_row(self, tmp_path, capsys, survivals):

@@ -18,6 +18,7 @@ from mbqcrb.engine import (
     sequence_inverse,
 )
 from mbqcrb.gatesets import (
+    COSET_REP_WORDS,
     clifford_group,
     clifford_index,
     clifford_table,
@@ -47,10 +48,12 @@ def item_rng(seed):
 
 
 class TestDrawGateIndices:
+    FULL_POOL = np.arange(24)
+
     def test_full_group_uniform(self):
         rng = item_rng(101)
         n = 100_000
-        counts = np.bincount(engine._draw_gate_indices(n, "full", rng), minlength=24)
+        counts = np.bincount(engine._draw_gate_indices(n, self.FULL_POOL, rng), minlength=24)
         assert counts.size == 24
         sigma = np.sqrt(n * (1 / 24) * (23 / 24))
         assert np.all(np.abs(counts - n / 24) < 3 * sigma)
@@ -59,12 +62,18 @@ class TestDrawGateIndices:
         rng = item_rng(5)
         group = clifford_group()
         words = {"I", "P", "H", "PH", "HP", "PHP"}
-        for g in engine._draw_gate_indices(50, "coset", rng):
+        for g in engine._draw_gate_indices(50, engine._gate_pool("clifford-mbqc", "coset"), rng):
             assert group[g].word in words
 
+    def test_only_a_coset_mode_clifford_wire_draws_from_the_coset_reps(self):
+        reps = engine._gate_pool("clifford-mbqc", "coset")
+        assert sorted(clifford_group()[g].word for g in reps) == sorted(COSET_REP_WORDS)
+        for protocol, mode in [("clifford-mbqc", "full"), ("circuit", "coset"), ("circuit", "full")]:
+            assert engine._gate_pool(protocol, mode).tolist() == self.FULL_POOL.tolist()
+
     def test_seeded_determinism(self):
-        a = engine._draw_gate_indices(10, "full", item_rng(3))
-        b = engine._draw_gate_indices(10, "full", item_rng(3))
+        a = engine._draw_gate_indices(10, self.FULL_POOL, item_rng(3))
+        b = engine._draw_gate_indices(10, self.FULL_POOL, item_rng(3))
         assert a.tolist() == b.tolist()
 
 
@@ -87,7 +96,7 @@ class TestSequenceInverse:
             total = np.eye(2, dtype=complex)
             for u in seq:
                 total = u.matrix @ total
-            assert Unitary2(inv.matrix @ total).equals_up_to_phase(I2, tol=1e-10)
+            assert Unitary2(inv.matrix @ total).phase_distance(I2) < 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -441,7 +450,7 @@ def group_settings(variant, noise_name):
 
 
 def dense_reference(protocol, noise, noise_inv, spam, bias, mode, phis):
-    pool = engine._gate_pool("full" if protocol == "circuit" else mode)
+    pool = engine._gate_pool(protocol, mode)
     return dense_transfer_operator(*engine._gate_operators(protocol, noise, noise_inv, spam, bias), pool)
 
 

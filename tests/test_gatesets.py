@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -72,9 +73,35 @@ class TestCliffordGroup:
             for theta in e.angles:
                 assert abs(theta / HALF_PI - round(theta / HALF_PI)) < 1e-12
 
+    def test_composition_order_pinned_by_the_h_and_i_rows(self, monkeypatch):
+        table = dict(CLIFFORD_ANGLE_TABLE)
+        table["H"] = table["I"]
+        monkeypatch.setattr(gatesets, "CLIFFORD_ANGLE_TABLE", table)
+        with pytest.raises(VerificationError, match="^angle table rows failed: H$"):
+            clifford_group.__wrapped__()
+
     def test_clifford_index_rejects_outsiders(self):
         with pytest.raises(ValueError):
             clifford_index(z_rotation(0.3))
+
+
+class TestWordMatrix:
+    def test_generators_multiply_left_to_right(self):
+        for word in CLIFFORD_ANGLE_TABLE:
+            expected, last = np.eye(2, dtype=complex), None
+            for c in word.replace("I", ""):
+                if c.isdigit():
+                    for _ in range(int(c) - 1):
+                        expected = expected @ last
+                else:
+                    last = P.matrix if c == "P" else H.matrix
+                    expected = expected @ last
+            assert np.array_equal(_word_matrix(word), expected), word
+
+    @pytest.mark.parametrize("word, other", [("X", "X"), ("P22", "2"), ("3H", "3"), ("PH\n", "\n"), ("HI", "I")])
+    def test_unknown_generator_named(self, word, other):
+        with pytest.raises(ValueError, match=rf"^unknown generator {re.escape(repr(other))} in word "):
+            _word_matrix(word)
 
 
 class TestCliffordKey:

@@ -80,6 +80,11 @@ class TestNoiseModel:
         assert np.allclose(nm.realize(0.0, 0).ptm, depolarizing(0.9).ptm)
         assert np.allclose(nm.realize(0.0, 1).ptm, depolarizing(0.8).ptm)
 
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing", "amplitude-damping"])
+    def test_strength_outside_its_range_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+            NoiseModel(kind=kind, strength=1.5)
+
     def test_composite_requires_parts(self):
         with pytest.raises(ValueError):
             NoiseModel(kind="composite")
