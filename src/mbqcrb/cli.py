@@ -294,7 +294,7 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     try:
         dataset = run_protocol(config.rb)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"invalid experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = args.out or config.output or "dataset.csv"

@@ -196,6 +196,18 @@ def verify_angle_table(table: dict[str, tuple[int, int, int]] | None = None) -> 
     return deviations
 
 
+def _as_indices(values, k: int, message: str, size: int | None = None) -> np.ndarray:
+    """``values`` as an int64 array, if each is an integer in [0, k) as given.
+
+    The check runs before any cast, so 2.5 or "1" raise ``ValueError(message)``
+    rather than being truncated or parsed. ``size`` is the required length.
+    """
+    values = np.asarray(values)
+    if (size is not None and values.shape != (size,)) or not set(values.ravel().tolist()) <= set(range(k)):
+        raise ValueError(message)
+    return values.astype(np.int64)
+
+
 def byproduct_bits(n, m):
     """Pauli exponents (b1, b2) from outcomes ``m`` of a quarter-turn triple ``n``.
 
@@ -203,12 +215,8 @@ def byproduct_bits(n, m):
     all-outcomes-zero gate, up to global phase. Broadcasts over arrays of
     triples along the last axis.
     """
-    n = np.asarray(n).astype(np.int64)
-    m = np.asarray(m).astype(np.int64)
-    if ((n < 0) | (n > 3)).any():
-        raise ValueError("quarter-turn indices must lie in {0, 1, 2, 3}")
-    if ((m != 0) & (m != 1)).any():
-        raise ValueError("outcomes must be bits")
+    n = _as_indices(n, 4, "quarter-turn indices must lie in {0, 1, 2, 3}")
+    m = _as_indices(m, 2, "outcomes must be bits")
     (_, n2, n3), (m1, m2, m3) = np.moveaxis(n, -1, 0), np.moveaxis(m, -1, 0)
     b1 = (m3 + m2 * n3 + m1 * (n2 * n3 + 1)) % 2
     b2 = (m2 + m1 * n2) % 2
@@ -361,10 +369,7 @@ def _design(phi1: float, phi2: float) -> DerandomizedDesign:
 
 
 def outcome_index(m) -> int:
-    bits = [int(b) for b in m]
-    if len(bits) != 5 or any(b not in (0, 1) for b in bits):
-        raise ValueError("expected five outcome bits")
-    return bits[0] * 16 + bits[1] * 8 + bits[2] * 4 + bits[3] * 2 + bits[4]
+    return int(_as_indices(m, 2, "expected five outcome bits", size=5) @ (16, 8, 4, 2, 1))
 
 
 def element_from_outcomes(design: DerandomizedDesign, m) -> Unitary2:

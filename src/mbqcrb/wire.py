@@ -28,9 +28,9 @@ from .channels import (
     I2,
 )
 from .config import AFTER_EACH_GATE_BLOCK, AFTER_EACH_STEP, NO_NOISE, InstrumentConfig, NoiseModel
-# conjugation_bits and frame_unitary live with the gate set; they stay importable from here.
-from .gatesets import clifford_table, conjugation_bits, frame_unitary
-from .gatesets import measurement_gates
+# conjugation_bits lives with the gate set and wire does not use it; it stays
+# importable from here because perfbench times it as wire.conjugation_bits.
+from .gatesets import _as_indices, clifford_table, conjugation_bits, measurement_gates
 
 
 @dataclass
@@ -119,14 +119,9 @@ def update_pauli_frame(frame, n, m) -> tuple[int, int]:
     own byproduct bits are XORed on top: one lookup in the table's
     ``frame_step``.
     """
-    fx, fz = (int(b) for b in frame)
-    n, m = tuple(int(k) for k in n), tuple(int(b) for b in m)
-    if fx not in (0, 1) or fz not in (0, 1):
-        raise ValueError("frame entries must be bits")
-    if len(n) != 3 or not all(0 <= k <= 3 for k in n):
-        raise ValueError("quarter turns must be three entries in {0, 1, 2, 3}")
-    if len(m) != 3 or not all(b in (0, 1) for b in m):
-        raise ValueError("outcomes must be three bits")
+    fx, fz = _as_indices(frame, 2, "frame entries must be bits", size=2).tolist()
+    n = tuple(_as_indices(n, 4, "quarter turns must be three entries in {0, 1, 2, 3}", size=3).tolist())
+    m = _as_indices(m, 2, "outcomes must be three bits", size=3).tolist()
     f = int(clifford_table().frame_step[n][4 * m[0] + 2 * m[1] + m[2], 2 * fx + fz])
     return f // 2, f % 2
 

@@ -24,6 +24,7 @@ from mbqcrb.gatesets import (
     clifford_table,
     derandomized_design,
     element_from_outcomes,
+    frame_unitary,
 )
 from mbqcrb.wire import (
     AFTER_EACH_STEP,
@@ -31,7 +32,6 @@ from mbqcrb.wire import (
     InstrumentConfig,
     NoiseModel,
     WireRun,
-    frame_unitary,
     run_gate_block,
     survival_probability,
 )

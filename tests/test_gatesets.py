@@ -20,13 +20,14 @@ from mbqcrb.gatesets import (
     conjugation_bits,
     derandomized_design,
     element_from_outcomes,
+    frame_unitary,
     outcome_index,
     verify_2design,
     verify_angle_table,
     verify_byproduct_bits,
     verify_design_reference,
 )
-from mbqcrb.wire import frame_unitary, step_unitary
+from mbqcrb.wire import step_unitary
 
 from conftest import haar_unitaries
 
@@ -244,6 +245,11 @@ class TestByproductBits:
             byproduct_bits((0, 0, 0), (2, 0, 0))
         with pytest.raises(ValueError):
             byproduct_bits(np.zeros((5, 3)), np.full((5, 3), 2))
+        # checked as given, not after truncation to int
+        with pytest.raises(ValueError):
+            byproduct_bits([2.5, 1, 1], [0, 1, 1])
+        with pytest.raises(ValueError):
+            byproduct_bits([0, 1, 1], [0, 1, 0.5])
 
     def test_broadcasts_like_scalar_calls(self):
         n = np.array(list(np.ndindex(4, 4, 4)))[:, None]
@@ -425,6 +431,11 @@ class TestDerandomizedDesign:
         assert outcome_index((0, 0, 0, 0, 1)) == 1
         with pytest.raises(ValueError):
             outcome_index((1, 0, 0))
+        # checked as given, not after int() truncates or parses
+        with pytest.raises(ValueError):
+            outcome_index((0.5, 0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            outcome_index(("1", 0, 0, 0, 0))
 
     def test_rejects_non_finite_phis(self):
         with pytest.raises(ValueError):

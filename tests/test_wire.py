@@ -17,7 +17,13 @@ from mbqcrb.channels import (
     plus_state,
     projector_effect,
 )
-from mbqcrb.gatesets import block_gates, clifford_group, derandomized_design, element_from_outcomes
+from mbqcrb.gatesets import (
+    block_gates,
+    clifford_group,
+    derandomized_design,
+    element_from_outcomes,
+    frame_unitary,
+)
 from mbqcrb.wire import (
     AFTER_EACH_GATE_BLOCK,
     AFTER_EACH_STEP,
@@ -26,7 +32,6 @@ from mbqcrb.wire import (
     NoiseModel,
     WireRun,
     conjugation_bits,
-    frame_unitary,
     measure_step,
     run_gate_block,
     step_unitary,
@@ -325,6 +330,13 @@ class TestPauliFrame:
             update_pauli_frame((0, 0), (0, 0, 0), (0, 2, 0))
         with pytest.raises(ValueError):
             update_pauli_frame((0, 0), (0, 0), (0, 0, 0))
+        # checked as given, not after int() truncates
+        with pytest.raises(ValueError):
+            update_pauli_frame((0, 0), (2.5, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError):
+            update_pauli_frame((0.7, 0), (0, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError):
+            update_pauli_frame((0, 0), (0, 0, 0), (0, 0.5, 0))
 
 
 class TestFinalMeasurement:
