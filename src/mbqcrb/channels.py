@@ -321,13 +321,9 @@ def frame_potential(gateset: list[Unitary2], t: int) -> float:
     return float(traces.sum()) / len(gateset) ** 2
 
 
-def apply(c: Channel, s: State) -> State:
-    return State(c.ptm @ s.bloch)
-
-
-def measure(e: Effect, s: State) -> float:
-    """Born probability tr(E rho), clamped to [0, 1]."""
-    p = float(e.bloch_coeffs @ s.bloch)
+def measure(e: Effect, bloch: np.ndarray) -> float:
+    """Born probability tr(E rho) of the Bloch vector ``bloch``, clamped to [0, 1]."""
+    p = float(e.bloch_coeffs @ bloch)
     return min(max(p, 0.0), 1.0)
 
 

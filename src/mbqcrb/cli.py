@@ -135,10 +135,13 @@ def read_dataset(path: str) -> RBDataset:
     if "config" not in meta:
         raise ValueError(f"{path} has no embedded config")
     try:
-        entries = json.loads(meta["config"], object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        raise ValueError(f"{path}: the config line: {exc}") from None
-    config = config_from_dict(entries)
+        try:
+            entries = json.loads(meta["config"], object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"{path}: the config line: {exc}") from None
+        config = config_from_dict(entries)
+    except RecursionError:
+        raise ValueError(f"{path}: the config line is nested too deeply to read") from None
     text = meta.get("warnings", "[]")
     try:
         warnings = json.loads(text)
@@ -343,7 +346,11 @@ def cmd_fit(args) -> int:
                 np.random.SeedSequence((dataset.config.seed, 0xB007, args.resamples))
             )
         )
-        ci = bootstrap_ci(dataset, args.resamples, rng)
+        try:
+            ci = bootstrap_ci(dataset, args.resamples, rng)
+        except MemoryError as exc:
+            print(f"cannot fit: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
     report = {
         "version": __version__,
@@ -400,8 +407,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits EXIT_VALIDATION: its own
+    code, 2, is EXIT_IO here. Subparsers are built of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbqcrb",
         description="Randomized benchmarking on linear cluster-state wires",
     )

@@ -425,12 +425,14 @@ def _config_loader():
 
 def load_config(path: str) -> ExperimentConfig:
     """The experiment of the YAML config at ``path``. A repeated key, or text
-    that is not YAML, raises ValueError with the parser's message."""
+    that is not YAML, raises ValueError with the parser's message, and so
+    does input nested too deeply to read."""
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            entries = yaml.load(fh, Loader=_config_loader())
+            return config_from_dict(yaml.load(fh, Loader=_config_loader()))
         except yaml.YAMLError as exc:
             raise ValueError(str(exc)) from None
-    return config_from_dict(entries)
+        except RecursionError:
+            raise ValueError("the file is nested too deeply to read") from None

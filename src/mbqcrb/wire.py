@@ -11,21 +11,20 @@ no command loads it. The settings it takes are defined in ``config``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .channels import (
-    Channel,
     Effect,
     State,
     Unitary2,
-    apply,
-    channel_from_unitary,
     measure,
     projector_effect,
+    unitary_ptms,
     I2,
+    _frozen,
 )
 from .config import AFTER_EACH_GATE_BLOCK, AFTER_EACH_STEP, NO_NOISE, InstrumentConfig, NoiseModel
 # conjugation_bits lives with the gate set and wire does not use it; it stays
@@ -35,12 +34,16 @@ from .gatesets import _as_indices, clifford_table, conjugation_bits, measurement
 
 @dataclass
 class WireRun:
-    """State of one wire execution: logical qubit, outcomes, coins, frame."""
+    """One wire execution: a Bloch vector (checked once, as ``state``), outcomes, coins, frame."""
 
-    state: State
+    state: InitVar[State]
+    bloch: np.ndarray = field(init=False)
     outcomes: list[int] = field(default_factory=list)
     injected: list[int] = field(default_factory=list)
     pauli_frame: tuple[int, int] = (0, 0)
+
+    def __post_init__(self, state: State):
+        self.bloch = state.bloch
 
 
 def step_unitary(theta: float, m: int) -> Unitary2:
@@ -49,8 +52,8 @@ def step_unitary(theta: float, m: int) -> Unitary2:
 
 
 @lru_cache(maxsize=512)
-def _step_channel(theta: float, m: int) -> Channel:
-    return channel_from_unitary(step_unitary(theta, m))
+def _step_ptm(theta: float, m: int) -> np.ndarray:
+    return _frozen(unitary_ptms(measurement_gates(theta, m)[None])[0])
 
 
 def measure_step(
@@ -60,7 +63,7 @@ def measure_step(
     instrument: InstrumentConfig = InstrumentConfig(),
     rng: np.random.Generator | None = None,
 ) -> tuple[WireRun, int]:
-    """Measure one wire site at angle ``theta`` and advance the logical state.
+    """Measure one wire site at angle ``theta`` and advance the logical qubit.
 
     Samples the raw outcome at the instrument's bias, XORs in a fair coin
     when randomness injection is enabled (the flip amounts to relabeling the
@@ -74,9 +77,9 @@ def measure_step(
         coin = int(rng.random() < 0.5)
         run.injected.append(coin)
         m ^= coin
-    run.state = apply(_step_channel(float(theta), m), run.state)
+    run.bloch = _step_ptm(float(theta), m) @ run.bloch
     if not noise.trivial and noise.placement == AFTER_EACH_STEP:
-        run.state = apply(noise.realize(theta, m), run.state)
+        run.bloch = noise.realize(theta, m).ptm @ run.bloch
     run.outcomes.append(m)
     return run, m
 
@@ -102,7 +105,7 @@ def run_gate_block(
         _, m = measure_step(run, theta, noise, instrument, rng)
         outcomes.append(m)
     if not noise.trivial and noise.placement == AFTER_EACH_GATE_BLOCK:
-        run.state = apply(noise.realize(tuple(angles), tuple(outcomes)), run.state)
+        run.bloch = noise.realize(tuple(angles), tuple(outcomes)).ptm @ run.bloch
     if len(angles) == 3:
         quads = [a / (np.pi / 2) for a in angles]
         if all(abs(q - round(q)) < 1e-9 for q in quads):
@@ -143,12 +146,9 @@ def survival_probability(
     is applied before the inverse-step noise so that the noisy inverse
     decomposes as noise after the ideal rotation.
     """
-    if basis is I2:
-        state = run.state
-    else:
-        state = apply(channel_from_unitary(basis), run.state)
+    bloch = run.bloch if basis is I2 else unitary_ptms(basis.matrix[None])[0] @ run.bloch
     if not noise_inv.trivial:
-        state = apply(noise_inv.realize(), state)
+        bloch = noise_inv.realize().ptm @ bloch
     if effect is None:
         effect = _plus_effect()
-    return measure(effect, state)
+    return measure(effect, bloch)

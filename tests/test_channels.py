@@ -15,7 +15,6 @@ from mbqcrb.channels import (
     Y,
     Z,
     amplitude_damping,
-    apply,
     avg_gate_fidelity,
     channel_from_unitary,
     choi_matrix,
@@ -345,18 +344,18 @@ class TestFramePotential:
 
 class TestStatesAndEffects:
     def test_plus_on_plus(self):
-        assert measure(projector_effect(I2), plus_state()) == pytest.approx(1.0)
+        assert measure(projector_effect(I2), plus_state().bloch) == pytest.approx(1.0)
 
     def test_plus_on_mixed(self):
-        assert measure(projector_effect(I2), State.from_xyz(0.0, 0.0, 0.0)) == pytest.approx(0.5)
+        assert measure(projector_effect(I2), State.from_xyz(0.0, 0.0, 0.0).bloch) == pytest.approx(0.5)
 
     def test_depolarized_plus(self):
         for p in (0.0, 0.4, 1.0):
-            s = apply(depolarizing(p), plus_state())
-            assert measure(projector_effect(I2), s) == pytest.approx((1 + p) / 2, abs=1e-12)
+            bloch = depolarizing(p).ptm @ plus_state().bloch
+            assert measure(projector_effect(I2), bloch) == pytest.approx((1 + p) / 2, abs=1e-12)
 
     def test_probability_clamped(self):
-        assert 0.0 <= measure(projector_effect(H), plus_state()) <= 1.0
+        assert 0.0 <= measure(projector_effect(H), plus_state().bloch) <= 1.0
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -377,9 +376,9 @@ class TestStatesAndEffects:
 
     def test_survival_effect_background(self):
         e = survival_effect(0.05)
-        assert measure(e, plus_state()) == pytest.approx(1.0)
+        assert measure(e, plus_state().bloch) == pytest.approx(1.0)
         minus = State.from_xyz(-1.0, 0.0, 0.0)
-        assert measure(e, minus) == pytest.approx(0.05)
+        assert measure(e, minus.bloch) == pytest.approx(0.05)
 
 
 class TestNamedChannels:
@@ -389,8 +388,8 @@ class TestNamedChannels:
     def test_amplitude_damping_limits(self):
         assert np.allclose(amplitude_damping(0.0).ptm, np.eye(4))
         full = amplitude_damping(1.0)
-        zero = apply(full, State.from_xyz(0.3, -0.2, -0.8))
-        assert np.allclose(zero.bloch, [1, 0, 0, 1])  # everything decays to |0>
+        zero = full.ptm @ State.from_xyz(0.3, -0.2, -0.8).bloch
+        assert np.allclose(zero, [1, 0, 0, 1])  # everything decays to |0>
 
     def test_random_cptp_is_valid(self, rng):
         for rank in (1, 2, 3):

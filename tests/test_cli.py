@@ -59,6 +59,23 @@ def write_sample_config(path, **overrides):
     return data
 
 
+def nested_composite(depth: int) -> dict:
+    """A noise section: one depolarizing part inside ``depth`` composites."""
+    noise = {"kind": "depolarizing", "strength": 0.9}
+    for _ in range(depth):
+        noise = {"kind": "composite", "parts": [noise]}
+    return noise
+
+
+# Input nested far past the recursion limit, so that it fails to read with
+# the few frames of a command as with pytest's many: 600 lists for PyYAML's
+# composer, 2000 for json.loads, and 200 composites for config_from_dict,
+# which YAML and JSON both read.
+DEEP_LENGTHS = "[" * 600 + "1" + "]" * 600
+DEEP_JSON = "[" * 2000 + "]" * 2000
+DEEP_NOISE = json.dumps({**SAMPLE, "noise": nested_composite(200)})
+
+
 PLACEMENTS = st.sampled_from(["after-each-step", "after-each-gate-block"])
 SIMPLE_NOISE = st.builds(
     NoiseModel,
@@ -557,6 +574,27 @@ class TestRunCommand:
         with pytest.raises(ValueError, match="^while parsing a flow sequence"):
             load_config(str(cfg_path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [f"protocol: circuit\nlengths: {DEEP_LENGTHS}\n", DEEP_NOISE],
+        ids=["lengths-600-lists", "noise-200-composites"],
+    )
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_config_nested_too_deeply_rejected(self, tmp_path, capsys, text, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        out = tmp_path / "ds.csv"
+        argv = [command, "--config", str(cfg_path)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "invalid config: the file is nested too deeply to read\n"
+        assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^the file is nested too deeply to read$"):
+            load_config(str(cfg_path))
+
     def test_merged_key_may_be_overridden(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
@@ -641,6 +679,33 @@ class TestFitCommand:
         out = self._make_dataset(tmp_path)
         assert main(["fit", str(out), "--resamples", "-3"]) == 1
         assert "--resamples" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
+    def test_resamples_too_many_to_allocate_rejected(self, tmp_path, capsys):
+        # 10**15 resamples need more address space than a 64-bit process
+        # has, so the allocation fails at once without touching memory
+        out = self._make_dataset(tmp_path)
+        capsys.readouterr()
+        assert main(["fit", str(out), "--resamples", str(10**15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot fit: Unable to allocate")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
+
+    @pytest.mark.parametrize("line", [DEEP_JSON, DEEP_NOISE], ids=["2000-lists", "noise-200-composites"])
+    def test_config_line_nested_too_deeply_rejected(self, tmp_path, capsys, line):
+        out = self._make_dataset(tmp_path)
+        text = out.read_text().splitlines(keepends=True)
+        assert text[2].startswith("# config: ")
+        out.write_text("".join(text[:2] + [f"# config: {line}\n"] + text[3:]))
+        message = f"{out}: the config line is nested too deeply to read"
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == message
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     def _edit_rows(self, path, edit):
@@ -887,6 +952,37 @@ class TestOracleCommand:
         for s, exact in zip((1, 2), values):
             mean, stderr = sequence_fidelity_estimate(dataset, s)
             assert abs(mean - exact) < 5 * stderr, (s, mean, exact, stderr)
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, like every other invalid input: exit
+    code 2 is kept for I/O failures."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "--config", "cfg.yaml", "--length", "abc"], "argument --length: invalid int value: 'abc'"),
+            (["run"], "the following arguments are required: --config"),
+            (["fit", "ds.csv", "--resamples", "x"], "argument --resamples: invalid int value: 'x'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["oracle-length", "run-without-config", "fit-resamples", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()[0], captured.err.splitlines()[-1]
+        assert usage.startswith("usage: mbqcrb")
+        assert error.startswith("mbqcrb") and f": error: {message}" in error
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mbqcrb")
 
 
 def run_child(code: str) -> str:

@@ -9,7 +9,6 @@ from mbqcrb.channels import (
     Unitary2,
     X,
     Z,
-    apply,
     channel_from_unitary,
     dephasing,
     depolarizing,
@@ -118,7 +117,7 @@ class TestMeasureStep:
         run = fresh_run()
         _, m = measure_step(run, 0.0, NO_NOISE, FORCE_ZERO, rng)
         assert m == 0
-        assert np.allclose(run.state.bloch, [1, 0, 0, 1], atol=1e-12)
+        assert np.allclose(run.bloch, [1, 0, 0, 1], atol=1e-12)
         assert run.outcomes == [0]
 
     def test_outcomes_differ_by_x_channel(self, rng):
@@ -126,8 +125,8 @@ class TestMeasureStep:
         run0, run1 = fresh_run(), fresh_run()
         measure_step(run0, theta, NO_NOISE, FORCE_ZERO, rng)
         measure_step(run1, theta, NO_NOISE, FORCE_ONE, rng)
-        flipped = apply(channel_from_unitary(X), run0.state)
-        assert np.allclose(run1.state.bloch, flipped.bloch, atol=1e-12)
+        flipped = channel_from_unitary(X).ptm @ run0.bloch
+        assert np.allclose(run1.bloch, flipped, atol=1e-12)
 
     def test_injection_restores_fair_outcomes(self):
         instrument = InstrumentConfig(bias=0.1, inject_randomness=True)
@@ -136,7 +135,6 @@ class TestMeasureStep:
         ones = 0
         run = fresh_run()
         for _ in range(n):
-            run.state = plus_state()  # keep the state bounded; outcomes are what we test
             _, m = measure_step(run, 0.0, NO_NOISE, instrument, rng)
             ones += m
         sigma = np.sqrt(n * 0.25)
@@ -159,7 +157,6 @@ class TestMeasureStep:
         ones = 0
         run = fresh_run()
         for _ in range(n):
-            run.state = plus_state()
             _, m = measure_step(run, 0.3, NO_NOISE, InstrumentConfig(), rng)
             ones += m
         assert abs(ones - n / 2) < 3 * np.sqrt(n * 0.25)
@@ -171,7 +168,6 @@ class TestMeasureStep:
         ones = 0
         run = fresh_run()
         for _ in range(n):
-            run.state = plus_state()
             _, m = measure_step(run, 0.0, NO_NOISE, instrument, rng)
             ones += m
         sigma = np.sqrt(n * 0.6 * 0.4)
@@ -181,21 +177,29 @@ class TestMeasureStep:
         noise = NoiseModel(kind="depolarizing", strength=0.5, placement=AFTER_EACH_STEP)
         run = fresh_run()
         measure_step(run, 0.0, noise, FORCE_ZERO, rng)
-        assert np.allclose(run.state.bloch, [1, 0, 0, 0.5], atol=1e-12)
+        assert np.allclose(run.bloch, [1, 0, 0, 0.5], atol=1e-12)
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             measure_step(fresh_run(), 0.0)
 
-    @pytest.mark.parametrize("theta", [0.3, 0.0])
-    def test_long_run_keeps_unit_trace(self, theta):
+    @pytest.mark.parametrize(
+        "angles, steps",
+        [((0.3,), 10_000), ((0.0,), 10_000), ((np.pi / 4,), 25_000), (None, 120_000)],
+        ids=["0.3", "0.0", "pi/4", "design"],
+    )
+    def test_long_run_keeps_unit_trace(self, angles, steps):
         # rounding in the step PTMs once pushed the trace entry past its
-        # tolerance after about 3000 (theta 0.3) or 4500 (theta 0) steps
+        # tolerance after about 3000 (theta 0.3) or 4500 (theta 0) steps, and
+        # the norm past a per-step Bloch-ball check after about 22 000 steps
+        # at pi/4 and 113 000 steps cycling the design pattern
+        angles = angles or derandomized_design().angles
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4503)))
         run = fresh_run()
-        for _ in range(10_000):
-            measure_step(run, theta, rng=rng)
-        assert run.state.bloch[0] == 1.0
+        for k in range(steps):
+            measure_step(run, angles[k % len(angles)], rng=rng)
+        assert run.bloch[0] == 1.0
+        assert abs(np.linalg.norm(run.bloch[1:]) - 1.0) <= 1e-9
 
 
 class TestRunGateBlock:
@@ -204,13 +208,13 @@ class TestRunGateBlock:
         run = fresh_run()
         _, outcomes = run_gate_block(run, (0.0, 0.0, 0.0), NO_NOISE, FORCE_ZERO, rng)
         assert outcomes == [0, 0, 0]
-        assert np.allclose(run.state.bloch, [1, 0, 0, 1], atol=1e-12)
+        assert np.allclose(run.bloch, [1, 0, 0, 1], atol=1e-12)
 
     def test_block_noise_once(self, rng):
         noise = NoiseModel(kind="depolarizing", strength=0.5, placement=AFTER_EACH_GATE_BLOCK)
         run = fresh_run()
         run_gate_block(run, (0.0, 0.0, 0.0), noise, FORCE_ZERO, rng)
-        assert np.allclose(run.state.bloch, [1, 0, 0, 0.5], atol=1e-12)
+        assert np.allclose(run.bloch, [1, 0, 0, 0.5], atol=1e-12)
 
     def test_design_block_matches_element_lookup(self):
         design = derandomized_design()
@@ -219,8 +223,8 @@ class TestRunGateBlock:
             run = fresh_run()
             _, outcomes = run_gate_block(run, design.angles, NO_NOISE, InstrumentConfig(), rng)
             element = element_from_outcomes(design, outcomes)
-            expected = apply(channel_from_unitary(element), plus_state())
-            assert np.allclose(run.state.bloch, expected.bloch, atol=1e-10)
+            expected = channel_from_unitary(element).ptm @ plus_state().bloch
+            assert np.allclose(run.bloch, expected, atol=1e-10)
 
     def test_placement_equivalence_for_depolarizing(self):
         # q steps at p each equal one block at p^q, entry by entry
@@ -263,7 +267,7 @@ class TestInjectionNeutrality:
             instrument = InstrumentConfig(bias=0.0, inject_randomness=inject)
             for theta in angles:
                 measure_step(run, theta, noise, instrument, rng)
-            return tuple(run.outcomes), run.state.bloch
+            return tuple(run.outcomes), run.bloch
 
     # without injection: 8 equally likely outcome strings
         plain = {}
@@ -358,11 +362,11 @@ class TestFinalMeasurement:
 
     def test_basis_rotation_precedes_inverse_noise(self):
         # noisy inverse = noise after the ideal rotation
-        run = WireRun(state=apply(channel_from_unitary(X), plus_state()))
+        run = WireRun(state=State(channel_from_unitary(X).ptm @ plus_state().bloch))
         noise = NoiseModel(kind="amplitude-damping", strength=0.3)
         got = survival_probability(run, X, noise)
-        rotated = apply(channel_from_unitary(X), run.state)
-        expected = measure(projector_effect(I2), apply(noise.realize(), rotated))
+        rotated = channel_from_unitary(X).ptm @ run.bloch
+        expected = measure(projector_effect(I2), noise.realize().ptm @ rotated)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -381,8 +385,8 @@ class TestNoiselessClosure:
                 run, m = run_gate_block(run, e.angles, NO_NOISE, InstrumentConfig(), rng)
                 ideal = e.unitary.matrix @ ideal
             expected_u = Unitary2(frame_unitary(run.pauli_frame).matrix @ ideal)
-            expected = apply(channel_from_unitary(expected_u), plus_state())
-            assert np.allclose(run.state.bloch, expected.bloch, atol=1e-10)
+            expected = channel_from_unitary(expected_u).ptm @ plus_state().bloch
+            assert np.allclose(run.bloch, expected, atol=1e-10)
 
 
 class TestClusterTeleportationOracle:
