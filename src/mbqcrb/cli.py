@@ -31,6 +31,7 @@ from .engine import (
     _exact_fidelity,
 )
 from .gatesets import (
+    ACOS_SQRT3,
     CLIFFORD_ANGLE_TABLE,
     VerificationError,
     clifford_group,
@@ -46,12 +47,11 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 DESIGN_TOL = 1e-9
-_ACOS_SQRT3 = float(np.arccos(1.0 / np.sqrt(3.0)))
 
 
 def format_angle_pi(theta: float) -> str:
     """Angle as a multiple of pi, or the symbolic design angle."""
-    if abs(theta - _ACOS_SQRT3) < 1e-12:
+    if abs(theta - ACOS_SQRT3) < 1e-12:
         return "acos(1/sqrt3)"
     return repr(round(theta / np.pi, 12))
 
@@ -68,7 +68,15 @@ _DATASET_MAGIC = "mbqcrb-dataset-v2"
 _CIRCUIT_DATASET_MAGIC = "mbqcrb-dataset-v1"
 _READABLE_HEADERS = (f"# {_CIRCUIT_DATASET_MAGIC}", f"# {_DATASET_MAGIC}")
 _DATASET_FIELDS = ("s", "sequence_index", "survivals", "shots", "gate_digest")
-_INTEGER = re.compile("-?[0-9]+")  # a count field: ASCII digits, nothing else
+_INTEGER = re.compile("-?[0-9]+")  # a count: ASCII digits, nothing else
+
+
+def _count(text: str) -> int:
+    """``text`` as an int by the count rule: a dataset's count fields and the
+    command line's integers follow it."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _write_preamble(fh, magic: str, config: dict) -> None:
@@ -149,43 +157,39 @@ def read_dataset(path: str) -> RBDataset:
         raise ValueError(f"{path}: the warnings line: {exc}") from None
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValueError(f"{path}: the warnings line must hold a JSON list of strings, got {text!r}")
-    records = []
+    rb = config.rb
+    records, seen = [], set()
     for k, r in enumerate(rows[1:], start=1):
         if len(r) != len(_DATASET_FIELDS):
             raise ValueError(
                 f"{path}: data row {k} ({','.join(r)}) has {len(r)} fields, "
                 f"expected {len(_DATASET_FIELDS)}"
             )
-        counts = []
         for name, text in zip(_DATASET_FIELDS[:4], r):
             if not _INTEGER.fullmatch(text):
                 raise ValueError(
                     f"{path}: data row {k} ({','.join(r)}) field {name} is not an integer: {text!r}"
                 )
-            counts.append(int(text))
-        s, index, survivals, shots = counts
+        s, index, survivals, shots = map(int, r[:4])
         try:
             record = SequenceRecord(
                 s=s, index=index, gate_indices=(), survivals=survivals, shots=shots, digest=r[4]
             )
         except ValueError as exc:
             raise ValueError(f"{path}: data row {k} ({','.join(r)}): {exc}") from None
-        records.append(record)
-    rb = config.rb
-    seen = set()
-    for r in records:
-        where = f"{path}: row s={r.s}, sequence_index={r.index}"
-        if (r.s, r.index) in seen:
+        where = f"{path}: row s={s}, sequence_index={index}"
+        if (s, index) in seen:
             raise ValueError(f"{where} appears more than once")
-        seen.add((r.s, r.index))
-        if r.s not in rb.lengths:
-            raise ValueError(f"{where}: length {r.s} is not in the config lengths")
-        if not 0 <= r.index < rb.sequences_per_length:
+        seen.add((s, index))
+        if s not in rb.lengths:
+            raise ValueError(f"{where}: length {s} is not in the config lengths")
+        if not 0 <= index < rb.sequences_per_length:
             raise ValueError(f"{where}: sequence_index outside [0, {rb.sequences_per_length})")
-        if r.shots != rb.shots_per_sequence:
+        if shots != rb.shots_per_sequence:
             raise ValueError(
-                f"{where}: {r.shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
+                f"{where}: {shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
             )
+        records.append(record)
     return RBDataset(config=rb, records=tuple(records), warnings=tuple(warnings))
 
 
@@ -333,24 +337,15 @@ def cmd_fit(args) -> int:
         return EXIT_VALIDATION
 
     points = [(s, *sequence_fidelity_estimate(dataset, s)) for s in dataset.lengths()]
+    ci = None
     try:
         fit = fit_decay(points)
-    except ValueError as exc:
+        if args.resamples > 0:
+            seed = np.random.SeedSequence((dataset.config.seed, 0xB007, args.resamples))
+            ci = bootstrap_ci(dataset, args.resamples, np.random.Generator(np.random.Philox(seed)))
+    except (ValueError, MemoryError) as exc:
         print(f"cannot fit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    ci = None
-    if args.resamples > 0:
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence((dataset.config.seed, 0xB007, args.resamples))
-            )
-        )
-        try:
-            ci = bootstrap_ci(dataset, args.resamples, rng)
-        except MemoryError as exc:
-            print(f"cannot fit: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
 
     report = {
         "version": __version__,
@@ -409,7 +404,13 @@ def cmd_oracle(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a usage error exits EXIT_VALIDATION: its own
-    code, 2, is EXIT_IO here. Subparsers are built of the same class."""
+    code, 2, is EXIT_IO here. An ``int`` argument is read by ``_count``, and
+    argparse still names its type int in the error. Subparsers are built of
+    the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _count)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -88,14 +88,16 @@ def _normalise(config, **checks) -> None:
         object.__setattr__(config, name, check(getattr(config, name), name))
 
 
-NOISE_KINDS = (
-    "none",
-    "depolarizing",
-    "dephasing",
-    "amplitude-damping",
-    "unitary-overrotation",
-    "composite",
-)
+# The noise kinds that take a strength, each with the channel factory it is
+# passed to. The other kinds, "none" and "composite", chain their parts.
+_STRENGTH_CHANNELS = {
+    "depolarizing": depolarizing,
+    "dephasing": dephasing,
+    "amplitude-damping": amplitude_damping,
+    "unitary-overrotation": lambda angle: channel_from_unitary(z_rotation(angle)),
+}
+
+NOISE_KINDS = ("none", *_STRENGTH_CHANNELS, "composite")
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class NoiseModel:
             raise ValueError("parts must be given for composite noise")
         if self.parts and self.kind != "composite":
             raise ValueError(f"parts are taken only by composite noise, not by {self.kind}")
-        if self.strength != 0.0 and self.kind in ("none", "composite"):
+        if self.strength != 0.0 and self.kind not in _STRENGTH_CHANNELS:
             raise ValueError(f"strength is not taken by {self.kind} noise")
         self.base_channel()  # the channel factory checks the strength's range
 
@@ -172,16 +174,9 @@ def _chain(channels) -> Channel:
 
 @lru_cache(maxsize=256)
 def _base_channel(noise: "NoiseModel") -> Channel:
-    if noise.kind == "none":
-        return identity_channel()
-    if noise.kind == "depolarizing":
-        return depolarizing(noise.strength)
-    if noise.kind == "dephasing":
-        return dephasing(noise.strength)
-    if noise.kind == "amplitude-damping":
-        return amplitude_damping(noise.strength)
-    if noise.kind == "unitary-overrotation":
-        return channel_from_unitary(z_rotation(noise.strength))
+    factory = _STRENGTH_CHANNELS.get(noise.kind)
+    if factory is not None:
+        return factory(noise.strength)
     return _chain(p.base_channel() for p in noise.parts)
 
 
@@ -315,7 +310,7 @@ class ExperimentConfig:
 
 def _noise_to_dict(noise: NoiseModel) -> dict:
     d = {"kind": noise.kind}
-    if noise.kind not in ("none", "composite"):
+    if noise.kind in _STRENGTH_CHANNELS:
         d["strength"] = noise.strength
     d["placement"] = noise.placement
     if noise.parts:

@@ -34,6 +34,7 @@ from .channels import (
 )
 
 HALF_PI = np.pi / 2
+ACOS_SQRT3 = float(np.arccos(1.0 / np.sqrt(3.0)))  # the design pattern's third angle
 
 
 class VerificationError(RuntimeError):
@@ -75,15 +76,16 @@ COSET_REP_WORDS = ("I", "P", "H", "PH", "HP", "PHP")
 
 @dataclass(frozen=True)
 class CliffordElement:
-    """A Clifford gate with its generator word and wire angles (radians)."""
+    """A Clifford gate with its generator word and its row of the angle table."""
 
     unitary: Unitary2
     word: str
-    angles: tuple[float, float, float]
+    quarter_turns: tuple[int, int, int]
 
     @property
-    def quarter_turns(self) -> tuple[int, int, int]:
-        return tuple(int(round(a / HALF_PI)) % 4 for a in self.angles)
+    def angles(self) -> tuple[float, float, float]:
+        """The wire angles in radians."""
+        return tuple(k * HALF_PI for k in self.quarter_turns)
 
 
 def _word_matrix(word: str) -> np.ndarray:
@@ -160,7 +162,7 @@ def clifford_group() -> tuple[CliffordElement, ...]:
     verify_angle_table({w: table[w] for w in ("H", "I")})
 
     return tuple(
-        CliffordElement(unitary=u, word=w, angles=tuple(k * HALF_PI for k in table[w]))
+        CliffordElement(unitary=u, word=w, quarter_turns=table[w])
         for u, w in zip(Unitary2.from_stack(mats), words)
     )
 
@@ -346,7 +348,7 @@ def derandomized_design(phi1: float = 0.0, phi2: float = 0.0) -> DerandomizedDes
 
 @lru_cache(maxsize=8)
 def _design(phi1: float, phi2: float) -> DerandomizedDesign:
-    angles = (phi1, np.pi / 4, float(np.arccos(1.0 / np.sqrt(3.0))), np.pi / 4, phi2)
+    angles = (phi1, np.pi / 4, ACOS_SQRT3, np.pi / 4, phi2)
     # tails[i] is the pattern from site i + 1 on, so tails[0] is Q
     tails = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
     for k, step in enumerate(measurement_gates(angles)):

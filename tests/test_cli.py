@@ -978,6 +978,38 @@ class TestUsageErrors:
         assert usage.startswith("usage: mbqcrb")
         assert error.startswith("mbqcrb") and f": error: {message}" in error
 
+    @pytest.mark.parametrize(
+        "command, option, text",
+        [
+            ("oracle", "--length", "1_0"),
+            ("oracle", "--length", "\uff13"),
+            ("oracle", "--length", " 3 "),
+            ("run", "--seed", "8_11"),
+            ("run", "--seed", "\uff18\uff11\uff11"),
+            ("fit", "--resamples", "1_00"),
+            ("fit", "--resamples", "+200"),
+        ],
+    )
+    def test_integer_options_follow_the_count_rule(self, tmp_path, capsys, command, option, text):
+        # int() reads each of these as a number; like a dataset's count fields,
+        # an integer option is ASCII digits with an optional leading minus
+        cfg_path, dataset, out = tmp_path / "cfg.yaml", tmp_path / "ds.csv", tmp_path / "out"
+        write_sample_config(cfg_path)
+        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+        inputs = {
+            "oracle": ["--config", str(cfg_path)],
+            "run": ["--config", str(cfg_path), "--out", str(out)],
+            "fit": [str(dataset), "--out", str(out)],
+        }
+        with pytest.raises(SystemExit) as raised:
+            main([command, *inputs[command], option, text])
+        assert raised.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"usage: mbqcrb {command}")
+        assert captured.err.splitlines()[-1].endswith(f": error: argument {option}: invalid int value: {text!r}")
+        assert sorted(tmp_path.iterdir()) == [cfg_path, dataset]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["--help"])

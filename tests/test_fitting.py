@@ -417,12 +417,14 @@ class TestRecordedResults:
 
 
 class TestRowsIndependentOfBatch:
-    def _check_rows_alone(self, datasets, resamples):
-        """Fit the resamples of every dataset in one batch, then each alone."""
+    def _check_rows_alone(self, datasets, resamples, make_rng=np.random.default_rng):
+        """Fit the resamples of every dataset in one batch, then each alone.
+
+        ``make_rng`` builds each dataset's generator from its position."""
         lengths, ys, ws, points = None, [], [], []
         for seed, dataset in enumerate(datasets):
-            s, y, w = _resample_points(dataset, resamples, np.random.default_rng(seed))
-            rows = resample_loop(dataset, resamples, np.random.default_rng(seed))
+            s, y, w = _resample_points(dataset, resamples, make_rng(seed))
+            rows = resample_loop(dataset, resamples, make_rng(seed))
             for k, row in enumerate(rows):
                 # the same draws, means, standard errors and weights
                 ref_s, ref_y, ref_w = _parse_points(row)
@@ -486,12 +488,14 @@ class TestRowsIndependentOfBatch:
     )
     def test_runs_of_equal_counts_share_one_draw(self, counts):
         # one rng.integers call per run of consecutive lengths with the same
-        # count draws what one call per length would
+        # count draws what one call per length would, on the default PCG64
+        # and on the Philox generator that the fit command seeds
         rng = np.random.default_rng(sum(counts))
         dataset = ArrayDataset(
             {2**j: 0.5 + 0.45 * 0.9 ** 2**j + 0.05 * rng.random(k) for j, k in enumerate(counts)}
         )
         self._check_rows_alone([dataset], 25)
+        self._check_rows_alone([dataset], 25, lambda seed: np.random.Generator(np.random.Philox(seed)))
         rng = CountingRng(np.random.default_rng(0))
         _resample_points(dataset, 25, rng)
         assert rng.calls == 25 * len(list(itertools.groupby(counts)))
