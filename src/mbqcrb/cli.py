@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -87,17 +86,15 @@ def _write_preamble(fh, magic: str, config: dict) -> None:
 
 
 def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None):
-    config = ExperimentConfig(rb=dataset.config, output=output_name)
-    buf = io.StringIO()
-    circuit = dataset.config.protocol == "circuit"
-    _write_preamble(buf, _CIRCUIT_DATASET_MAGIC if circuit else _DATASET_MAGIC, config_to_dict(config))
-    buf.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_DATASET_FIELDS)
-    for r in dataset.records:
-        writer.writerow([r.s, r.index, r.survivals, r.shots, r.digest])
+    # built first, so a config that cannot be serialized leaves no file
+    config = config_to_dict(ExperimentConfig(rb=dataset.config, output=output_name))
+    magic = _CIRCUIT_DATASET_MAGIC if dataset.config.protocol == "circuit" else _DATASET_MAGIC
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        _write_preamble(fh, magic, config)
+        fh.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_DATASET_FIELDS)
+        writer.writerows((r.s, r.index, r.survivals, r.shots, r.digest) for r in dataset.records)
 
 
 def _unique_keys(pairs):
@@ -111,10 +108,22 @@ def _unique_keys(pairs):
     return obj
 
 
+def _json_line(path: str, key: str, text: str, read=lambda value: value):
+    """``read`` applied to the JSON of the preamble line ``# <key>: <text>``.
+    A repeated key, text that is not JSON, a ValueError from ``read`` or
+    nesting too deep to read raises ValueError naming the file and the line."""
+    try:
+        return read(json.loads(text, object_pairs_hook=_unique_keys))
+    except ValueError as exc:
+        raise ValueError(f"{path}: the {key} line: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: the {key} line is nested too deeply to read") from None
+
+
 def read_dataset(path: str) -> RBDataset:
     """Load a dataset CSV; drawn gate indices are not stored, only digests.
 
-    A preamble line given twice, or a key repeated in the config, raises
+    A preamble line given twice, or a key repeated in a JSON line, raises
     ValueError rather than letting the last one win.
     """
     meta = {}
@@ -142,19 +151,9 @@ def read_dataset(path: str) -> RBDataset:
         raise ValueError(f"{path} is not a recognized dataset file")
     if "config" not in meta:
         raise ValueError(f"{path} has no embedded config")
-    try:
-        try:
-            entries = json.loads(meta["config"], object_pairs_hook=_unique_keys)
-        except ValueError as exc:
-            raise ValueError(f"{path}: the config line: {exc}") from None
-        config = config_from_dict(entries)
-    except RecursionError:
-        raise ValueError(f"{path}: the config line is nested too deeply to read") from None
+    config = _json_line(path, "config", meta["config"], config_from_dict)
     text = meta.get("warnings", "[]")
-    try:
-        warnings = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: the warnings line: {exc}") from None
+    warnings = _json_line(path, "warnings", text)
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValueError(f"{path}: the warnings line must hold a JSON list of strings, got {text!r}")
     rb = config.rb

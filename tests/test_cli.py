@@ -233,6 +233,20 @@ class TestDatasetFile:
         assert f"# version: {__version__}" in text
         assert '"protocol": "clifford-mbqc"' in text
 
+    def test_unserializable_config_leaves_no_file(self, tmp_path):
+        rb = RBConfig(
+            protocol="clifford-mbqc",
+            lengths=(1,),
+            sequences_per_length=1,
+            shots_per_sequence=1,
+            noise=NoiseModel(kind="depolarizing", strength=0.9, dependence=lambda t, m: NoiseModel()),
+        )
+        ds = run_protocol(rb)
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match="dependence map cannot be serialized"):
+            write_dataset(ds, str(path))
+        assert not path.exists()
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
@@ -694,19 +708,25 @@ class TestFitCommand:
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
         assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
 
-    @pytest.mark.parametrize("line", [DEEP_JSON, DEEP_NOISE], ids=["2000-lists", "noise-200-composites"])
-    def test_config_line_nested_too_deeply_rejected(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "key, line",
+        [("config", DEEP_JSON), ("config", DEEP_NOISE), ("warnings", DEEP_JSON)],
+        ids=["2000-lists", "noise-200-composites", "warnings-2000-lists"],
+    )
+    def test_config_line_nested_too_deeply_rejected(self, tmp_path, capsys, key, line):
         out = self._make_dataset(tmp_path)
         text = out.read_text().splitlines(keepends=True)
-        assert text[2].startswith("# config: ")
-        out.write_text("".join(text[:2] + [f"# config: {line}\n"] + text[3:]))
-        message = f"{out}: the config line is nested too deeply to read"
+        k = 2 if key == "config" else 3
+        assert text[k].startswith(f"# {key}: ")
+        out.write_text("".join(text[:k] + [f"# {key}: {line}\n"] + text[k + 1 :]))
+        message = f"{out}: the {key} line is nested too deeply to read"
         with pytest.raises(ValueError) as raised:
             read_dataset(str(out))
         assert str(raised.value) == message
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err == f"invalid dataset: {message}\n"
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
+        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
 
     def _edit_rows(self, path, edit):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -819,8 +839,10 @@ class TestFitCommand:
                 "# warnings: [,]\n",
                 "the warnings line: Expecting value: line 1 column 2 (char 1)",
             ),
+            # valid JSON, but a setting the config rejects
+            ('"lengths": [1, ', '"lengths": [1, 1, ', "the config line: lengths must be distinct"),
         ],
-        ids=["top-level-key", "nested-key", "config-line", "warnings-line", "warnings-json"],
+        ids=["top-level-key", "nested-key", "config-line", "warnings-line", "warnings-json", "config-setting"],
     )
     def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
         # json.loads and the preamble dict would otherwise keep the last value
