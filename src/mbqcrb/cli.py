@@ -1,7 +1,7 @@
 """Command-line front end: the dataset and report files, and the commands
 that verify the gate sets, run experiments, fit decays and evaluate the oracle.
 
-Configs are YAML key/value files, read and checked by ``config``; datasets
+Configs are YAML or JSON key/value files, read and checked by ``config``; datasets
 are CSV with a commented metadata preamble; fit reports are YAML.
 Angles in configs and reports are given in units of pi; only the design
 pattern that ``verify`` prints writes its arccos(1/sqrt(3)) angle symbolically.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -21,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import MIN_RESAMPLES, __version__
-from .config import ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .config import ExperimentConfig, config_from_dict, config_to_dict, load_config, parse_json
 from .engine import (
     RBDataset,
     SequenceRecord,
@@ -97,23 +98,13 @@ def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None)
         writer.writerows((r.s, r.index, r.survivals, r.shots, r.digest) for r in dataset.records)
 
 
-def _unique_keys(pairs):
-    """``object_pairs_hook`` for ``json.loads`` that raises ValueError on a key
-    repeated in one object, at any depth."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def _json_line(path: str, key: str, text: str, read=lambda value: value):
-    """``read`` applied to the JSON of the preamble line ``# <key>: <text>``.
-    A repeated key, text that is not JSON, a ValueError from ``read`` or
-    nesting too deep to read raises ValueError naming the file and the line."""
+    """``read`` applied to the JSON of the preamble line ``# <key>: <text>``,
+    read by ``parse_json``, the rule of config files. Text it rejects, a
+    ValueError from ``read`` or nesting too deep to read raises ValueError
+    naming the file and the line."""
     try:
-        return read(json.loads(text, object_pairs_hook=_unique_keys))
+        return read(parse_json(text))
     except ValueError as exc:
         raise ValueError(f"{path}: the {key} line: {exc}") from None
     except RecursionError:
@@ -126,27 +117,37 @@ def read_dataset(path: str) -> RBDataset:
     A preamble line given twice, or a key repeated in a JSON line, raises
     ValueError rather than letting the last one win.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # decoded whole, so an error's position is the byte's offset in the file
+            lines = io.StringIO(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    header = lines.readline().rstrip("\n")
+    if header not in _READABLE_HEADERS:
+        raise ValueError(
+            f"{path} does not start with a dataset header "
+            f"({' or '.join(_READABLE_HEADERS)}): {header!r}"
+        )
     meta = {}
     body = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header not in _READABLE_HEADERS:
-            raise ValueError(
-                f"{path} does not start with a dataset header "
-                f"({' or '.join(_READABLE_HEADERS)}): {header!r}"
-            )
-        for line in fh:
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if ":" in text:
-                    key, _, value = text.partition(":")
-                    key = key.strip()
-                    if key in meta:
-                        raise ValueError(f"{path}: the {key} line appears more than once")
-                    meta[key] = value.strip()
-            elif line.strip():
-                body.append(line)
-    rows = list(csv.reader(body))
+    for line in lines:
+        if line.startswith("#"):
+            text = line[1:].strip()
+            if ":" in text:
+                key, _, value = text.partition(":")
+                key = key.strip()
+                if key in meta:
+                    raise ValueError(f"{path}: the {key} line appears more than once")
+                meta[key] = value.strip()
+        elif line.strip():
+            body.append(line)
+    rows = []
+    try:
+        for row in csv.reader(body):
+            rows.append(row)
+    except csv.Error as exc:  # rows[0] is the column header
+        raise ValueError(f"{path}: data row {len(rows)}: {exc}") from None
     if not rows or tuple(rows[0]) != _DATASET_FIELDS:
         raise ValueError(f"{path} is not a recognized dataset file")
     if "config" not in meta:
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_run = sub.add_parser("run", help="run a benchmarking experiment")
-    p_run.add_argument("--config", required=True, help="YAML experiment config")
+    p_run.add_argument("--config", required=True, help="YAML or JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="dataset output path")
     p_run.set_defaults(func=cmd_run)
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_oracle = sub.add_parser("oracle", help="exact sequence fidelity at any length")
-    p_oracle.add_argument("--config", required=True, help="YAML experiment config")
+    p_oracle.add_argument("--config", required=True, help="YAML or JSON experiment config")
     p_oracle.add_argument(
         "--length", type=int, default=None, help="sequence length (default: every configured length)"
     )

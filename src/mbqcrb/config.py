@@ -5,13 +5,16 @@ and counts, the logical noise after each step or after each gate block, the
 outcome bias with optional randomness injection, and SPAM. This module holds
 their types (``NoiseModel``, ``InstrumentConfig``, ``SpamModel``,
 ``RBConfig`` and ``ExperimentConfig``), the field checks they share, and the
-key/value form that config files and dataset preambles hold. It loads
-neither the literal wire nor the engine.
+key/value form that config files and dataset preambles hold, with the JSON
+rule both follow. It loads neither the literal wire nor the engine, and
+PyYAML only for a config file that is not JSON.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
+import re
 import sys
 from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -393,9 +396,33 @@ def config_from_dict(d) -> ExperimentConfig:
     return ExperimentConfig(rb=rb, **{k: d[k] for k in options if k in d})
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.loads`` that raises ValueError on a key
+    repeated in one object, at any depth."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def parse_json(text: str):
+    """The value of the JSON ``text``, by the one rule that config files and the
+    JSON lines of a dataset preamble follow: text that is not JSON, a key
+    repeated in one object, or NaN or Infinity raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+
+
 def _config_loader():
     """``yaml.SafeLoader`` that raises ValueError on a key repeated in one
-    mapping, at any depth. Built on call, so importing this module loads no yaml."""
+    mapping, at any depth, and reads an exponent float such as ``1e-05`` as a
+    float, as JSON does; YAML 1.1 reads it as a string. Built on call, so
+    importing this module loads no yaml."""
     import yaml
 
     class ConfigLoader(yaml.SafeLoader):
@@ -415,19 +442,38 @@ def _config_loader():
                     seen.add(key)
             return super().construct_mapping(node, deep=deep)
 
+    # appended after the built-in resolvers, so an integer stays an integer
+    ConfigLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
     return ConfigLoader
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """The experiment of the YAML config at ``path``. A repeated key, or text
-    that is not YAML, raises ValueError with the parser's message, and so
-    does input nested too deeply to read."""
+def _load_yaml(fh):
     import yaml
 
+    try:
+        return yaml.load(fh, Loader=_config_loader())
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """The experiment of the config file at ``path``. Text that ``parse_json``
+    reads is taken by JSON rules, so a JSON config loads no yaml; any other
+    text, a repeated key or a NaN included, is read as YAML. A repeated key, or
+    text that is not YAML, raises ValueError with the parser's message, and so
+    does input nested too deeply to read."""
     with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
         try:
-            return config_from_dict(yaml.load(fh, Loader=_config_loader()))
-        except yaml.YAMLError as exc:
-            raise ValueError(str(exc)) from None
+            try:
+                d = parse_json(text)
+            except ValueError:
+                fh.seek(0)  # read from the file, so that the YAML error names it
+                d = _load_yaml(fh)
+            return config_from_dict(d)
         except RecursionError:
             raise ValueError("the file is nested too deeply to read") from None

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mbqcrb
@@ -26,7 +27,7 @@ from mbqcrb.cli import (
     read_dataset,
     write_dataset,
 )
-from mbqcrb.config import CLIFFORD_MODES
+from mbqcrb.config import CLIFFORD_MODES, _config_loader, parse_json
 from mbqcrb.engine import (
     PROTOCOLS,
     RBConfig,
@@ -74,6 +75,10 @@ def nested_composite(depth: int) -> dict:
 DEEP_LENGTHS = "[" * 600 + "1" + "]" * 600
 DEEP_JSON = "[" * 2000 + "]" * 2000
 DEEP_NOISE = json.dumps({**SAMPLE, "noise": nested_composite(200)})
+
+# A float spelled with an exponent, which the config loader reads as a float
+# where YAML 1.1 reads a string.
+EXPONENT_FLOAT = re.compile(r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 PLACEMENTS = st.sampled_from(["after-each-step", "after-each-gate-block"])
@@ -166,6 +171,30 @@ class TestConfigRoundTrip:
     @settings(max_examples=200, deadline=None)
     def test_any_config_survives_the_round_trip(self, config):
         assert config_from_dict(config_to_dict(config)) == config
+
+    @given(EXPERIMENT_CONFIGS)
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_json_and_yaml_files_load_to_the_config(self, tmp_path, config):
+        d = config_to_dict(config)
+        path = tmp_path / "cfg.yaml"
+        for text in (json.dumps(d, separators=(",", ":")), json.dumps(d, indent=1)):
+            from_yaml = yaml.load(text, Loader=_config_loader())
+            if "output" in from_yaml:
+                # PyYAML decodes the escaped surrogate pair of a character past
+                # U+FFFF as two lone surrogates; JSON decodes the character
+                from_yaml["output"] = from_yaml["output"].encode("utf-16", "surrogatepass").decode("utf-16")
+            assert parse_json(text) == from_yaml
+            path.write_text(text)
+            assert load_config(str(path)) == config
+        path.write_text(yaml.safe_dump(d))
+        if config.output is not None and EXPONENT_FLOAT.fullmatch(config.output):
+            # written unquoted, as YAML 1.1 has no such float (see test_exponent_float_read_as_float)
+            with pytest.raises(ValueError, match="^output must be a str, got "):
+                load_config(str(path))
+        else:
+            assert load_config(str(path)) == config
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -581,12 +610,64 @@ class TestRunCommand:
             argv += ["--out", str(out)]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("invalid config: while parsing a flow sequence")
-        assert "Traceback" not in captured.err
+        message = (
+            "while parsing a flow sequence\n"
+            f'  in "{cfg_path}", line 1, column 11\n'
+            "expected ',' or ']', but got '<stream end>'\n"
+            f'  in "{cfg_path}", line 2, column 1'
+        )
+        assert captured.err == f"invalid config: {message}\n"
         assert captured.out == ""
         assert not out.exists()
-        with pytest.raises(ValueError, match="^while parsing a flow sequence"):
+        with pytest.raises(ValueError) as raised:
             load_config(str(cfg_path))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [("1e-3", 1e-3), ("1E-3", 1e-3), ("+1e-3", 1e-3), ("5.e-4", 5e-4), (".5e-3", 5e-4), ("2.5e-2", 0.025)],
+    )
+    def test_exponent_float_read_as_float(self, tmp_path, spelling, value):
+        cfg_path = tmp_path / "cfg.yaml"
+        text = yaml.safe_dump({**SAMPLE, "noise": {"kind": "dephasing", "strength": 0.5}})
+        cfg_path.write_text(text.replace("strength: 0.5", f"strength: {spelling}"))
+        assert load_config(str(cfg_path)).rb.noise.strength == value
+        # an output name of that shape is a float too, unless it is quoted
+        cfg_path.write_text(f"{text}output: {spelling}\n")
+        with pytest.raises(ValueError, match=f"^output must be a str, got {value!r}$"):
+            load_config(str(cfg_path))
+        cfg_path.write_text(f"{text}output: '{spelling}'\n")
+        assert load_config(str(cfg_path)).output == spelling
+
+    def test_json_config_with_an_exponent_float_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(json.dumps({**SAMPLE, "noise": {"kind": "dephasing", "strength": 1e-05}}))
+        assert '"strength": 1e-05' in cfg_path.read_text()
+        assert main(["oracle", "--config", str(cfg_path)]) == 0
+        assert load_config(str(cfg_path)).rb.noise.strength == 1e-05
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps(SAMPLE)[:-1] + ', "seed": 8}', "duplicate key 'seed' (line 1)"),
+            (
+                json.dumps({**SAMPLE, "noise": {"kind": "dephasing", "strength": 0.5}}).replace("0.5", "NaN"),
+                "noise strength must be a finite float, got 'NaN'",
+            ),
+            (
+                json.dumps({**SAMPLE, "noise": {"kind": "dephasing", "strength": 0.5}}).replace("0.5", "-Infinity"),
+                "noise strength must be a finite float, got '-Infinity'",
+            ),
+        ],
+        ids=["repeated-key", "nan", "infinity"],
+    )
+    def test_text_the_json_rule_rejects_is_read_as_yaml(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        with pytest.raises(ValueError):
+            parse_json(text)
+        assert main(["oracle", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -728,6 +809,37 @@ class TestFitCommand:
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
         assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
 
+    def test_field_longer_than_the_csv_limit_rejected(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        limit = csv.field_size_limit()
+        row = f"2,1,{'9' * (limit + 1)},40,000000000000"
+        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
+        message = f"{out}: data row 2: field larger than field limit ({limit})"
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == message
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
+
+    def test_dataset_that_is_not_utf8_named_by_its_path(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        # past the first 8 KiB, so the position is the byte's offset in the
+        # whole file, not in the chunk a buffered read decodes
+        data = out.read_bytes() + b"\n" * 10000 + b"\xff\n"
+        out.write_bytes(data)
+        message = (
+            f"{out} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(data) - 2}: invalid start byte"
+        )
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == message
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
+        assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
     def _edit_rows(self, path, edit):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         body = lines.index("s,sequence_index,survivals,shots,gate_digest\n") + 1
@@ -841,8 +953,18 @@ class TestFitCommand:
             ),
             # valid JSON, but a setting the config rejects
             ('"lengths": [1, ', '"lengths": [1, 1, ', "the config line: lengths must be distinct"),
+            # the rule of config files, which allows no NaN or Infinity
+            ('"strength": 0.9', '"strength": NaN', "the config line: NaN is not a JSON number"),
         ],
-        ids=["top-level-key", "nested-key", "config-line", "warnings-line", "warnings-json", "config-setting"],
+        ids=[
+            "top-level-key",
+            "nested-key",
+            "config-line",
+            "warnings-line",
+            "warnings-json",
+            "config-setting",
+            "config-nan",
+        ],
     )
     def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
         # json.loads and the preamble dict would otherwise keep the last value
@@ -1113,6 +1235,24 @@ class TestColdLoading:
                 assert module not in oracle
         assert "yaml" in oracle
         assert "hashlib" in run  # the dataset digests need it: the check sees a load
+
+    def test_run_and_oracle_on_a_json_config_load_no_yaml(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"  # the text, not the name, chooses the reader
+        cfg_path.write_text(json.dumps(SAMPLE, indent=1))
+        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "eager = 'yaml' in sys.modules\n"
+            "from mbqcrb.cli import main\n"
+            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
+            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            "print(eager, 'yaml' in sys.modules)\n"
+        )
+        eager, loaded = run_child(code).split()[-2:]
+        if eager == "True":
+            pytest.skip("this numpy imports yaml with numpy itself")
+        assert loaded == "False"
 
     def test_fit_does_not_load_numpy_ma(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
