@@ -2,7 +2,14 @@
 that verify the gate sets, run experiments, fit decays and evaluate the oracle.
 
 Configs are YAML or JSON key/value files, read and checked by ``config``; datasets
-are CSV with a commented metadata preamble; fit reports are YAML.
+are CSV with a commented metadata preamble; fit reports are YAML, written
+without PyYAML in the bytes of ``yaml.safe_dump(report, sort_keys=False)``.
+A report string is written plain only if it is one of ``_PLAIN_STRINGS`` (the
+version, the setting names and the bias warning), which PyYAML writes plain
+too. Any other string, such as a warning edited into a dataset, is written
+double-quoted, with JSON's escapes and ``\\uXXXX`` for the characters YAML
+must not read raw, where PyYAML might have written it plain or single-quoted.
+So PyYAML is loaded only to read a config file that is not JSON.
 Angles in configs and reports are given in units of pi; only the design
 pattern that ``verify`` prints writes its arccos(1/sqrt(3)) angle symbolically.
 All outputs embed the toolkit version and the full config, and are
@@ -22,12 +29,24 @@ from dataclasses import replace
 import numpy as np
 
 from . import MIN_RESAMPLES, __version__
-from .config import ExperimentConfig, config_from_dict, config_to_dict, load_config, parse_json
+from .config import (
+    AFTER_EACH_GATE_BLOCK,
+    AFTER_EACH_STEP,
+    CLIFFORD_MODES,
+    NOISE_KINDS,
+    PROTOCOLS,
+    ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    parse_json,
+)
 from .engine import (
     RBDataset,
     SequenceRecord,
     run_protocol,
     sequence_fidelity_estimate,
+    _BIAS_WARNING,
     _exact_fidelity,
 )
 from .gatesets import (
@@ -193,12 +212,65 @@ def read_dataset(path: str) -> RBDataset:
     return RBDataset(config=rb, records=tuple(records), warnings=tuple(warnings))
 
 
-def write_fit_report(path: str, report: dict):
-    import yaml
+# The strings a report holds that yaml.safe_dump writes plain. Any other
+# string, such as a warning edited into a dataset, is written double-quoted.
+_PLAIN_STRINGS = frozenset(
+    (__version__, _BIAS_WARNING, AFTER_EACH_STEP, AFTER_EACH_GATE_BLOCK,
+     *PROTOCOLS, *CLIFFORD_MODES, *NOISE_KINDS)
+)
+# YAML reads these raw as line breaks or rejects them; JSON leaves them raw
+_YAML_UNPRINTABLE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 
+
+def _yaml_scalar(value) -> str:
+    """``value`` as ``yaml.safe_dump`` writes it; a string outside
+    ``_PLAIN_STRINGS`` double-quoted, with JSON's escapes and ``\\uXXXX`` for
+    the characters that YAML must not read raw."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        text = repr(float(value)).lower()
+        if "." not in text and "e" in text:
+            text = text.replace("e", ".0e", 1)  # 1e-05 -> 1.0e-05, a YAML float
+        return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
+    if not isinstance(value, str):
+        raise TypeError(f"a fit report cannot hold {value!r}")
+    if value in _PLAIN_STRINGS:
+        return value
+    quoted = json.dumps(value, ensure_ascii=False)
+    return _YAML_UNPRINTABLE.sub(lambda m: f"\\u{ord(m[0]):04x}", quoted)
+
+
+def _yaml_lines(mapping: dict, indent: str = ""):
+    """The lines of ``mapping``, a report or a section of it, as
+    ``yaml.safe_dump(sort_keys=False)`` writes them in block style."""
+    for key, value in mapping.items():
+        if isinstance(value, dict) and value:
+            yield f"{indent}{key}:"
+            yield from _yaml_lines(value, indent + "  ")
+        elif isinstance(value, list) and value:
+            yield f"{indent}{key}:"
+            for item in value:
+                if isinstance(item, dict):  # its first key follows the dash
+                    first, *rest = _yaml_lines(item, indent + "  ")
+                    yield f"{indent}- {first.lstrip()}"
+                    yield from rest
+                else:
+                    yield f"{indent}- {_yaml_scalar(item)}"
+        else:
+            yield f"{indent}{key}: {'[]' if isinstance(value, list) else _yaml_scalar(value)}"
+
+
+def write_fit_report(path: str, report: dict):
+    """The report under its ``# mbqcrb-fit-v1`` line, in the bytes that
+    ``yaml.safe_dump(report, sort_keys=False)`` writes, without loading PyYAML."""
+    text = "".join(f"{line}\n" for line in _yaml_lines(report))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# mbqcrb-fit-v1\n")
-        yaml.safe_dump(report, fh, sort_keys=False)
+        fh.write("# mbqcrb-fit-v1\n" + text)
 
 
 def write_curve_table(path: str, rows, report_meta: dict):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import re
 import sys
 from collections.abc import Hashable
@@ -83,6 +84,22 @@ def _instance(*kinds):
             raise ValueError(f"{what} must be a {kinds[0].__name__}, got {value!r}")
         return value
     return check
+
+
+def _file_name(value, what: str):
+    """``value``, None or a str that ``open`` takes as a path: one that
+    ``os.fsencode`` encodes, with no NUL character."""
+    _instance(str, type(None))(value, what)
+    if value is not None:
+        try:
+            if "\0" in value:
+                raise ValueError
+            os.fsencode(value)
+        except ValueError:  # a UnicodeEncodeError, for a lone surrogate
+            raise ValueError(
+                f"{what} must be a file name the file system can encode, with no NUL; got {value!r}"
+            ) from None
+    return value
 
 
 def _normalise(config, **checks) -> None:
@@ -308,7 +325,7 @@ class ExperimentConfig:
     verify_first: bool = False
 
     def __post_init__(self):
-        _normalise(self, output=_instance(str, type(None)), verify_first=_instance(bool))
+        _normalise(self, output=_file_name, verify_first=_instance(bool))
 
 
 def _noise_to_dict(noise: NoiseModel) -> dict:

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mbqcrb
+import mbqcrb.cli
 from mbqcrb import __version__
 from mbqcrb.channels import I2, X, Y, Z
 from mbqcrb.cli import (
+    _PLAIN_STRINGS,
+    _yaml_scalar,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -26,9 +29,11 @@ from mbqcrb.cli import (
     main,
     read_dataset,
     write_dataset,
+    write_fit_report,
 )
-from mbqcrb.config import CLIFFORD_MODES, _config_loader, parse_json
+from mbqcrb.config import AFTER_EACH_STEP, CLIFFORD_MODES, _config_loader, parse_json
 from mbqcrb.engine import (
+    _BIAS_WARNING,
     PROTOCOLS,
     RBConfig,
     SpamModel,
@@ -118,7 +123,8 @@ EXPERIMENT_CONFIGS = st.builds(
         design_phis=st.tuples(PHI, PHI),
         clifford_mode=st.sampled_from(CLIFFORD_MODES),
     ),
-    output=st.none() | st.text(min_size=1),
+    # a config's output name holds no NUL, which no path can hold
+    output=st.none() | st.text(min_size=1).filter(lambda name: "\0" not in name),
     verify_first=st.booleans(),
 )
 
@@ -706,6 +712,28 @@ class TestRunCommand:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, output",
+        [
+            (json.dumps({**SAMPLE, "output": "\ud800.csv"}), "\ud800.csv"),
+            # PyYAML decodes the escaped pair into two lone surrogates
+            (yaml.safe_dump(SAMPLE) + 'output: "\\ud83d\\ude00.csv"\n', "\ud83d\ude00.csv"),
+            (json.dumps({**SAMPLE, "output": "a\0.csv"}), "a\0.csv"),
+        ],
+        ids=["json-lone-surrogate", "yaml-surrogate-pair", "nul"],
+    )
+    def test_output_that_open_cannot_take_rejected(self, tmp_path, capsys, text, output):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        message = (
+            f"invalid config: output must be a file name the file system can encode, "
+            f"with no NUL; got {output!r}\n"
+        )
+        for argv in (["run", "--out", str(tmp_path / "x.csv")], ["oracle"]):
+            assert main([*argv, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bias_warning_recorded(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(
@@ -1024,6 +1052,151 @@ class TestFitCommand:
         assert report["ci_p"][0] <= report["ci_p"][1]
 
 
+# Noise sections of every kind, one with an exponent float and one with
+# parts nested in a part.
+SWEEP_NOISES = [
+    NoiseModel(),
+    NoiseModel(kind="depolarizing", strength=0.9),
+    NoiseModel(kind="dephasing", strength=1e-05, placement=AFTER_EACH_STEP),
+    NoiseModel(kind="amplitude-damping", strength=0.05),
+    NoiseModel(kind="unitary-overrotation", strength=0.1),
+    NoiseModel(
+        kind="composite",
+        parts=(
+            NoiseModel(kind="dephasing", strength=0.02),
+            NoiseModel(kind="composite", parts=(NoiseModel(kind="amplitude-damping", strength=0.01),)),
+        ),
+    ),
+]
+
+WARNING_TEXT = st.one_of(
+    st.sampled_from(
+        [_BIAS_WARNING, "yes", "1.0", ": ", "- item", "-1", "\x7f", "naïve ünïcode ☃ 😀", "x " * 50,
+         "", "null", "~", "#", "'", '"', "\\", "a\nb", "a\rb", " lead", "trail ", "\t", "\x85",
+         "\u2028", "\ufeff", "\ud800", "\ud83d\ude00"]
+    ),
+    st.text(st.characters() | st.sampled_from("\x7f\x85\u2028\u2029\ud800\udfff\ufffe\uffff")),
+)
+REPORT_FLOATS = st.floats(allow_nan=False)
+
+
+class TestFitReportFile:
+    """``fit`` writes its report without PyYAML, in the bytes of ``yaml.safe_dump``."""
+
+    @staticmethod
+    def _fit(tmp_path, monkeypatch, rb, resamples="0"):
+        """The report ``fit`` builds for a run of ``rb``, and the bytes of its file."""
+        reports = []
+
+        def record(path, report):
+            reports.append(report)
+            write_fit_report(path, report)
+
+        monkeypatch.setattr(mbqcrb.cli, "write_fit_report", record)
+        dataset, out = tmp_path / "ds.csv", tmp_path / "ds.fit.yaml"
+        write_dataset(run_protocol(rb), str(dataset))
+        assert main(["--quiet", "fit", str(dataset), "--resamples", resamples, "--out", str(out)]) == 0
+        return reports[0], out.read_bytes()
+
+    @staticmethod
+    def _dumped(report) -> bytes:
+        return ("# mbqcrb-fit-v1\n" + yaml.safe_dump(report, sort_keys=False)).encode("utf-8")
+
+    @pytest.mark.parametrize("mode", CLIFFORD_MODES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_bytes_equal_safe_dump(self, tmp_path, monkeypatch, protocol, mode):
+        seen = set()
+        for noise in SWEEP_NOISES:
+            for noise_inv in (None, NoiseModel(kind="depolarizing", strength=0.95)):
+                for inject in (False, True):
+                    rb = RBConfig(
+                        protocol=protocol,
+                        lengths=(1, 2, 3, 5),
+                        sequences_per_length=3,
+                        shots_per_sequence=20,
+                        noise=noise,
+                        noise_inv=noise_inv,
+                        instrument=InstrumentConfig(bias=0.05, inject_randomness=inject),
+                        seed=2**64 - 1,
+                        clifford_mode=mode,
+                    )
+                    report, written = self._fit(tmp_path, monkeypatch, rb)
+                    assert written == self._dumped(report)
+                    seen.update(report["warnings"])
+                    if report["degenerate"]:
+                        seen.add("degenerate")
+        # the sweep reached a degenerate fit, and the bias warning on the derandomized protocol
+        assert "degenerate" in seen
+        assert (_BIAS_WARNING in seen) == (protocol == "derandomized-mbqc")
+
+    def test_bootstrap_report_bytes_equal_safe_dump(self, tmp_path, monkeypatch):
+        rb = config_from_dict(SAMPLE).rb
+        report, written = self._fit(tmp_path, monkeypatch, rb, resamples="200")
+        assert len(report["ci_p"]) == 2 and report["resamples"] == 200
+        assert written == self._dumped(report)
+
+    def test_clamped_report_bytes_equal_safe_dump(self, tmp_path, monkeypatch):
+        # a fit clamped at p = 0, which real survival data rarely gives
+        import mbqcrb.fitting
+
+        fit_decay = mbqcrb.fitting.fit_decay
+        monkeypatch.setattr(
+            mbqcrb.fitting, "fit_decay", lambda points: replace(fit_decay(points), p=0.0, clamped=True)
+        )
+        report, written = self._fit(tmp_path, monkeypatch, config_from_dict(SAMPLE).rb)
+        assert (report["p"], report["clamped"], report["degenerate"]) == (0.0, True, False)
+        assert written == self._dumped(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, True, False, 0, 2**64 - 1, 0.0, -0.0, 0.5, 1e-05, 1e17, 1.5e300, 5e-324,
+         float("inf"), float("-inf"), float("nan"), *sorted(_PLAIN_STRINGS)],
+    )
+    def test_scalar_as_safe_dump_writes_it(self, value):
+        # each of the plain strings, too, is one that PyYAML writes plain
+        assert yaml.safe_dump(value) == f"{_yaml_scalar(value)}\n...\n"
+
+    @given(
+        config=EXPERIMENT_CONFIGS,
+        floats=st.lists(REPORT_FLOATS, min_size=5, max_size=5),
+        ci=st.none() | st.lists(REPORT_FLOATS, min_size=2, max_size=2),
+        resamples=st.integers(0, 2**64 - 1),
+        flags=st.tuples(st.booleans(), st.booleans()),
+        warnings=st.lists(WARNING_TEXT, max_size=3),
+    )
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_report_reads_back(self, tmp_path, config, floats, ci, resamples, flags, warnings):
+        a0, b0, p, avg_fidelity, residual_norm = floats
+        report = {
+            "version": __version__,
+            "protocol": config.rb.protocol,
+            "seed": config.rb.seed,
+            "lengths": list(config.rb.lengths),
+            "a0": a0,
+            "b0": b0,
+            "p": p,
+            "avg_fidelity": avg_fidelity,
+            "residual_norm": residual_norm,
+            "ci_p": ci,
+            "resamples": resamples,
+            "degenerate": flags[0],
+            "clamped": flags[1],
+            "config": config_to_dict(replace(config, output=None)),
+            "warnings": warnings,
+        }
+        path = tmp_path / "report.yaml"
+        write_fit_report(str(path), report)
+        text = path.read_bytes().decode("utf-8")
+        assert yaml.safe_load(text) == report
+        if set(warnings) <= _PLAIN_STRINGS:
+            assert text.encode("utf-8") == self._dumped(report)
+        else:  # any other warning is double-quoted on one line
+            lines = self._dumped({**report, "warnings": []}).count(b"\n") + len(warnings)
+            assert text.count("\n") == lines
+
+
 class TestOracleCommand:
     def test_prints_values(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
@@ -1247,6 +1420,26 @@ class TestColdLoading:
             "from mbqcrb.cli import main\n"
             f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
             f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            "print(eager, 'yaml' in sys.modules)\n"
+        )
+        eager, loaded = run_child(code).split()[-2:]
+        if eager == "True":
+            pytest.skip("this numpy imports yaml with numpy itself")
+        assert loaded == "False"
+
+    @pytest.mark.parametrize("resamples", ["0", "200"])
+    def test_fit_loads_no_yaml(self, tmp_path, resamples):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        out = tmp_path / "ds.csv"
+        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "eager = 'yaml' in sys.modules\n"
+            "from mbqcrb.cli import main\n"
+            f"assert main(['--quiet', 'fit', {str(out)!r}, '--resamples', {resamples!r}]) == 0\n"
+            "assert 'mbqcrb.fitting' in sys.modules\n"
             "print(eager, 'yaml' in sys.modules)\n"
         )
         eager, loaded = run_child(code).split()[-2:]
