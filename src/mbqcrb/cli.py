@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -105,16 +106,48 @@ def _write_preamble(fh, magic: str, config: dict) -> None:
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
 
 
+def _write_whole(writes) -> None:
+    """Write whole files or none. ``writes`` holds (path, write) pairs: each
+    ``write(name)`` writes its file at a fresh name beside ``path``, and then
+    ``os.replace`` moves the files to their paths in order. On any failure
+    every file written or moved here is removed, so a reader never sees a
+    partial file, nor some of the files without the rest. A path held by
+    anything but a regular file, such as a directory or a device, is
+    refused before any file is written, since it would be replaced."""
+    for path, _ in writes:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"{path} exists and is not a regular file")
+    made = []
+    try:
+        for path, write in writes:
+            made.append(f"{path}.{os.urandom(4).hex()}.tmp")
+            write(made[-1])
+        for k, (path, _) in enumerate(writes):
+            os.replace(made[k], path)
+            made[k] = path
+    except BaseException:
+        for name in made:
+            try:
+                os.remove(name)
+            except OSError:
+                pass
+        raise
+
+
 def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None):
     # built first, so a config that cannot be serialized leaves no file
     config = config_to_dict(ExperimentConfig(rb=dataset.config, output=output_name))
     magic = _CIRCUIT_DATASET_MAGIC if dataset.config.protocol == "circuit" else _DATASET_MAGIC
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_preamble(fh, magic, config)
-        fh.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_DATASET_FIELDS)
-        writer.writerows((r.s, r.index, r.survivals, r.shots, r.digest) for r in dataset.records)
+
+    def write(name):
+        with open(name, "w", encoding="utf-8", newline="") as fh:
+            _write_preamble(fh, magic, config)
+            fh.write(f"# warnings: {json.dumps(list(dataset.warnings))}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_DATASET_FIELDS)
+            writer.writerows(dataset.records)
+
+    _write_whole([(path, write)])
 
 
 def _json_line(path: str, key: str, text: str, read=lambda value: value):
@@ -190,12 +223,10 @@ def read_dataset(path: str) -> RBDataset:
                     f"{path}: data row {k} ({','.join(r)}) field {name} is not an integer: {text!r}"
                 )
         s, index, survivals, shots = map(int, r[:4])
-        try:
-            record = SequenceRecord(
-                s=s, index=index, gate_indices=(), survivals=survivals, shots=shots, digest=r[4]
+        if not 0 <= survivals <= shots:
+            raise ValueError(
+                f"{path}: data row {k} ({','.join(r)}): survival count {survivals} outside [0, {shots}]"
             )
-        except ValueError as exc:
-            raise ValueError(f"{path}: data row {k} ({','.join(r)}): {exc}") from None
         where = f"{path}: row s={s}, sequence_index={index}"
         if (s, index) in seen:
             raise ValueError(f"{where} appears more than once")
@@ -208,7 +239,7 @@ def read_dataset(path: str) -> RBDataset:
             raise ValueError(
                 f"{where}: {shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
             )
-        records.append(record)
+        records.append(SequenceRecord(s, index, survivals, shots, r[4]))
     return RBDataset(config=rb, records=tuple(records), warnings=tuple(warnings))
 
 
@@ -441,9 +472,11 @@ def cmd_fit(args) -> int:
     curve_rows = [
         (s, mean, stderr, fit.a0 * fit.p**s + fit.b0) for s, mean, stderr in points
     ]
-    try:
-        write_fit_report(out, report)
-        write_curve_table(curve_out, curve_rows, report["config"])
+    try:  # the table first and the report last: a report is never without its table
+        _write_whole([
+            (curve_out, lambda name: write_curve_table(name, curve_rows, report["config"])),
+            (out, lambda name: write_fit_report(name, report)),
+        ])
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO

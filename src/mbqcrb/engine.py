@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,22 +61,15 @@ _PROTOCOL_TAGS = {name: k for k, name in enumerate(PROTOCOLS)}
 _BIAS_WARNING = "derandomized outcomes are biased and randomness injection is off"
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """Survival counts for one (length, sequence) cell of the experiment."""
+class SequenceRecord(NamedTuple):
+    """One data row of a dataset: survival counts for one (length, sequence)
+    cell of the experiment, in the file's column order."""
 
     s: int
     index: int
-    gate_indices: tuple[int, ...]
     survivals: int
     shots: int
     digest: str
-
-    def __post_init__(self):
-        if not 0 <= self.survivals <= self.shots:
-            raise ValueError(
-                f"survival count {self.survivals} outside [0, {self.shots}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,25 @@ class RBDataset:
     records: tuple[SequenceRecord, ...]
     warnings: tuple[str, ...] = ()
 
+    @cached_property
+    def _fractions(self) -> dict[int, np.ndarray]:
+        """Each length's survival fractions in sequence order, by length in increasing order."""
+        groups = {}
+        for r in sorted(self.records, key=lambda r: (r.s, r.index)):
+            groups.setdefault(r.s, []).append(r.survivals / r.shots)
+        return {s: _frozen(f) for s, f in groups.items()}
+
     def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({r.s for r in self.records}))
+        return tuple(self._fractions)
 
     def survival_fractions(self, s: int) -> np.ndarray:
-        rows = [r for r in self.records if r.s == s]
-        if not rows:
-            raise KeyError(f"dataset has no records at length {s}")
-        rows.sort(key=lambda r: r.index)
-        return np.array([r.survivals / r.shots for r in rows])
+        try:
+            return self._fractions[s]
+        except KeyError:
+            raise KeyError(f"dataset has no records at length {s}") from None
 
 
-def _draw_gate_indices(s: int, pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_gates(s: int, pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Group indices of ``s`` gates drawn uniformly from ``pool``."""
     return pool[rng.integers(0, len(pool), size=s)]
 
@@ -268,17 +269,10 @@ def run_protocol(config: RBConfig) -> RBDataset:
             gates = np.zeros((len(rngs), 0), dtype=np.int64)
             survival = np.full(len(rngs), _transfer_value(operator, s))
         else:
-            gates = np.array([_draw_gate_indices(s, pool, rng) for rng in rngs])
+            gates = np.array([_draw_gates(s, pool, rng) for rng in rngs])
             survival = _outcome_averaged_survival(operators, gates)
         records += [
-            SequenceRecord(
-                s=s,
-                index=i,
-                gate_indices=tuple(int(g) for g in gates[i]),
-                survivals=int((rng.random(shots) < p).sum()),
-                shots=shots,
-                digest=_digest(gates[i]),
-            )
+            SequenceRecord(s, i, int((rng.random(shots) < p).sum()), shots, _digest(gates[i]))
             for i, (rng, p) in enumerate(zip(rngs, survival))
         ]
     return RBDataset(config=config, records=tuple(records), warnings=warnings)

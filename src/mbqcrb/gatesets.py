@@ -410,11 +410,10 @@ def verify_design_reference() -> dict[str, float]:
     Hadamards. Raises :class:`VerificationError` on any mismatch.
     """
     design = derandomized_design(0.0, 0.0)
-    t3 = float(np.arccos(1.0 / np.sqrt(3.0)))
     q_ref = (
         z_rotation(np.pi / 4).matrix
         @ H.matrix
-        @ z_rotation(t3).matrix
+        @ z_rotation(ACOS_SQRT3).matrix
         @ H.matrix
         @ z_rotation(np.pi / 4).matrix
         @ H.matrix

@@ -249,15 +249,22 @@ class TestDatasetFile:
         write_dataset(ds, str(path))
         loaded = read_dataset(str(path))
         assert loaded.config == cfg
-        assert len(loaded.records) == len(ds.records)
-        for a, b in zip(loaded.records, ds.records):
-            assert (a.s, a.index, a.survivals, a.shots, a.digest) == (
-                b.s,
-                b.index,
-                b.survivals,
-                b.shots,
-                b.digest,
-            )
+        assert loaded.records == ds.records
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        ds = run_protocol(config_from_dict(dict(SAMPLE)).rb)
+        path = tmp_path / "ds.csv"
+        path.write_text("old\n")
+
+        class Failing:  # a row that fails partway through the file, as a full disk would
+            def __iter__(self):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            write_dataset(replace(ds, records=ds.records[:5] + (Failing(),)), str(path))
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]
 
     def test_version_and_config_embedded(self, tmp_path):
         cfg = config_from_dict(dict(SAMPLE)).rb
@@ -267,6 +274,14 @@ class TestDatasetFile:
         text = path.read_text()
         assert f"# version: {__version__}" in text
         assert '"protocol": "clifford-mbqc"' in text
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_path_that_is_not_a_regular_file_is_refused(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        os.mkfifo(path)  # a device or a pipe would be replaced, not written through
+        with pytest.raises(OSError, match="exists and is not a regular file"):
+            write_dataset(run_protocol(config_from_dict(dict(SAMPLE)).rb), str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"] and not path.is_file()
 
     def test_unserializable_config_leaves_no_file(self, tmp_path):
         rb = RBConfig(
@@ -867,6 +882,44 @@ class TestFitCommand:
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err == f"invalid dataset: {message}\n"
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
+
+    def test_directory_at_the_curve_table_leaves_no_report(self, tmp_path, capsys):
+        out = self._make_dataset(tmp_path)
+        (tmp_path / "r.yaml.curve.csv").mkdir()
+        capsys.readouterr()
+        assert main(["fit", str(out), "--resamples", "0", "--out", str(tmp_path / "r.yaml")]) == 2
+        table = tmp_path / "r.yaml.curve.csv"
+        assert capsys.readouterr().err == f"cannot write report: {table} exists and is not a regular file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv", "r.yaml.curve.csv"]
+
+    def test_failed_report_move_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
+        out = self._make_dataset(tmp_path)
+        report = str(tmp_path / "r.yaml")
+        moved, real_replace = [], os.replace
+
+        def replace_but_the_report(src, dst):
+            moved.append(dst)
+            if dst == report:
+                raise PermissionError(13, "Permission denied", dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_but_the_report)
+        capsys.readouterr()
+        assert main(["fit", str(out), "--resamples", "0", "--out", report]) == 2
+        assert capsys.readouterr().err == f"cannot write report: [Errno 13] Permission denied: '{report}'\n"
+        assert moved == [report + ".curve.csv", report]  # the table was in place, and is removed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
+
+    def test_shuffled_rows_fit_the_same(self, tmp_path):
+        out = self._make_dataset(tmp_path)
+        first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+        assert main(["--quiet", "fit", str(out), "--out", str(first)]) == 0
+        order = np.random.default_rng(5).permutation(6 * 8)
+        assert np.any(order != np.arange(6 * 8))
+        self._edit_rows(out, lambda rows: [rows[k] for k in order])
+        assert main(["--quiet", "fit", str(out), "--out", str(second)]) == 0
+        for suffix in ("", ".curve.csv"):
+            assert (tmp_path / f"first.yaml{suffix}").read_bytes() == (tmp_path / f"second.yaml{suffix}").read_bytes()
 
     def _edit_rows(self, path, edit):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)

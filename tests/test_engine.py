@@ -47,13 +47,29 @@ def item_rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def drawn_gates(config, record) -> list[int]:
+    """The gate indices that ``run_protocol(config)`` drew for ``record``.
+
+    A record depends only on (seed, s, index), so its sequence is redrawn
+    from that item's stream; the derandomized protocol draws no gates. The
+    record's digest checks that the redraw is the sequence that was run.
+    """
+    gates = []
+    if config.protocol != "derandomized-mbqc":
+        pool = engine._gate_pool(config.protocol, config.clifford_mode)
+        rng = engine._item_rng(config.seed, config.protocol, record.s, record.index)
+        gates = engine._draw_gates(record.s, pool, rng).tolist()
+    assert engine._digest(gates) == record.digest, (record, gates)
+    return gates
+
+
 class TestDrawGateIndices:
     FULL_POOL = np.arange(24)
 
     def test_full_group_uniform(self):
         rng = item_rng(101)
         n = 100_000
-        counts = np.bincount(engine._draw_gate_indices(n, self.FULL_POOL, rng), minlength=24)
+        counts = np.bincount(engine._draw_gates(n, self.FULL_POOL, rng), minlength=24)
         assert counts.size == 24
         sigma = np.sqrt(n * (1 / 24) * (23 / 24))
         assert np.all(np.abs(counts - n / 24) < 3 * sigma)
@@ -62,7 +78,7 @@ class TestDrawGateIndices:
         rng = item_rng(5)
         group = clifford_group()
         words = {"I", "P", "H", "PH", "HP", "PHP"}
-        for g in engine._draw_gate_indices(50, engine._gate_pool("clifford-mbqc", "coset"), rng):
+        for g in engine._draw_gates(50, engine._gate_pool("clifford-mbqc", "coset"), rng):
             assert group[g].word in words
 
     def test_only_a_coset_mode_clifford_wire_draws_from_the_coset_reps(self):
@@ -72,8 +88,8 @@ class TestDrawGateIndices:
             assert engine._gate_pool(protocol, mode).tolist() == self.FULL_POOL.tolist()
 
     def test_seeded_determinism(self):
-        a = engine._draw_gate_indices(10, self.FULL_POOL, item_rng(3))
-        b = engine._draw_gate_indices(10, self.FULL_POOL, item_rng(3))
+        a = engine._draw_gates(10, self.FULL_POOL, item_rng(3))
+        b = engine._draw_gates(10, self.FULL_POOL, item_rng(3))
         assert a.tolist() == b.tolist()
 
 
@@ -386,8 +402,8 @@ class TestSequenceFidelityEstimate:
 
         ds = self._dataset()
         records = (
-            SequenceRecord(s=1, index=0, gate_indices=(), survivals=6, shots=10, digest="x"),
-            SequenceRecord(s=1, index=1, gate_indices=(), survivals=8, shots=10, digest="y"),
+            SequenceRecord(s=1, index=0, survivals=6, shots=10, digest="x"),
+            SequenceRecord(s=1, index=1, survivals=8, shots=10, digest="y"),
         )
         mean, stderr = sequence_fidelity_estimate(
             RBDataset(config=ds.config, records=records), 1
@@ -750,7 +766,7 @@ class TestSampledRunnerAgainstScalarWire:
             ds = run_protocol(cfg)
             group = clifford_group()
             for record in ds.records:
-                seq = [group[k] for k in record.gate_indices]
+                seq = [group[k] for k in drawn_gates(cfg, record)]
                 inv = group[clifford_index(sequence_inverse([e.unitary for e in seq]))]
                 run = WireRun(state=plus_state())
                 rng = ScriptedRng([0.0 if bit else 0.999] * (3 * 4))
@@ -807,7 +823,7 @@ DEPENDENCE_GOLDEN = {
 
 def records_digest(dataset) -> str:
     rows = [
-        [r.s, r.index, list(r.gate_indices), r.survivals, r.shots, r.digest]
+        [r.s, r.index, drawn_gates(dataset.config, r), r.survivals, r.shots, r.digest]
         for r in dataset.records
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
@@ -894,7 +910,7 @@ class TestSurvivalDispersion:
             settings = (protocol, cfg.noise, cfg.noise_inv, cfg.spam, cfg.instrument.bias)
             operators = engine._gate_operators(*settings)
             p = np.concatenate(
-                [engine._outcome_averaged_survival(operators, np.array([r.gate_indices])) for r in records]
+                [engine._outcome_averaged_survival(operators, np.array([drawn_gates(cfg, r)])) for r in records]
             )
         else:
             exact = {
