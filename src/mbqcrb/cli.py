@@ -19,7 +19,6 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -113,7 +112,8 @@ def _write_whole(writes) -> None:
     every file written or moved here is removed, so a reader never sees a
     partial file, nor some of the files without the rest. A path held by
     anything but a regular file, such as a directory or a device, is
-    refused before any file is written, since it would be replaced."""
+    refused before any file is written, since it would be replaced. An
+    OSError that names a file's fresh name is raised again naming its path."""
     for path, _ in writes:
         if os.path.exists(path) and not os.path.isfile(path):
             raise OSError(f"{path} exists and is not a regular file")
@@ -125,16 +125,21 @@ def _write_whole(writes) -> None:
         for k, (path, _) in enumerate(writes):
             os.replace(made[k], path)
             made[k] = path
-    except BaseException:
+    except BaseException as exc:
         for name in made:
             try:
                 os.remove(name)
             except OSError:
                 pass
+        if isinstance(exc, OSError) and exc.filename in made:
+            path = writes[made.index(exc.filename)][0]
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
 def write_dataset(dataset: RBDataset, path: str, output_name: str | None = None):
+    import csv  # in each function that reads or writes CSV: verify and oracle never load it
+
     # built first, so a config that cannot be serialized leaves no file
     config = config_to_dict(ExperimentConfig(rb=dataset.config, output=output_name))
     magic = _CIRCUIT_DATASET_MAGIC if dataset.config.protocol == "circuit" else _DATASET_MAGIC
@@ -169,6 +174,8 @@ def read_dataset(path: str) -> RBDataset:
     A preamble line given twice, or a key repeated in a JSON line, raises
     ValueError rather than letting the last one win.
     """
+    import csv
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # decoded whole, so an error's position is the byte's offset in the file
@@ -305,6 +312,8 @@ def write_fit_report(path: str, report: dict):
 
 
 def write_curve_table(path: str, rows, report_meta: dict):
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_preamble(fh, "mbqcrb-curve-v1", report_meta)
         writer = csv.writer(fh, lineterminator="\n")

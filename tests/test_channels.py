@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbqcrb.channels import (
+    CP_EIG_FLOOR,
     Channel,
     Effect,
     H,
@@ -33,6 +34,7 @@ from mbqcrb.channels import (
     unitary_stack,
     z_rotation,
     z_rotations,
+    _no_eigenvalue_below,
 )
 
 from mbqcrb.gatesets import clifford_group, derandomized_design
@@ -192,9 +194,56 @@ class TestChannelValidation:
         with pytest.raises(ValueError):
             Channel(np.diag([1.0, 1.0, -1.0, 1.0]))
 
+    def test_non_cp_message_gives_the_lowest_choi_eigenvalue(self):
+        with pytest.raises(ValueError) as raised:
+            Channel(np.diag([1.0, 1.0, -1.0, 1.0]))
+        assert str(raised.value) == "map is not completely positive (Choi eigenvalue -5.000e-01)"
+
     def test_trace_row_has_no_relative_slack(self):
         with pytest.raises(ValueError, match="trace preserving"):
             Channel(np.diag([1.0 + 5e-6, 1.0, 1.0, 1.0]))
+
+
+FLOORS = (CP_EIG_FLOOR, -1e-12)  # the Channel's and the Effect's
+
+
+def hermitian_with_spectrum(eigenvalues, seed) -> np.ndarray:
+    """V diag(eigenvalues) V^dag for a random unitary V of the matching size."""
+    n = len(eigenvalues)
+    g = np.random.default_rng(seed).normal(size=(2, n, n))
+    v, _ = np.linalg.qr(g[0] + 1j * g[1])
+    return (v * eigenvalues) @ v.conj().T
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """4x4 and 2x2 Hermitian matrices, some of them rank deficient or with an
+    eigenvalue near a floor, and the Choi matrices of unitary channels (rank 1)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["spectrum", "unitary-choi"]))
+    if kind == "unitary-choi":
+        u = haar_unitary(np.random.default_rng(seed))
+        return choi_matrix(channel_from_unitary(Unitary2(u)).ptm)
+    n = draw(st.sampled_from([2, 4]))
+    near = [0.0, *(f + d for f in FLOORS for d in (-1e-12, -2e-13, 2e-13, 1e-12))]
+    eigenvalue = st.floats(-1.0, 1.0) | st.sampled_from(near)
+    return hermitian_with_spectrum(draw(st.lists(eigenvalue, min_size=n, max_size=n)), seed)
+
+
+class TestPositivityRule:
+    """``_no_eigenvalue_below`` keeps the rule of ``eigvalsh(m).min() >= floor``."""
+
+    @given(hermitian_matrices(), st.sampled_from(FLOORS))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_eigvalsh_away_from_the_floor(self, m, floor):
+        lowest = np.linalg.eigvalsh(m).min()
+        if abs(lowest - floor) > 1e-13:
+            assert _no_eigenvalue_below(m, floor) == (lowest >= floor)
+
+    def test_reads_only_the_lower_triangle(self):
+        m = np.array([[1.0, 5.0], [0.5, 1.0]])  # Hermitian from its lower triangle: eigenvalues 0.5, 1.5
+        assert _no_eigenvalue_below(m, 0.0)
+        assert not _no_eigenvalue_below(m.T, 0.0)
 
 
 class TestCompose:

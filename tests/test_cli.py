@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -42,6 +44,8 @@ from mbqcrb.engine import (
     sequence_fidelity_estimate,
 )
 from mbqcrb.wire import InstrumentConfig, NoiseModel
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 SAMPLE = {
     "protocol": "clifford-mbqc",
@@ -727,6 +731,25 @@ class TestRunCommand:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_output_in_a_missing_directory_is_named_by_its_path(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        dataset = tmp_path / "ds.csv"
+        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+        if command == "run":
+            out = tmp_path / "missing" / "x.csv"
+            argv, what, failed = ["run", "--config", str(cfg_path)], "dataset", out
+        else:  # the curve table is written first
+            out = tmp_path / "missing" / "r.yaml"
+            argv, what, failed = ["fit", str(dataset), "--resamples", "0"], "report", f"{out}.curve.csv"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {what}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{failed}'\n"
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
+
     @pytest.mark.parametrize(
         "text, output",
         [
@@ -1395,8 +1418,91 @@ def run_child(code: str) -> str:
     return result.stdout
 
 
+# numpy.linalg's decompositions and solvers, each of which calls LAPACK: its
+# first call maps about 1 MB of OpenBLAS pages into the process.
+LAPACK_ROUTINES = (
+    "cholesky", "eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "solve",
+    "lstsq", "inv", "pinv", "det", "slogdet", "matrix_rank",
+)
+# Child code, run before mbqcrb is imported, that makes each of them raise,
+# and the LAPACK gufuncs behind them too, which numpy's own callers reach.
+NO_LAPACK = (
+    "import numpy, numpy.linalg\n"
+    "from numpy.linalg import _umath_linalg\n"
+    "def refused(name):\n"
+    "    def call(*args, **kwargs):\n"
+    "        raise AssertionError(f'{name} calls LAPACK')\n"
+    "    return call\n"
+    f"for name in {LAPACK_ROUTINES!r}:\n"
+    "    setattr(numpy.linalg, name, refused(name))\n"
+    "for name in dir(_umath_linalg):\n"
+    "    if isinstance(getattr(_umath_linalg, name), numpy.ufunc):\n"
+    "        setattr(_umath_linalg, name, refused(name))\n"
+)
+
+
 class TestColdLoading:
     """A command loads only the modules it uses."""
+
+    def _same_without_lapack(self, tmp_path, monkeypatch, capsys, commands):
+        """Run ``commands`` here and in a child where LAPACK raises, each in a
+        directory of its own: both print and write the same bytes."""
+        plain, patched = tmp_path / "plain", tmp_path / "patched"
+        plain.mkdir()
+        patched.mkdir()
+        code = (
+            NO_LAPACK + "import os\n"
+            f"os.chdir({str(patched)!r})\n"
+            "from mbqcrb.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        printed = run_child(code)
+        monkeypatch.chdir(plain)
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv) == 0
+        assert printed == capsys.readouterr().out
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in patched.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (patched / name).read_bytes(), name
+
+    def test_verify_run_and_fit_call_no_lapack(self, tmp_path, monkeypatch, capsys):
+        commands = [["verify"]]
+        for cfg in sorted(CONFIGS.glob("*.yaml")):
+            commands.append(["run", "--config", str(cfg), "--out", f"{cfg.stem}.csv"])
+            commands.append(["fit", f"{cfg.stem}.csv", "--out", f"{cfg.stem}.fit.yaml"])
+        self._same_without_lapack(tmp_path, monkeypatch, capsys, commands)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_oracle_calls_no_lapack(self, tmp_path, monkeypatch, capsys, protocol):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path, protocol=protocol)
+        self._same_without_lapack(tmp_path, monkeypatch, capsys, [["oracle", "--config", str(cfg_path)]])
+
+    def test_verify_and_oracle_load_no_csv(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        write_sample_config(cfg_path)
+        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
+        code = (
+            "import json, sys\n"
+            "import numpy\n"
+            "def loaded():\n"
+            "    return [m for m in ('csv', '_csv') if m in sys.modules]\n"
+            "eager = loaded()\n"
+            "from mbqcrb.cli import main\n"
+            "assert main(['--quiet', 'verify']) == 0\n"
+            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
+            "after_oracle = loaded()\n"
+            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            "print(json.dumps([eager, after_oracle, loaded()]))\n"
+        )
+        eager, oracle, run = json.loads(run_child(code).splitlines()[-1])
+        if eager:
+            pytest.skip("this numpy imports csv with numpy itself")
+        assert oracle == []
+        assert run == ["csv", "_csv"]  # the dataset is CSV: the check sees a load
 
     def test_import_loads_no_module(self):
         code = "import sys, mbqcrb\nprint(sorted(m for m in sys.modules if m.startswith('mbqcrb.')))\n"
