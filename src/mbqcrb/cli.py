@@ -105,6 +105,23 @@ def _write_preamble(fh, magic: str, config: dict) -> None:
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
 
 
+def _replaces_input(source: str, *outputs: str) -> bool:
+    """Whether one of ``outputs`` is ``source``'s own directory entry: the
+    same name in the same directory, with the directory's symlinks resolved.
+    If so, says which on stderr. A symlink to ``source`` is an entry of its
+    own, which a write replaces."""
+
+    def entry(path):
+        head, name = os.path.split(path)
+        return os.path.realpath(head or os.curdir), name
+
+    for out in outputs:
+        if entry(out) == entry(source):
+            print(f"invalid output: {out} would replace the input {source}", file=sys.stderr)
+            return True
+    return False
+
+
 def _write_whole(writes) -> None:
     """Write whole files or none. ``writes`` holds (path, write) pairs: each
     ``write(name)`` writes its file at a fresh name beside ``path``, and then
@@ -409,6 +426,9 @@ def cmd_run(args) -> int:
     config, code = _read_config(args.config, args.seed)
     if config is None:
         return code
+    out = args.out or config.output or "dataset.csv"
+    if _replaces_input(args.config, out):
+        return EXIT_VALIDATION
     if config.verify_first and _run_checks(quiet=True, fail_stream=sys.stderr):
         return EXIT_VALIDATION
     try:
@@ -416,7 +436,6 @@ def cmd_run(args) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"invalid experiment: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = args.out or config.output or "dataset.csv"
     try:
         write_dataset(dataset, out, output_name=config.output)
     except OSError as exc:
@@ -438,6 +457,10 @@ def cmd_fit(args) -> int:
             f"invalid --resamples {args.resamples}: use 0 (no bootstrap) or >= {MIN_RESAMPLES}",
             file=sys.stderr,
         )
+        return EXIT_VALIDATION
+    out = args.out or args.dataset + ".fit.yaml"
+    curve_out = out + ".curve.csv"
+    if _replaces_input(args.dataset, out, curve_out):
         return EXIT_VALIDATION
     try:
         dataset = read_dataset(args.dataset)
@@ -476,8 +499,6 @@ def cmd_fit(args) -> int:
         "config": config_to_dict(ExperimentConfig(rb=dataset.config)),
         "warnings": list(dataset.warnings),
     }
-    out = args.out or args.dataset + ".fit.yaml"
-    curve_out = out + ".curve.csv"
     curve_rows = [
         (s, mean, stderr, fit.a0 * fit.p**s + fit.b0) for s, mean, stderr in points
     ]
@@ -516,6 +537,13 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _out_path(text: str) -> str:
+    """An --out path: an empty one is a usage error, not the default path."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a usage error exits EXIT_VALIDATION: its own
     code, 2, is EXIT_IO here. An ``int`` argument is read by ``_count``, and
@@ -545,12 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a benchmarking experiment")
     p_run.add_argument("--config", required=True, help="YAML or JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", default=None, help="dataset output path")
+    p_run.add_argument("--out", type=_out_path, default=None, help="dataset output path")
     p_run.set_defaults(func=cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit the decay model to a dataset")
     p_fit.add_argument("dataset", help="dataset CSV produced by run")
-    p_fit.add_argument("--out", default=None, help="fit report output path")
+    p_fit.add_argument("--out", type=_out_path, default=None, help="fit report output path")
     p_fit.add_argument(
         "--resamples", type=int, default=200, help=f"bootstrap resamples (0, or >= {MIN_RESAMPLES})"
     )

@@ -87,17 +87,17 @@ def _instance(*kinds):
 
 
 def _file_name(value, what: str):
-    """``value``, None or a str that ``open`` takes as a path: one that
-    ``os.fsencode`` encodes, with no NUL character."""
+    """``value``, None or a str that ``open`` takes as a path: one that is not
+    empty, that ``os.fsencode`` encodes, with no NUL character."""
     _instance(str, type(None))(value, what)
     if value is not None:
         try:
-            if "\0" in value:
+            if not value or "\0" in value:
                 raise ValueError
             os.fsencode(value)
         except ValueError:  # a UnicodeEncodeError, for a lone surrogate
             raise ValueError(
-                f"{what} must be a file name the file system can encode, with no NUL; got {value!r}"
+                f"{what} must be a non-empty file name the file system can encode, with no NUL; got {value!r}"
             ) from None
     return value
 

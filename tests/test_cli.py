@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -757,20 +758,45 @@ class TestRunCommand:
             # PyYAML decodes the escaped pair into two lone surrogates
             (yaml.safe_dump(SAMPLE) + 'output: "\\ud83d\\ude00.csv"\n', "\ud83d\ude00.csv"),
             (json.dumps({**SAMPLE, "output": "a\0.csv"}), "a\0.csv"),
+            (json.dumps({**SAMPLE, "output": ""}), ""),
         ],
-        ids=["json-lone-surrogate", "yaml-surrogate-pair", "nul"],
+        ids=["json-lone-surrogate", "yaml-surrogate-pair", "nul", "empty"],
     )
     def test_output_that_open_cannot_take_rejected(self, tmp_path, capsys, text, output):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text)
         message = (
-            f"invalid config: output must be a file name the file system can encode, "
+            f"invalid config: output must be a non-empty file name the file system can encode, "
             f"with no NUL; got {output!r}\n"
         )
         for argv in (["run", "--out", str(tmp_path / "x.csv")], ["oracle"]):
             assert main([*argv, "--config", str(cfg_path)]) == 1
             assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("via", ["--out", "output", "default", "--out-through-a-symlinked-directory"])
+    def test_output_that_is_the_config_rejected(self, tmp_path, monkeypatch, capsys, via):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        name = "dataset.csv" if via == "default" else "cfg.json"
+        text = json.dumps({**SAMPLE, "output": name} if via == "output" else SAMPLE)
+        pathlib.Path(name).write_text(text)
+        out = {"--out": [str(tmp_path / name)], "--out-through-a-symlinked-directory": [f"link/{name}"]}
+        out = ["--out", *out[via]] if via in out else []
+        assert main(["run", "--config", name, *out]) == 1
+        written = out[-1] if out else name
+        assert capsys.readouterr() == ("", f"invalid output: {written} would replace the input {name}\n")
+        assert sorted(os.listdir()) == [name, "link"] and pathlib.Path(name).read_text() == text
+
+    def test_symlink_to_the_config_replaced(self, tmp_path, monkeypatch):
+        # a symlink at the output path is an entry of its own: run replaces it, not the config
+        monkeypatch.chdir(tmp_path)
+        write_sample_config(tmp_path / "cfg.yaml")
+        text = pathlib.Path("cfg.yaml").read_text()
+        pathlib.Path("out.csv").symlink_to("cfg.yaml")
+        assert main(["--quiet", "run", "--config", "cfg.yaml", "--out", "out.csv"]) == 0
+        assert not pathlib.Path("out.csv").is_symlink() and pathlib.Path("cfg.yaml").read_text() == text
+        assert read_dataset("out.csv").config.seed == SAMPLE["seed"]
 
     def test_bias_warning_recorded(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -933,6 +959,33 @@ class TestFitCommand:
         assert moved == [report + ".curve.csv", report]  # the table was in place, and is removed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
 
+    @pytest.mark.parametrize(
+        "dataset, out",
+        [("ds.csv", "ds.csv"), ("ds.csv", "link/ds.csv"), ("r.curve.csv", "r")],
+        ids=["report", "report-through-a-symlinked-directory", "curve-table"],
+    )
+    def test_output_that_is_the_dataset_rejected(self, tmp_path, monkeypatch, capsys, dataset, out):
+        monkeypatch.chdir(tmp_path)
+        self._make_dataset(tmp_path).rename(dataset)
+        (tmp_path / "link").symlink_to(tmp_path)
+        before = sorted(tmp_path.iterdir()), pathlib.Path(dataset).read_bytes()
+        capsys.readouterr()
+        assert main(["fit", dataset, "--resamples", "0", "--out", out]) == 1
+        written = out if out.endswith(dataset) else f"{out}.curve.csv"
+        assert capsys.readouterr() == ("", f"invalid output: {written} would replace the input {dataset}\n")
+        assert (sorted(tmp_path.iterdir()), pathlib.Path(dataset).read_bytes()) == before
+
+    @pytest.mark.parametrize("link", ["r.yaml", "r.yaml.curve.csv"], ids=["report", "curve-table"])
+    def test_symlink_to_the_dataset_replaced(self, tmp_path, monkeypatch, link):
+        # a symlink at an output path is an entry of its own: fit replaces it, not the dataset
+        monkeypatch.chdir(tmp_path)
+        before = self._make_dataset(tmp_path).read_bytes()
+        pathlib.Path(link).symlink_to("ds.csv")
+        assert main(["--quiet", "fit", "ds.csv", "--resamples", "0", "--out", "r.yaml"]) == 0
+        assert pathlib.Path("ds.csv").read_bytes() == before
+        assert not any(pathlib.Path(p).is_symlink() for p in ("r.yaml", "r.yaml.curve.csv"))
+        assert yaml.safe_load(pathlib.Path("r.yaml").read_text())["protocol"] == SAMPLE["protocol"]
+
     def test_shuffled_rows_fit_the_same(self, tmp_path):
         out = self._make_dataset(tmp_path)
         first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
@@ -1059,6 +1112,12 @@ class TestFitCommand:
             ('"lengths": [1, ', '"lengths": [1, 1, ', "the config line: lengths must be distinct"),
             # the rule of config files, which allows no NaN or Infinity
             ('"strength": 0.9', '"strength": NaN', "the config line: NaN is not a JSON number"),
+            (
+                "# config: {",
+                '# config: {"output": "", ',
+                "the config line: output must be a non-empty file name the file system can encode, "
+                "with no NUL; got ''",
+            ),
         ],
         ids=[
             "top-level-key",
@@ -1068,6 +1127,7 @@ class TestFitCommand:
             "warnings-json",
             "config-setting",
             "config-nan",
+            "config-empty-output",
         ],
     )
     def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
@@ -1358,8 +1418,13 @@ class TestUsageErrors:
             (["run"], "the following arguments are required: --config"),
             (["fit", "ds.csv", "--resamples", "x"], "argument --resamples: invalid int value: 'x'"),
             (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["run", "--config", "cfg.yaml", "--out", ""], "argument --out: expected a path, got ''"),
+            (["fit", "ds.csv", "--out", ""], "argument --out: expected a path, got ''"),
         ],
-        ids=["oracle-length", "run-without-config", "fit-resamples", "unknown-command"],
+        ids=[
+            "oracle-length", "run-without-config", "fit-resamples", "unknown-command",
+            "run-empty-out", "fit-empty-out",
+        ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as raised:
@@ -1410,14 +1475,6 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: mbqcrb")
 
 
-def run_child(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this test's package."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 # numpy.linalg's decompositions and solvers, each of which calls LAPACK: its
 # first call maps about 1 MB of OpenBLAS pages into the process.
 LAPACK_ROUTINES = (
@@ -1440,190 +1497,94 @@ NO_LAPACK = (
     "        setattr(_umath_linalg, name, refused(name))\n"
 )
 
+# The loading contract. A row is a step of a chain of commands run in one
+# process, and gives the modules that must not be loaded after it and those
+# that must be, which show that the check sees a load. JSON and YAML name the
+# kind of every config the process has read. "clifford_table" stands for a
+# built Clifford table, which verify must not build although each step first
+# builds the Clifford group and the derandomized design. No step loads the
+# literal wire, mbqcrb.wire, or calls LAPACK, which raises in the child.
+RUN_AND_FIT = ("hashlib", "_hashlib", "numpy.random", "csv", "_csv")
+LOADING = {
+    "import mbqcrb": ([f"mbqcrb.{m.name}" for m in pkgutil.iter_modules(mbqcrb.__path__)], []),
+    "verify": (["mbqcrb.fitting", "yaml", "clifford_table", *RUN_AND_FIT], []),
+    "oracle JSON": (["mbqcrb.fitting", "yaml", *RUN_AND_FIT], []),
+    "oracle YAML": (["mbqcrb.fitting", *RUN_AND_FIT], ["yaml"]),
+    "run JSON": (["mbqcrb.fitting", "yaml"], ["hashlib", "csv"]),
+    "run YAML": (["mbqcrb.fitting"], ["hashlib", "csv"]),
+    "fit JSON": (["yaml", "numpy.ma"], ["mbqcrb.fitting"]),
+    "fit YAML": (["numpy.ma"], ["mbqcrb.fitting"]),
+}
+EXAMPLES = sorted(CONFIGS.glob("*.yaml"))
+# Each chain's steps, a row and an argv (None stands for ``import mbqcrb``).
+# A step can only add modules, so a chain orders its steps to keep out what a
+# later row forbids. ../<protocol>.yaml is a config of the chain's kind: the
+# text, not the name, chooses the reader.
+CHAINS = {
+    "json": [
+        ("import mbqcrb", None),
+        ("verify", ["verify"]),
+        *[("oracle JSON", ["oracle", "--config", f"../{p}.yaml"]) for p in PROTOCOLS],
+        *[("run JSON", ["run", "--config", f"../{p}.yaml", "--out", f"{p}.csv"]) for p in PROTOCOLS],
+        *[("fit JSON", ["fit", "circuit.csv", "--resamples", r, "--out", f"{r}.yaml"]) for r in ("0", "200")],
+    ],
+    "yaml": [
+        *[("oracle YAML", ["oracle", "--config", f"../{p}.yaml"]) for p in PROTOCOLS],
+        *[("run YAML", ["run", "--config", str(c), "--out", f"{c.stem}.csv"]) for c in EXAMPLES],
+        *[("fit YAML", ["fit", f"{c.stem}.csv"]) for c in EXAMPLES],
+    ],
+}
+# Runs the JSON list of argvs in argv[1] where LAPACK raises; prints what numpy
+# loads and, after each step, the modules, Clifford table size and output.
+CHILD = NO_LAPACK + """
+import sys
+eager = sorted(sys.modules)
+import contextlib, io, json
+records = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        if argv is None:
+            import mbqcrb
+        else:
+            from mbqcrb import cli
+            cli.clifford_group(), cli.derandomized_design()
+            assert cli.main(argv) == 0, argv
+    gatesets = sys.modules.get("mbqcrb.gatesets")
+    built = gatesets.clifford_table.cache_info().currsize if gatesets else 0
+    records.append([sorted(sys.modules), built, printed.getvalue()])
+print(json.dumps([eager, records]))
+"""
+
 
 class TestColdLoading:
-    """A command loads only the modules it uses."""
+    """Each step loads what its row allows, calls no LAPACK and keeps its output."""
 
-    def _same_without_lapack(self, tmp_path, monkeypatch, capsys, commands):
-        """Run ``commands`` here and in a child where LAPACK raises, each in a
-        directory of its own: both print and write the same bytes."""
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_chain(self, tmp_path, monkeypatch, capsys, chain):
+        for protocol in PROTOCOLS:
+            data = {**SAMPLE, "protocol": protocol}
+            (tmp_path / f"{protocol}.yaml").write_text(json.dumps(data) if chain == "json" else yaml.safe_dump(data))
         plain, patched = tmp_path / "plain", tmp_path / "patched"
         plain.mkdir()
         patched.mkdir()
-        code = (
-            NO_LAPACK + "import os\n"
-            f"os.chdir({str(patched)!r})\n"
-            "from mbqcrb.cli import main\n"
-            f"for argv in {commands!r}:\n"
-            "    assert main(argv) == 0, argv\n"
-        )
-        printed = run_child(code)
+        argvs = json.dumps([argv for _, argv in CHAINS[chain]])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
+        child = subprocess.run([sys.executable, "-c", CHILD, argvs], cwd=patched, env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        eager, records = json.loads(child.stdout)
         monkeypatch.chdir(plain)
-        capsys.readouterr()
-        for argv in commands:
-            assert main(argv) == 0
-        assert printed == capsys.readouterr().out
-        names = sorted(p.name for p in plain.iterdir())
-        assert names == sorted(p.name for p in patched.iterdir())
-        for name in names:
-            assert (plain / name).read_bytes() == (patched / name).read_bytes(), name
-
-    def test_verify_run_and_fit_call_no_lapack(self, tmp_path, monkeypatch, capsys):
-        commands = [["verify"]]
-        for cfg in sorted(CONFIGS.glob("*.yaml")):
-            commands.append(["run", "--config", str(cfg), "--out", f"{cfg.stem}.csv"])
-            commands.append(["fit", f"{cfg.stem}.csv", "--out", f"{cfg.stem}.fit.yaml"])
-        self._same_without_lapack(tmp_path, monkeypatch, capsys, commands)
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_oracle_calls_no_lapack(self, tmp_path, monkeypatch, capsys, protocol):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path, protocol=protocol)
-        self._same_without_lapack(tmp_path, monkeypatch, capsys, [["oracle", "--config", str(cfg_path)]])
-
-    def test_verify_and_oracle_load_no_csv(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
-        code = (
-            "import json, sys\n"
-            "import numpy\n"
-            "def loaded():\n"
-            "    return [m for m in ('csv', '_csv') if m in sys.modules]\n"
-            "eager = loaded()\n"
-            "from mbqcrb.cli import main\n"
-            "assert main(['--quiet', 'verify']) == 0\n"
-            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
-            "after_oracle = loaded()\n"
-            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-            "print(json.dumps([eager, after_oracle, loaded()]))\n"
-        )
-        eager, oracle, run = json.loads(run_child(code).splitlines()[-1])
-        if eager:
-            pytest.skip("this numpy imports csv with numpy itself")
-        assert oracle == []
-        assert run == ["csv", "_csv"]  # the dataset is CSV: the check sees a load
-
-    def test_import_loads_no_module(self):
-        code = "import sys, mbqcrb\nprint(sorted(m for m in sys.modules if m.startswith('mbqcrb.')))\n"
-        assert run_child(code) == "[]\n"
-
-    def test_run_oracle_and_verify_do_not_load_fitting(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
-        code = (
-            "import sys\n"
-            "from mbqcrb.cli import main\n"
-            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
-            "assert main(['--quiet', 'verify']) == 0\n"
-            "assert 'mbqcrb.fitting' not in sys.modules\n"
-        )
-        run_child(code)
-
-    def test_no_command_loads_the_literal_wire(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
-        code = (
-            "import sys\n"
-            "from mbqcrb.cli import main\n"
-            "assert main(['--quiet', 'verify']) == 0\n"
-            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
-            f"assert main(['--quiet', 'fit', {out!r}, '--resamples', '100']) == 0\n"
-            "assert 'mbqcrb.fitting' in sys.modules\n"
-            "assert 'mbqcrb.wire' not in sys.modules\n"
-        )
-        run_child(code)
-
-    def test_verify_and_oracle_load_neither_openssl_nor_numpy_random(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
-        code = (
-            "import json, sys\n"
-            "import numpy\n"
-            "def loaded():\n"
-            "    return [m for m in ('yaml', 'hashlib', '_hashlib', 'numpy.random') if m in sys.modules]\n"
-            "eager = loaded()\n"
-            "from mbqcrb.cli import main\n"
-            "assert main(['--quiet', 'verify']) == 0\n"
-            "after_verify = loaded()\n"
-            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
-            "after_oracle = loaded()\n"
-            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-            "print(json.dumps([eager, after_verify, after_oracle, loaded()]))\n"
-        )
-        eager, verify, oracle, run = json.loads(run_child(code).splitlines()[-1])
-        # a module that a bare ``import numpy`` loads (numpy 1.x imports
-        # numpy.random, and with it hashlib) cannot be kept out
-        for module in ("yaml", "hashlib", "_hashlib", "numpy.random"):
-            if module not in eager:
-                assert module not in verify
-        for module in ("hashlib", "_hashlib", "numpy.random"):
-            if module not in eager:
-                assert module not in oracle
-        assert "yaml" in oracle
-        assert "hashlib" in run  # the dataset digests need it: the check sees a load
-
-    def test_run_and_oracle_on_a_json_config_load_no_yaml(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"  # the text, not the name, chooses the reader
-        cfg_path.write_text(json.dumps(SAMPLE, indent=1))
-        cfg, out = str(cfg_path), str(tmp_path / "ds.csv")
-        code = (
-            "import sys\n"
-            "import numpy\n"
-            "eager = 'yaml' in sys.modules\n"
-            "from mbqcrb.cli import main\n"
-            f"assert main(['oracle', '--config', {cfg!r}]) == 0\n"
-            f"assert main(['--quiet', 'run', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-            "print(eager, 'yaml' in sys.modules)\n"
-        )
-        eager, loaded = run_child(code).split()[-2:]
-        if eager == "True":
-            pytest.skip("this numpy imports yaml with numpy itself")
-        assert loaded == "False"
-
-    @pytest.mark.parametrize("resamples", ["0", "200"])
-    def test_fit_loads_no_yaml(self, tmp_path, resamples):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        out = tmp_path / "ds.csv"
-        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        code = (
-            "import sys\n"
-            "import numpy\n"
-            "eager = 'yaml' in sys.modules\n"
-            "from mbqcrb.cli import main\n"
-            f"assert main(['--quiet', 'fit', {str(out)!r}, '--resamples', {resamples!r}]) == 0\n"
-            "assert 'mbqcrb.fitting' in sys.modules\n"
-            "print(eager, 'yaml' in sys.modules)\n"
-        )
-        eager, loaded = run_child(code).split()[-2:]
-        if eager == "True":
-            pytest.skip("this numpy imports yaml with numpy itself")
-        assert loaded == "False"
-
-    def test_fit_does_not_load_numpy_ma(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        out = tmp_path / "ds.csv"
-        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        code = (
-            "import sys\n"
-            "import numpy\n"
-            "eager = 'numpy.ma' in sys.modules\n"
-            "from mbqcrb.cli import main\n"
-            f"assert main(['--quiet', 'fit', {str(out)!r}, '--resamples', '100']) == 0\n"
-            "assert 'mbqcrb.fitting' in sys.modules\n"
-            "print(eager, 'numpy.ma' in sys.modules)\n"
-        )
-        eager, loaded = run_child(code).split()
-        if eager == "True":
-            pytest.skip("this numpy imports numpy.ma with numpy itself")
-        assert loaded == "False"
+        for (row, argv), (modules, built, printed) in zip(CHAINS[chain], records, strict=True):
+            loaded = {*modules, *(["clifford_table"] if built else [])}
+            # what a bare ``import numpy`` loads (numpy 1.x: numpy.random, hashlib) cannot be kept out
+            forbidden = {*LOADING[row][0], "mbqcrb.wire"}.difference(eager)
+            assert sorted(loaded & forbidden) == [], (row, argv)
+            assert loaded.issuperset(LOADING[row][1]), (row, argv)
+            if argv is not None:
+                capsys.readouterr()
+                assert main(argv) == 0
+                assert capsys.readouterr().out == printed, argv
+        written = [{p.name: p.read_bytes() for p in directory.iterdir()} for directory in (plain, patched)]
+        assert written[0] == written[1]
 
 
 class TestEndToEnd:

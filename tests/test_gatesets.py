@@ -351,25 +351,6 @@ class TestCliffordTable:
         with pytest.raises(ValueError):
             table.frame_step[0, 0, 0, 0, 0] = 1
 
-    def test_not_built_by_import_group_or_verify(self):
-        import os
-        import subprocess
-        import sys
-
-        import mbqcrb
-
-        # the child imports the same package as this test process
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
-        code = (
-            "import mbqcrb.cli as cli\n"
-            "cli.clifford_group(); cli.derandomized_design()\n"
-            "assert cli.main(['--quiet', 'verify']) == 0\n"
-            "from mbqcrb.gatesets import clifford_table\n"
-            "assert clifford_table.cache_info().currsize == 0\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-
 
 class TestDerandomizedDesign:
     def test_angles(self):
