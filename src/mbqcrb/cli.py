@@ -19,7 +19,6 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -185,46 +184,49 @@ def _json_line(path: str, key: str, text: str, read=lambda value: value):
         raise ValueError(f"{path}: the {key} line is nested too deeply to read") from None
 
 
+def _csv_rows(path: str, lines):
+    """The CSV rows of ``lines``. A row the reader rejects raises ValueError
+    naming its data row, the column header being row 0."""
+    import csv
+
+    k = -1
+    try:
+        for k, row in enumerate(csv.reader(lines)):
+            yield row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: data row {k + 1}: {exc}") from None
+
+
 def read_dataset(path: str) -> RBDataset:
     """Load a dataset CSV; drawn gate indices are not stored, only digests.
 
-    A preamble line given twice, or a key repeated in a JSON line, raises
+    The ``#`` lines are read first, wherever they stand. Then each data row
+    is checked and kept as its record as the CSV reader parses it. A
+    preamble line given twice, or a key repeated in a JSON line, raises
     ValueError rather than letting the last one win.
     """
-    import csv
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # decoded whole, so an error's position is the byte's offset in the file
-            lines = io.StringIO(fh.read())
+            content = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
-    header = lines.readline().rstrip("\n")
+    header = re.match(".*", content)[0]  # the first line
     if header not in _READABLE_HEADERS:
         raise ValueError(
             f"{path} does not start with a dataset header "
             f"({' or '.join(_READABLE_HEADERS)}): {header!r}"
         )
     meta = {}
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            text = line[1:].strip()
-            if ":" in text:
-                key, _, value = text.partition(":")
-                key = key.strip()
-                if key in meta:
-                    raise ValueError(f"{path}: the {key} line appears more than once")
-                meta[key] = value.strip()
-        elif line.strip():
-            body.append(line)
-    rows = []
-    try:
-        for row in csv.reader(body):
-            rows.append(row)
-    except csv.Error as exc:  # rows[0] is the column header
-        raise ValueError(f"{path}: data row {len(rows)}: {exc}") from None
-    if not rows or tuple(rows[0]) != _DATASET_FIELDS:
+    for line in re.finditer("(?m)^#.*", content):  # the header too, which has no ':'
+        key, colon, value = line[0][1:].strip().partition(":")
+        if colon:
+            key = key.strip()
+            if key in meta:
+                raise ValueError(f"{path}: the {key} line appears more than once")
+            meta[key] = value.strip()
+    rows = _csv_rows(path, (m[0] for m in re.finditer("(?m)^[^#\n].*\n?", content) if not m[0].isspace()))
+    if tuple(next(rows, ())) != _DATASET_FIELDS:
         raise ValueError(f"{path} is not a recognized dataset file")
     if "config" not in meta:
         raise ValueError(f"{path} has no embedded config")
@@ -234,8 +236,13 @@ def read_dataset(path: str) -> RBDataset:
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ValueError(f"{path}: the warnings line must hold a JSON list of strings, got {text!r}")
     rb = config.rb
+
+    def where(s, index):  # built only for a message
+        return f"{path}: row s={s}, sequence_index={index}"
+
+    lengths, count, shots_each = frozenset(rb.lengths), rb.sequences_per_length, rb.shots_per_sequence
     records, seen = [], set()
-    for k, r in enumerate(rows[1:], start=1):
+    for k, r in enumerate(rows, start=1):
         if len(r) != len(_DATASET_FIELDS):
             raise ValueError(
                 f"{path}: data row {k} ({','.join(r)}) has {len(r)} fields, "
@@ -251,18 +258,18 @@ def read_dataset(path: str) -> RBDataset:
             raise ValueError(
                 f"{path}: data row {k} ({','.join(r)}): survival count {survivals} outside [0, {shots}]"
             )
-        where = f"{path}: row s={s}, sequence_index={index}"
-        if (s, index) in seen:
-            raise ValueError(f"{where} appears more than once")
-        seen.add((s, index))
-        if s not in rb.lengths:
-            raise ValueError(f"{where}: length {s} is not in the config lengths")
-        if not 0 <= index < rb.sequences_per_length:
-            raise ValueError(f"{where}: sequence_index outside [0, {rb.sequences_per_length})")
-        if shots != rb.shots_per_sequence:
-            raise ValueError(
-                f"{where}: {shots} shots, config has shots_per_sequence {rb.shots_per_sequence}"
-            )
+        if s not in lengths:
+            raise ValueError(f"{where(s, index)}: length {s} is not in the config lengths")
+        if not 0 <= index < count:
+            raise ValueError(f"{where(s, index)}: sequence_index outside [0, {count})")
+        # a repeated row's first copy passed the two checks above, so its
+        # repeats pass them too and are found here, by a key of one int
+        cell = s * count + index
+        if cell in seen:
+            raise ValueError(f"{where(s, index)} appears more than once")
+        if shots != shots_each:
+            raise ValueError(f"{where(s, index)}: {shots} shots, config has shots_per_sequence {shots_each}")
+        seen.add(cell)
         records.append(SequenceRecord(s, index, survivals, shots, r[4]))
     return RBDataset(config=rb, records=tuple(records), warnings=tuple(warnings))
 

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -39,6 +40,8 @@ from mbqcrb.engine import (
     _BIAS_WARNING,
     PROTOCOLS,
     RBConfig,
+    RBDataset,
+    SequenceRecord,
     SpamModel,
     exact_sequence_fidelity,
     run_protocol,
@@ -301,6 +304,27 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match="dependence map cannot be serialized"):
             write_dataset(ds, str(path))
         assert not path.exists()
+
+    def test_reading_keeps_each_row_once(self, tmp_path):
+        # the reader's peak is measured against what the dataset it returns keeps
+        rng = np.random.default_rng(5000)
+        rb = config_from_dict({**SAMPLE, "lengths": list(range(1, 26)), "sequences_per_length": 200}).rb
+        records = tuple(
+            SequenceRecord(s, index, int(rng.integers(0, 41)), 40, f"{int(rng.integers(2**48)):012x}")
+            for s in rb.lengths
+            for index in range(200)
+        )
+        path = str(tmp_path / "ds.csv")
+        write_dataset(RBDataset(config=rb, records=records), path)
+        read_dataset(path)  # imports and caches
+        tracemalloc.start()
+        try:
+            dataset = read_dataset(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.records == records
+        assert peak <= 3 * kept, (peak, kept)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -997,6 +1021,77 @@ class TestFitCommand:
         for suffix in ("", ".curve.csv"):
             assert (tmp_path / f"first.yaml{suffix}").read_bytes() == (tmp_path / f"second.yaml{suffix}").read_bytes()
 
+    @pytest.mark.parametrize(
+        "moved",
+        [("# config: ", "# warnings: "), ("# version: ", "# config: ", "# warnings: ")],
+        ids=["config-and-warnings", "version-config-and-warnings"],
+    )
+    @pytest.mark.parametrize("to", ["below-the-rows", "between-the-rows"])
+    def test_preamble_lines_anywhere_read_the_same(self, tmp_path, moved, to):
+        out = self._make_dataset(tmp_path)
+        before = read_dataset(str(out))
+        lines = out.read_text().splitlines(keepends=True)
+        preamble = [line for line in lines if line.startswith(moved)]
+        assert len(preamble) == len(moved)
+        rest = [line for line in lines if line not in preamble]
+        k = len(rest) if to == "below-the-rows" else len(rest) - 20
+        out.write_text("".join(rest[:k] + ["\n"] + preamble + rest[k:]))
+        assert read_dataset(str(out)) == before
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,x,10,40,000000000000", " (2,x,10,40,000000000000) field sequence_index is not an integer: 'x'"),
+            (
+                f"2,1,{'9' * (csv.field_size_limit() + 1)},40,000000000000",
+                f": field larger than field limit ({csv.field_size_limit()})",
+            ),
+        ],
+        ids=["non-integer", "over-the-csv-limit"],
+    )
+    @pytest.mark.parametrize(
+        "place, number", [("first", 1), ("after-notes", 4), ("last", 6 * 8 + 1)]
+    )
+    def test_bad_row_named_by_its_data_row(self, tmp_path, capsys, row, message, place, number):
+        # '#' lines and blank lines among the rows are no data rows
+        out = self._make_dataset(tmp_path)
+        notes = ["# a note\n", "\n", " \t\n"]
+        place_row = {
+            "first": lambda rows: [row + "\n"] + rows,
+            "after-notes": lambda rows: rows[:3] + notes + [row + "\n"] + rows[3:],
+            "last": lambda rows: rows + [row + "\n"],
+        }
+        self._edit_rows(out, place_row[place])
+        message = f"{out}: data row {number}{message}"
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == message
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
+
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            (["s,sequence_index"], "is not a recognized dataset file"),
+            (["# config: "], "has no embedded config"),
+            # the column header is checked first
+            (["s,sequence_index", "# config: "], "is not a recognized dataset file"),
+            (["s,sequence_index", "# config: ", "1,", "2,", "3,", "4,", "5,", "6,"], "is not a recognized dataset file"),
+        ],
+        ids=["column-header", "config", "column-header-and-config", "column-header-config-and-rows"],
+    )
+    def test_missing_column_header_or_config_rejected(self, tmp_path, capsys, dropped, message):
+        out = self._make_dataset(tmp_path)
+        lines = out.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(tuple(dropped))]
+        assert len(kept) < len(lines)
+        out.write_text("".join(kept))
+        with pytest.raises(ValueError) as raised:
+            read_dataset(str(out))
+        assert str(raised.value) == f"{out} {message}"
+        assert main(["fit", str(out), "--resamples", "0"]) == 1
+        assert capsys.readouterr().err == f"invalid dataset: {out} {message}\n"
+
     def _edit_rows(self, path, edit):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         body = lines.index("s,sequence_index,survivals,shots,gate_digest\n") + 1
@@ -1481,39 +1576,44 @@ LAPACK_ROUTINES = (
     "cholesky", "eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "solve",
     "lstsq", "inv", "pinv", "det", "slogdet", "matrix_rank",
 )
-# Child code, run before mbqcrb is imported, that makes each of them raise,
-# and the LAPACK gufuncs behind them too, which numpy's own callers reach.
-NO_LAPACK = (
+# Child code, run before mbqcrb is imported, that records a call of each of
+# them, and of the LAPACK gufuncs behind them, which numpy's own callers
+# reach, in ``lapack_calls``, and passes the call through.
+RECORD_LAPACK = (
     "import numpy, numpy.linalg\n"
     "from numpy.linalg import _umath_linalg\n"
-    "def refused(name):\n"
-    "    def call(*args, **kwargs):\n"
-    "        raise AssertionError(f'{name} calls LAPACK')\n"
-    "    return call\n"
+    "lapack_calls = set()\n"
+    "def recorded(name, call):\n"
+    "    def recording(*args, **kwargs):\n"
+    "        lapack_calls.add(name)\n"
+    "        return call(*args, **kwargs)\n"
+    "    return recording\n"
     f"for name in {LAPACK_ROUTINES!r}:\n"
-    "    setattr(numpy.linalg, name, refused(name))\n"
+    "    setattr(numpy.linalg, name, recorded(f'linalg.{name}', getattr(numpy.linalg, name)))\n"
     "for name in dir(_umath_linalg):\n"
     "    if isinstance(getattr(_umath_linalg, name), numpy.ufunc):\n"
-    "        setattr(_umath_linalg, name, refused(name))\n"
+    "        setattr(_umath_linalg, name, recorded(f'gufunc {name}', getattr(_umath_linalg, name)))\n"
 )
 
 # The loading contract. A row is a step of a chain of commands run in one
 # process, and gives the modules that must not be loaded after it and those
 # that must be, which show that the check sees a load. JSON and YAML name the
-# kind of every config the process has read. "clifford_table" stands for a
-# built Clifford table, which verify must not build although each step first
-# builds the Clifford group and the derandomized design. No step loads the
-# literal wire, mbqcrb.wire, or calls LAPACK, which raises in the child.
+# kind of every config the process has read. Two names stand for what is not
+# a module: "clifford_table" for a built Clifford table, which verify must
+# not build although each step first builds the Clifford group and the
+# derandomized design, and "lapack" for a call to LAPACK during the step,
+# whose first call maps about 1 MB of OpenBLAS pages into a process. No step
+# loads the literal wire, mbqcrb.wire.
 RUN_AND_FIT = ("hashlib", "_hashlib", "numpy.random", "csv", "_csv")
 LOADING = {
-    "import mbqcrb": ([f"mbqcrb.{m.name}" for m in pkgutil.iter_modules(mbqcrb.__path__)], []),
-    "verify": (["mbqcrb.fitting", "yaml", "clifford_table", *RUN_AND_FIT], []),
-    "oracle JSON": (["mbqcrb.fitting", "yaml", *RUN_AND_FIT], []),
-    "oracle YAML": (["mbqcrb.fitting", *RUN_AND_FIT], ["yaml"]),
-    "run JSON": (["mbqcrb.fitting", "yaml"], ["hashlib", "csv"]),
-    "run YAML": (["mbqcrb.fitting"], ["hashlib", "csv"]),
-    "fit JSON": (["yaml", "numpy.ma"], ["mbqcrb.fitting"]),
-    "fit YAML": (["numpy.ma"], ["mbqcrb.fitting"]),
+    "import mbqcrb": (["lapack", *(f"mbqcrb.{m.name}" for m in pkgutil.iter_modules(mbqcrb.__path__))], []),
+    "verify": (["lapack", "mbqcrb.fitting", "yaml", "clifford_table", *RUN_AND_FIT], []),
+    "oracle JSON": (["lapack", "mbqcrb.fitting", "yaml", *RUN_AND_FIT], []),
+    "oracle YAML": (["lapack", "mbqcrb.fitting", *RUN_AND_FIT], ["yaml"]),
+    "run JSON": (["lapack", "mbqcrb.fitting", "yaml"], ["hashlib", "csv"]),
+    "run YAML": (["lapack", "mbqcrb.fitting"], ["hashlib", "csv"]),
+    "fit JSON": (["lapack", "yaml", "numpy.ma"], ["mbqcrb.fitting"]),
+    "fit YAML": (["lapack", "numpy.ma"], ["mbqcrb.fitting"]),
 }
 EXAMPLES = sorted(CONFIGS.glob("*.yaml"))
 # Each chain's steps, a row and an argv (None stands for ``import mbqcrb``).
@@ -1534,14 +1634,22 @@ CHAINS = {
         *[("fit YAML", ["fit", f"{c.stem}.csv"]) for c in EXAMPLES],
     ],
 }
-# Runs the JSON list of argvs in argv[1] where LAPACK raises; prints what numpy
-# loads and, after each step, the modules, Clifford table size and output.
-CHILD = NO_LAPACK + """
+# Runs the JSON list of argvs in argv[1] with LAPACK calls recorded; prints
+# what numpy loads and, after each step, the modules, Clifford table size,
+# whether the step called LAPACK, and its output.
+CHILD = RECORD_LAPACK + """
 import sys
 eager = sorted(sys.modules)
+# the record sees a call of a routine, and one that reaches only a gufunc
+numpy.linalg.det(numpy.eye(2))
+assert {"linalg.det", "gufunc det"} <= lapack_calls, lapack_calls
+lapack_calls.clear()
+numpy.linalg.cond(numpy.eye(2))
+assert lapack_calls and all(call.startswith("gufunc ") for call in lapack_calls), lapack_calls
 import contextlib, io, json
 records = []
 for argv in json.loads(sys.argv[1]):
+    lapack_calls.clear()
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         if argv is None:
             import mbqcrb
@@ -1551,13 +1659,14 @@ for argv in json.loads(sys.argv[1]):
             assert cli.main(argv) == 0, argv
     gatesets = sys.modules.get("mbqcrb.gatesets")
     built = gatesets.clifford_table.cache_info().currsize if gatesets else 0
-    records.append([sorted(sys.modules), built, printed.getvalue()])
+    records.append([sorted(sys.modules), built, bool(lapack_calls), printed.getvalue()])
 print(json.dumps([eager, records]))
 """
 
 
 class TestColdLoading:
-    """Each step loads what its row allows, calls no LAPACK and keeps its output."""
+    """Each step loads what its row allows and keeps its output when LAPACK
+    calls are recorded."""
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_chain(self, tmp_path, monkeypatch, capsys, chain):
@@ -1573,8 +1682,8 @@ class TestColdLoading:
         assert child.returncode == 0, child.stderr
         eager, records = json.loads(child.stdout)
         monkeypatch.chdir(plain)
-        for (row, argv), (modules, built, printed) in zip(CHAINS[chain], records, strict=True):
-            loaded = {*modules, *(["clifford_table"] if built else [])}
+        for (row, argv), (modules, built, called, printed) in zip(CHAINS[chain], records, strict=True):
+            loaded = {*modules, *(["clifford_table"] if built else []), *(["lapack"] if called else [])}
             # what a bare ``import numpy`` loads (numpy 1.x: numpy.random, hashlib) cannot be kept out
             forbidden = {*LOADING[row][0], "mbqcrb.wire"}.difference(eager)
             assert sorted(loaded & forbidden) == [], (row, argv)
