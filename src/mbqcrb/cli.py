@@ -603,7 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # finds a closed stdout that a block buffer hid until exit
+    except BrokenPipeError:  # as the Python documentation's note on SIGPIPE shows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit's flush
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

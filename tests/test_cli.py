@@ -6,11 +6,13 @@ import os
 import pathlib
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -88,6 +90,23 @@ def nested_composite(depth: int) -> dict:
 DEEP_LENGTHS = "[" * 600 + "1" + "]" * 600
 DEEP_JSON = "[" * 2000 + "]" * 2000
 DEEP_NOISE = json.dumps({**SAMPLE, "noise": nested_composite(200)})
+
+UNPARSABLE_YAML = "protocol: [circuit\n"
+
+
+def yaml_syntax_error(path) -> str:
+    """The message that reading ``UNPARSABLE_YAML`` at ``path`` gives."""
+    return (
+        "while parsing a flow sequence\n"
+        f'  in "{path}", line 1, column 11\n'
+        "expected ',' or ']', but got '<stream end>'\n"
+        f'  in "{path}", line 2, column 1'
+    )
+
+
+def preamble_line(key: str, value: str):
+    """An edit of a dataset's text that gives its ``# <key>:`` line ``value``."""
+    return lambda text: re.sub(f"(?m)^# {key}: .*", lambda _: f"# {key}: {value}", text, count=1)
 
 # A float spelled with an exponent, which the config loader reads as a float
 # where YAML 1.1 reads a string.
@@ -405,25 +424,6 @@ class TestRunCommand:
         main(["run", "--config", str(cfg_path), "--seed", "12345", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_missing_config_is_io_error(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
-
-    def test_invalid_config_is_validation_error(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path, protocol="quantum-volume")
-        assert main(["run", "--config", str(cfg_path)]) == 1
-
-    def test_misspelled_noise_key_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(
-            cfg_path,
-            noise={"kind": "depolarizing", "strenght": 0.96, "placement": "after-each-gate-block"},
-        )
-        for argv in (["run", "--out", str(tmp_path / "x.csv")], ["oracle", "--length", "2"]):
-            assert main([*argv, "--config", str(cfg_path)]) == 1
-            assert "strenght" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -523,28 +523,6 @@ class TestRunCommand:
             assert captured.out == ""
         assert not out.exists()
 
-    # 10**15 elements need more address space than a 64-bit process has, so
-    # the allocation fails at once without touching memory
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"lengths": [1, 10**15]},
-            {"protocol": "derandomized-mbqc", "shots_per_sequence": 10**15},
-            {"protocol": "circuit", "shots_per_sequence": 10**15},
-        ],
-        ids=["clifford-length", "derandomized-shots", "circuit-shots"],
-    )
-    def test_experiment_too_large_to_allocate_rejected(self, tmp_path, capsys, overrides):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path, **overrides)
-        out = tmp_path / "ds.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("invalid experiment: Unable to allocate")
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-        assert not out.exists()
-
     @pytest.mark.parametrize("section, name, value", wrong_type_cases())
     def test_every_field_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, section, name, value):
         data = dict(SAMPLE)
@@ -592,18 +570,12 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
-    @pytest.mark.parametrize("given_by", ["option", "config"])
-    def test_seed_outside_range_rejected(self, tmp_path, capsys, seed, given_by):
-        # a seed outside [0, 2**64) used to alias a seed inside it
+    def test_seed_outside_range_rejected(self, tmp_path, capsys, seed):
+        # a seed outside [0, 2**64) used to alias a seed inside it; for --seed see REJECTED
         cfg_path = tmp_path / "cfg.yaml"
         out = tmp_path / "ds.csv"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
-        if given_by == "option":
-            write_sample_config(cfg_path)
-            argv += ["--seed", str(seed)]
-        else:
-            write_sample_config(cfg_path, seed=seed)
-        assert main(argv) == 1
+        write_sample_config(cfg_path, seed=seed)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid config: ") and f"seed must lie in [0, 2**64), got {seed}" in err
         assert not out.exists()
@@ -650,28 +622,13 @@ class TestRunCommand:
             load_config(str(cfg_path))
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_yaml_syntax_error_rejected(self, tmp_path, capsys, command):
+    def test_yaml_syntax_error_rejected(self, tmp_path):
+        # run and oracle print this message: see REJECTED
         cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text("protocol: [circuit\n")
-        out = tmp_path / "ds.csv"
-        argv = [command, "--config", str(cfg_path)]
-        if command == "run":
-            argv += ["--out", str(out)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        message = (
-            "while parsing a flow sequence\n"
-            f'  in "{cfg_path}", line 1, column 11\n'
-            "expected ',' or ']', but got '<stream end>'\n"
-            f'  in "{cfg_path}", line 2, column 1'
-        )
-        assert captured.err == f"invalid config: {message}\n"
-        assert captured.out == ""
-        assert not out.exists()
+        cfg_path.write_text(UNPARSABLE_YAML)
         with pytest.raises(ValueError) as raised:
             load_config(str(cfg_path))
-        assert str(raised.value) == message
+        assert str(raised.value) == yaml_syntax_error(cfg_path)
 
     @pytest.mark.parametrize(
         "spelling, value",
@@ -724,19 +681,10 @@ class TestRunCommand:
         [f"protocol: circuit\nlengths: {DEEP_LENGTHS}\n", DEEP_NOISE],
         ids=["lengths-600-lists", "noise-200-composites"],
     )
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_config_nested_too_deeply_rejected(self, tmp_path, capsys, text, command):
+    def test_config_nested_too_deeply_rejected(self, tmp_path, text):
+        # run and oracle print this message: see REJECTED
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(text)
-        out = tmp_path / "ds.csv"
-        argv = [command, "--config", str(cfg_path)]
-        if command == "run":
-            argv += ["--out", str(out)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "invalid config: the file is nested too deeply to read\n"
-        assert captured.out == ""
-        assert not out.exists()
         with pytest.raises(ValueError, match="^the file is nested too deeply to read$"):
             load_config(str(cfg_path))
 
@@ -749,54 +697,6 @@ class TestRunCommand:
         )
         rb = load_config(str(cfg_path)).rb
         assert (rb.noise.strength, rb.noise_inv.strength) == (0.9, 0.8)
-
-    def test_unwritable_output_is_io_error(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        out = tmp_path / "no" / "such" / "dir" / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-
-    @pytest.mark.parametrize("command", ["run", "fit"])
-    def test_output_in_a_missing_directory_is_named_by_its_path(self, tmp_path, capsys, command):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        dataset = tmp_path / "ds.csv"
-        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(dataset)]) == 0
-        if command == "run":
-            out = tmp_path / "missing" / "x.csv"
-            argv, what, failed = ["run", "--config", str(cfg_path)], "dataset", out
-        else:  # the curve table is written first
-            out = tmp_path / "missing" / "r.yaml"
-            argv, what, failed = ["fit", str(dataset), "--resamples", "0"], "report", f"{out}.curve.csv"
-        capsys.readouterr()
-        assert main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"cannot write {what}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{failed}'\n"
-        assert ".tmp" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
-
-    @pytest.mark.parametrize(
-        "text, output",
-        [
-            (json.dumps({**SAMPLE, "output": "\ud800.csv"}), "\ud800.csv"),
-            # PyYAML decodes the escaped pair into two lone surrogates
-            (yaml.safe_dump(SAMPLE) + 'output: "\\ud83d\\ude00.csv"\n', "\ud83d\ude00.csv"),
-            (json.dumps({**SAMPLE, "output": "a\0.csv"}), "a\0.csv"),
-            (json.dumps({**SAMPLE, "output": ""}), ""),
-        ],
-        ids=["json-lone-surrogate", "yaml-surrogate-pair", "nul", "empty"],
-    )
-    def test_output_that_open_cannot_take_rejected(self, tmp_path, capsys, text, output):
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(text)
-        message = (
-            f"invalid config: output must be a non-empty file name the file system can encode, "
-            f"with no NUL; got {output!r}\n"
-        )
-        for argv in (["run", "--out", str(tmp_path / "x.csv")], ["oracle"]):
-            assert main([*argv, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr() == ("", message)
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("via", ["--out", "output", "default", "--out-through-a-symlinked-directory"])
     def test_output_that_is_the_config_rejected(self, tmp_path, monkeypatch, capsys, via):
@@ -877,67 +777,18 @@ class TestFitCommand:
         out = self._make_dataset(tmp_path, lengths=[1, 2])
         assert main(["fit", str(out), "--resamples", "0"]) == 1
 
-    def test_missing_dataset_is_io_error(self, tmp_path):
-        assert main(["fit", str(tmp_path / "none.csv")]) == 2
-
-    def test_too_few_resamples_rejected(self, tmp_path, capsys):
-        out = self._make_dataset(tmp_path)
-        assert main(["fit", str(out), "--resamples", "50"]) == 1
-        err = capsys.readouterr().err
-        assert "--resamples" in err and len(err.strip().splitlines()) == 1
-
-    def test_negative_resamples_rejected(self, tmp_path, capsys):
-        out = self._make_dataset(tmp_path)
-        assert main(["fit", str(out), "--resamples", "-3"]) == 1
-        assert "--resamples" in capsys.readouterr().err
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    def test_resamples_too_many_to_allocate_rejected(self, tmp_path, capsys):
-        # 10**15 resamples need more address space than a 64-bit process
-        # has, so the allocation fails at once without touching memory
-        out = self._make_dataset(tmp_path)
-        capsys.readouterr()
-        assert main(["fit", str(out), "--resamples", str(10**15)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("cannot fit: Unable to allocate")
-        assert len(captured.err.strip().splitlines()) == 1
-        assert captured.out == ""
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
-
     @pytest.mark.parametrize(
         "key, line",
         [("config", DEEP_JSON), ("config", DEEP_NOISE), ("warnings", DEEP_JSON)],
         ids=["2000-lists", "noise-200-composites", "warnings-2000-lists"],
     )
-    def test_config_line_nested_too_deeply_rejected(self, tmp_path, capsys, key, line):
+    def test_config_line_nested_too_deeply_rejected(self, tmp_path, key, line):
+        # fit prints this message: see REJECTED
         out = self._make_dataset(tmp_path)
-        text = out.read_text().splitlines(keepends=True)
-        k = 2 if key == "config" else 3
-        assert text[k].startswith(f"# {key}: ")
-        out.write_text("".join(text[:k] + [f"# {key}: {line}\n"] + text[k + 1 :]))
-        message = f"{out}: the {key} line is nested too deeply to read"
+        out.write_text(preamble_line(key, line)(out.read_text()))
         with pytest.raises(ValueError) as raised:
             read_dataset(str(out))
-        assert str(raised.value) == message
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
-
-    def test_field_longer_than_the_csv_limit_rejected(self, tmp_path, capsys):
-        out = self._make_dataset(tmp_path)
-        limit = csv.field_size_limit()
-        row = f"2,1,{'9' * (limit + 1)},40,000000000000"
-        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
-        message = f"{out}: data row 2: field larger than field limit ({limit})"
-        with pytest.raises(ValueError) as raised:
-            read_dataset(str(out))
-        assert str(raised.value) == message
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-        assert not (tmp_path / "ds.csv.fit.yaml.curve.csv").exists()
+        assert str(raised.value) == f"{out}: the {key} line is nested too deeply to read"
 
     def test_dataset_that_is_not_utf8_named_by_its_path(self, tmp_path, capsys):
         out = self._make_dataset(tmp_path)
@@ -955,15 +806,6 @@ class TestFitCommand:
         assert main(["fit", str(out), "--resamples", "0"]) == 1
         assert capsys.readouterr().err == f"invalid dataset: {message}\n"
         assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    def test_directory_at_the_curve_table_leaves_no_report(self, tmp_path, capsys):
-        out = self._make_dataset(tmp_path)
-        (tmp_path / "r.yaml.curve.csv").mkdir()
-        capsys.readouterr()
-        assert main(["fit", str(out), "--resamples", "0", "--out", str(tmp_path / "r.yaml")]) == 2
-        table = tmp_path / "r.yaml.curve.csv"
-        assert capsys.readouterr().err == f"cannot write report: {table} exists and is not a regular file\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv", "r.yaml.curve.csv"]
 
     def test_failed_report_move_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
         out = self._make_dataset(tmp_path)
@@ -1467,14 +1309,6 @@ class TestOracleCommand:
         for s, group in zip((3, 1, 40), groups):
             assert group == self._printed(capsys, cfg_path, "--length", str(s)).splitlines()[1:]
 
-    def test_length_below_one_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        for length in ("0", "-1"):
-            assert main(["oracle", "--config", str(cfg_path), "--length", length]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("cannot evaluate the oracle: ")
-
     @pytest.mark.parametrize("protocol", ["clifford-mbqc", "derandomized-mbqc"])
     def test_injected_outcomes_use_the_unbiased_oracle(self, tmp_path, capsys, protocol):
         # injection XORs every outcome with a fair coin, so the instrument
@@ -1503,65 +1337,8 @@ class TestOracleCommand:
 
 
 class TestUsageErrors:
-    """argparse's usage errors exit 1, like every other invalid input: exit
-    code 2 is kept for I/O failures."""
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["oracle", "--config", "cfg.yaml", "--length", "abc"], "argument --length: invalid int value: 'abc'"),
-            (["run"], "the following arguments are required: --config"),
-            (["fit", "ds.csv", "--resamples", "x"], "argument --resamples: invalid int value: 'x'"),
-            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-            (["run", "--config", "cfg.yaml", "--out", ""], "argument --out: expected a path, got ''"),
-            (["fit", "ds.csv", "--out", ""], "argument --out: expected a path, got ''"),
-        ],
-        ids=[
-            "oracle-length", "run-without-config", "fit-resamples", "unknown-command",
-            "run-empty-out", "fit-empty-out",
-        ],
-    )
-    def test_usage_error_exits_1(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as raised:
-            main(argv)
-        assert raised.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        usage, error = captured.err.splitlines()[0], captured.err.splitlines()[-1]
-        assert usage.startswith("usage: mbqcrb")
-        assert error.startswith("mbqcrb") and f": error: {message}" in error
-
-    @pytest.mark.parametrize(
-        "command, option, text",
-        [
-            ("oracle", "--length", "1_0"),
-            ("oracle", "--length", "\uff13"),
-            ("oracle", "--length", " 3 "),
-            ("run", "--seed", "8_11"),
-            ("run", "--seed", "\uff18\uff11\uff11"),
-            ("fit", "--resamples", "1_00"),
-            ("fit", "--resamples", "+200"),
-        ],
-    )
-    def test_integer_options_follow_the_count_rule(self, tmp_path, capsys, command, option, text):
-        # int() reads each of these as a number; like a dataset's count fields,
-        # an integer option is ASCII digits with an optional leading minus
-        cfg_path, dataset, out = tmp_path / "cfg.yaml", tmp_path / "ds.csv", tmp_path / "out"
-        write_sample_config(cfg_path)
-        assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(dataset)]) == 0
-        inputs = {
-            "oracle": ["--config", str(cfg_path)],
-            "run": ["--config", str(cfg_path), "--out", str(out)],
-            "fit": [str(dataset), "--out", str(out)],
-        }
-        with pytest.raises(SystemExit) as raised:
-            main([command, *inputs[command], option, text])
-        assert raised.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith(f"usage: mbqcrb {command}")
-        assert captured.err.splitlines()[-1].endswith(f": error: argument {option}: invalid int value: {text!r}")
-        assert sorted(tmp_path.iterdir()) == [cfg_path, dataset]
+    """A usage error exits 1, like every other invalid input (see REJECTED):
+    argparse's own code, 2, is kept for I/O failures here."""
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as raised:
@@ -1569,6 +1346,9 @@ class TestUsageErrors:
         assert raised.value.code == 0
         assert capsys.readouterr().out.startswith("usage: mbqcrb")
 
+
+# A cold process imports the mbqcrb that this file imports, and writes UTF-8.
+COLD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)), PYTHONIOENCODING="utf-8")
 
 # numpy.linalg's decompositions and solvers, each of which calls LAPACK: its
 # first call maps about 1 MB of OpenBLAS pages into the process.
@@ -1677,8 +1457,7 @@ class TestColdLoading:
         plain.mkdir()
         patched.mkdir()
         argvs = json.dumps([argv for _, argv in CHAINS[chain]])
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)))
-        child = subprocess.run([sys.executable, "-c", CHILD, argvs], cwd=patched, env=env, capture_output=True, text=True)
+        child = subprocess.run([sys.executable, "-c", CHILD, argvs], cwd=patched, env=COLD_ENV, capture_output=True, text=True)
         assert child.returncode == 0, child.stderr
         eager, records = json.loads(child.stdout)
         monkeypatch.chdir(plain)
@@ -1692,8 +1471,282 @@ class TestColdLoading:
                 capsys.readouterr()
                 assert main(argv) == 0
                 assert capsys.readouterr().out == printed, argv
-        written = [{p.name: p.read_bytes() for p in directory.iterdir()} for directory in (plain, patched)]
-        assert written[0] == written[1]
+        assert entries(plain) == entries(patched)
+
+
+class Rejected(NamedTuple):
+    command: str  # the argv, split as a shell splits it
+    code: int
+    err: str  # a pattern that the whole of stderr matches
+    files: dict = {}
+    closed_stdout: dict | None = None  # the environment of a row whose stdout is a closed pipe
+    writes: tuple = ()  # what such a row writes before it prints
+
+
+def usage(command: str, message: str, tail: str = "") -> str:
+    """The stderr of an argparse usage error: the usage text, then the error line."""
+    prog = f"mbqcrb {command}".strip()
+    return rf"usage: {prog} (?s:.*)\n{prog}: error: {re.escape(message)}{tail}\n"
+
+
+def line(message: str) -> str:
+    return re.escape(message) + "\n"
+
+
+NESTED = "the file is nested too deeply to read"
+ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+UNUSABLE_OUTPUT = "output must be a non-empty file name the file system can encode, with no NUL; got "
+# The command contract. A row is a command that must be refused. It runs in a
+# directory of its own, which holds cfg.json (SAMPLE, with an output name),
+# ds.csv (a run of SAMPLE) and the row's files: text, an edit of the
+# dataset's text, or None for a directory. The command exits with the row's
+# code, prints nothing on stdout, writes a stderr that the row's pattern
+# matches, with no traceback, and leaves its directory as it found it. A row
+# with ``closed_stdout`` runs as ``python -m mbqcrb.cli`` with that
+# environment and stdout a pipe whose reader is gone: only the interpreter's
+# exit shows a flush that fails.
+REJECTED = {
+    # usage errors
+    "run-without-config": Rejected("run", 1, usage("run", "the following arguments are required: --config")),
+    "unknown-command": Rejected(
+        "frobnicate", 1, usage("", "argument command: invalid choice: 'frobnicate'", r" \(choose from [^\n]*\)")
+    ),
+    # an empty --out is no path: the config's output is not written either
+    "run-empty-out": Rejected("run --config cfg.json --out ''", 1, usage("run", "argument --out: expected a path, got ''")),
+    "fit-empty-out": Rejected("fit ds.csv --out ''", 1, usage("fit", "argument --out: expected a path, got ''")),
+    # an integer option follows the count rule: int() reads all but abc and x as a number
+    **{
+        f"{command}-{option}-{spelling}": Rejected(
+            f"{command} {given} --{option} {shlex.quote(text)}", 1,
+            usage(command, f"argument --{option}: invalid int value: {text!r}"),
+        )
+        for command, given, option, spelling, text in [
+            ("oracle", "--config cfg.json", "length", "abc", "abc"),
+            ("oracle", "--config cfg.json", "length", "underscore", "1_0"),
+            ("oracle", "--config cfg.json", "length", "full-width", "３"),
+            ("oracle", "--config cfg.json", "length", "spaces", " 3 "),
+            ("run", "--config cfg.json --out out.csv", "seed", "underscore", "8_11"),
+            ("run", "--config cfg.json --out out.csv", "seed", "full-width", "８１１"),
+            ("fit", "ds.csv --out out.yaml", "resamples", "x", "x"),
+            ("fit", "ds.csv --out out.yaml", "resamples", "underscore", "1_00"),
+            ("fit", "ds.csv --out out.yaml", "resamples", "plus", "+200"),
+        ]
+    },
+    # configs
+    **{
+        f"run-seed-{side}": Rejected(
+            f"run --config cfg.json --seed {seed} --out out.csv", 1,
+            line(f"invalid config: seed must lie in [0, 2**64), got {seed}"),
+        )
+        for side, seed in [("below", -1), ("above", 2**64)]
+    },
+    **{
+        f"{command.split()[0]}-{name}": Rejected(
+            f"{command} --config cfg.yaml", 1, line(f"invalid config: {message}"), {"cfg.yaml": text}
+        )
+        for command in ("run --out out.csv", "oracle")
+        for name, text, message in [
+            ("unparsable-yaml", UNPARSABLE_YAML, yaml_syntax_error("cfg.yaml")),
+            ("lengths-600-lists", f"protocol: circuit\nlengths: {DEEP_LENGTHS}\n", NESTED),
+            ("noise-200-composites", DEEP_NOISE, NESTED),
+            (
+                "unknown-protocol", json.dumps({**SAMPLE, "protocol": "quantum-volume"}),
+                "protocol must be one of circuit, clifford-mbqc, derandomized-mbqc; got 'quantum-volume'",
+            ),
+            (
+                "misspelled-noise-key", json.dumps({**SAMPLE, "noise": {"kind": "depolarizing", "strenght": 0.96}}),
+                "unknown key in noise: strenght",
+            ),
+            *[
+                (f"output-{name}", text, UNUSABLE_OUTPUT + repr(output))
+                for name, text, output in [
+                    ("json-lone-surrogate", json.dumps({**SAMPLE, "output": "\ud800.csv"}), "\ud800.csv"),
+                    # PyYAML decodes the escaped pair into two lone surrogates
+                    ("yaml-surrogate-pair", yaml.safe_dump(SAMPLE) + 'output: "\\ud83d\\ude00.csv"\n', "\ud83d\ude00.csv"),
+                    ("nul", json.dumps({**SAMPLE, "output": "a\0.csv"}), "a\0.csv"),
+                    ("empty", json.dumps({**SAMPLE, "output": ""}), ""),
+                ]
+            ],
+        ]
+    },
+    # 10**15 elements need more address space than a 64-bit process has, so
+    # the allocation fails at once without touching memory
+    **{
+        f"run-{name}-too-large": Rejected(
+            "run --config cfg.json --out out.csv", 1, r"invalid experiment: Unable to allocate [^\n]*\n",
+            {"cfg.json": json.dumps({**SAMPLE, **overrides})},
+        )
+        for name, overrides in [
+            ("clifford-length", {"lengths": [1, 10**15]}),
+            ("derandomized-shots", {"protocol": "derandomized-mbqc", "shots_per_sequence": 10**15}),
+            ("circuit-shots", {"protocol": "circuit", "shots_per_sequence": 10**15}),
+        ]
+    },
+    **{
+        f"oracle-length-{name}": Rejected(
+            f"oracle --config cfg.json --length {n}", 1, line("cannot evaluate the oracle: sequence length must be >= 1")
+        )
+        for name, n in [("zero", 0), ("negative", -1)]
+    },
+    # datasets
+    **{
+        f"fit-resamples-{name}": Rejected(
+            f"fit ds.csv --resamples {n}", 1, line(f"invalid --resamples {n}: use 0 (no bootstrap) or >= 100")
+        )
+        for name, n in [("too-few", 50), ("negative", -3)]
+    },
+    "fit-resamples-too-many": Rejected(
+        f"fit ds.csv --resamples {10**15} --out out.yaml", 1, r"cannot fit: Unable to allocate [^\n]*\n"
+    ),
+    "fit-warnings-null": Rejected(
+        "fit ds.csv --resamples 0", 1,
+        line("invalid dataset: ds.csv: the warnings line must hold a JSON list of strings, got 'null'"),
+        {"ds.csv": preamble_line("warnings", "null")},
+    ),
+    **{
+        f"fit-{key}-{name}": Rejected(
+            "fit ds.csv --resamples 0", 1, line(f"invalid dataset: ds.csv: the {key} line is nested too deeply to read"),
+            {"ds.csv": preamble_line(key, text)},
+        )
+        for key, name, text in [
+            ("config", "2000-lists", DEEP_JSON),
+            ("config", "noise-200-composites", DEEP_NOISE),
+            ("warnings", "2000-lists", DEEP_JSON),
+        ]
+    },
+    "fit-field-over-the-csv-limit": Rejected(
+        "fit ds.csv --resamples 0", 1,
+        line(f"invalid dataset: ds.csv: data row {6 * 8 + 1}: field larger than field limit ({csv.field_size_limit()})"),
+        {"ds.csv": lambda text: text + f"2,1,{'9' * (csv.field_size_limit() + 1)},40,000000000000\n"},
+    ),
+    "fit-out-is-the-dataset": Rejected(
+        "fit ds.csv --out ds.csv", 1, line("invalid output: ds.csv would replace the input ds.csv")
+    ),
+    # I/O errors
+    "run-config-missing": Rejected("run --config nope.yaml", 2, line(f"cannot read config: {ENOENT}: 'nope.yaml'")),
+    "fit-dataset-missing": Rejected("fit none.csv", 2, line(f"cannot read dataset: {ENOENT}: 'none.csv'")),
+    "run-out-in-a-missing-directory": Rejected(
+        "run --config cfg.json --out missing/x.csv", 2, line(f"cannot write dataset: {ENOENT}: 'missing/x.csv'")
+    ),
+    # the curve table is written first, and is named by its path, not its temporary name
+    "fit-out-in-a-missing-directory": Rejected(
+        "fit ds.csv --resamples 0 --out missing/r.yaml", 2,
+        line(f"cannot write report: {ENOENT}: 'missing/r.yaml.curve.csv'"),
+    ),
+    "fit-directory-at-the-curve-table": Rejected(
+        "fit ds.csv --resamples 0 --out r.yaml", 2,
+        line("cannot write report: r.yaml.curve.csv exists and is not a regular file"), {"r.yaml.curve.csv": None},
+    ),
+    **{
+        f"{command.split()[0]}-closed-stdout-{buffering}": Rejected(
+            command, 2, "", closed_stdout={"PYTHONUNBUFFERED": unbuffered}, writes=writes
+        )
+        for buffering, unbuffered in [("unbuffered", "1"), ("buffered", "")]
+        for command, writes in [
+            ("verify", ()),
+            ("oracle --config cfg.json", ()),
+            ("run --config cfg.json --out out.csv", ("out.csv",)),
+            ("fit ds.csv --resamples 0 --out r.yaml", ("r.yaml", "r.yaml.curve.csv")),
+        ]
+    },
+}
+# Runs each [directory, argv] of the JSON list in argv[1] through cli.main,
+# with fds 1 and 2 sent to files; prints each row's exit code, stdout and
+# stderr. An exception that escapes main ends its row with code None.
+REJECTING_CHILD = """
+import json, os, sys, tempfile, traceback
+from mbqcrb import cli
+ended = []
+for directory, argv in json.loads(sys.argv[1]):
+    os.chdir(directory)
+    files, kept = [tempfile.TemporaryFile() for fd in (1, 2)], [os.dup(fd) for fd in (1, 2)]
+    for fd, f in zip((1, 2), files):
+        os.dup2(f.fileno(), fd)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        code = None
+        traceback.print_exc()
+    sys.stdout.flush(), sys.stderr.flush()
+    for fd, k in zip((1, 2), kept):
+        os.dup2(k, fd)
+        os.close(k)
+    ended.append([code, *(f.seek(0) or f.read().decode("utf-8") for f in files)])
+print(json.dumps(ended))
+"""
+
+
+@pytest.fixture(scope="session")
+def dataset_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dataset") / "ds.csv"
+    write_dataset(run_protocol(config_from_dict(SAMPLE).rb), str(path))
+    return path.read_text()
+
+
+def entries(directory) -> dict:
+    """Each entry of ``directory`` and its bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def make_row(directory, row, dataset) -> dict:
+    directory.mkdir()
+    files = {"cfg.json": json.dumps({**SAMPLE, "output": "sample.csv"}), "ds.csv": dataset, **row.files}
+    for name, content in files.items():
+        if content is None:
+            (directory / name).mkdir()
+        else:
+            (directory / name).write_text(content(dataset) if callable(content) else content)
+    return entries(directory)
+
+
+def check_rejected(name, row, code, out, err, before, directory):
+    assert (code, out) == (row.code, ""), (name, err)
+    assert re.fullmatch(row.err, err) and not re.search("Traceback|Exception ignored", err), (name, err)
+    after = entries(directory)
+    assert sorted(after) == sorted([*before, *row.writes]), name
+    assert {path: after[path] for path in before} == before, name
+
+
+class TestRejected:
+    """Every row of REJECTED in cold processes, and each but the closed-pipe rows in this one."""
+
+    @pytest.mark.parametrize("name", [name for name, row in REJECTED.items() if row.closed_stdout is None])
+    def test_in_process(self, tmp_path, monkeypatch, capsys, dataset_text, name):
+        row = REJECTED[name]
+        before = make_row(tmp_path / "row", row, dataset_text)
+        monkeypatch.chdir(tmp_path / "row")
+        try:
+            code = main(shlex.split(row.command))
+        except SystemExit as exc:
+            code = exc.code
+        check_rejected(name, row, code, *capsys.readouterr(), before, tmp_path / "row")
+
+    def test_cold(self, tmp_path, dataset_text):
+        directories = {name: tmp_path / str(k) for k, name in enumerate(REJECTED)}
+        before = {name: make_row(directories[name], row, dataset_text) for name, row in REJECTED.items()}
+        in_child = [name for name, row in REJECTED.items() if row.closed_stdout is None]
+        rows = json.dumps([[str(directories[name]), shlex.split(REJECTED[name].command)] for name in in_child])
+        child = subprocess.Popen([sys.executable, "-c", REJECTING_CHILD, rows], env=COLD_ENV, stdout=subprocess.PIPE, text=True)
+        piped = {}
+        for name, row in REJECTED.items():
+            if row.closed_stdout is not None:
+                read, write = os.pipe()
+                os.close(read)
+                piped[name] = subprocess.Popen(
+                    [sys.executable, "-m", "mbqcrb.cli", *shlex.split(row.command)], cwd=directories[name],
+                    env={**COLD_ENV, **row.closed_stdout}, stdout=write, stderr=subprocess.PIPE, text=True,
+                )
+                os.close(write)
+        printed = child.communicate()[0]
+        assert child.returncode == 0
+        ended = dict(zip(in_child, json.loads(printed), strict=True))
+        for name, process in piped.items():
+            err = process.communicate()[1]
+            ended[name] = [process.returncode, "", err]
+        for name, row in REJECTED.items():
+            check_rejected(name, row, *ended[name], before[name], directories[name])
 
 
 class TestEndToEnd:
