@@ -6,7 +6,8 @@ outcome bias with optional randomness injection, and SPAM. This module holds
 their types (``NoiseModel``, ``InstrumentConfig``, ``SpamModel``,
 ``RBConfig`` and ``ExperimentConfig``), the field checks they share, and the
 key/value form that config files and dataset preambles hold, with the JSON
-rule both follow. It loads neither the literal wire nor the engine, and
+rule both follow, and the count rule of dataset counts and command-line
+integers. It loads neither the literal wire nor the engine, and
 PyYAML only for a config file that is not JSON.
 """
 
@@ -433,6 +434,17 @@ def parse_json(text: str):
     JSON lines of a dataset preamble follow: text that is not JSON, a key
     repeated in one object, or NaN or Infinity raises ValueError."""
     return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+
+
+INTEGER = re.compile("-?[0-9]+")  # a count: ASCII digits, nothing else
+
+
+def parse_count(text: str) -> int:
+    """``text`` as an int by the count rule: a dataset's count fields and the
+    command line's integers follow it."""
+    if not INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _config_loader():

@@ -29,9 +29,8 @@ from mbqcrb.gatesets import (
     derandomized_design,
     outcome_index,
     verify_angle_table,
-    verify_byproduct_bits,
-    verify_design_reference,
 )
+from mbqcrb.verify import verify_byproduct_bits, verify_design_reference
 from mbqcrb.wire import InstrumentConfig, NoiseModel, WireRun, measure_step, run_gate_block
 
 

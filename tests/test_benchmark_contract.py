@@ -69,6 +69,24 @@ def test_every_program_name_perfbench_reads_exists(bench):
     assert not missing
 
 
+@pytest.mark.parametrize(
+    "reader, name, home",
+    [
+        ("cli", "write_dataset", "files"),
+        ("cli", "read_dataset", "files"),
+        ("cli", "DESIGN_TOL", "verify"),
+        ("gatesets", "verify_2design", "verify"),
+        ("gatesets", "verify_byproduct_bits", "verify"),
+        ("gatesets", "verify_design_reference", "verify"),
+    ],
+)
+def test_names_perfbench_reads_are_the_moved_objects(reader, name, home):
+    # so the spans cli.*_dataset and gatesets.verify_* time the code the commands run
+    module = importlib.import_module(f"mbqcrb.{home}")
+    assert getattr(importlib.import_module(f"mbqcrb.{reader}"), name) is getattr(module, name)
+    assert name in vars(module)
+
+
 def test_setup_probe_runs(bench):
     run, _, _ = bench
     exec(run.SETUP_CODE, {})

@@ -21,23 +21,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mbqcrb
-import mbqcrb.cli
+import mbqcrb.files
+import mbqcrb.verify
 from mbqcrb import __version__
 from mbqcrb.channels import I2, X, Y, Z
-from mbqcrb.cli import (
-    _PLAIN_STRINGS,
-    _yaml_scalar,
+from mbqcrb.cli import format_angle_pi, main
+from mbqcrb.config import (
+    AFTER_EACH_STEP,
+    CLIFFORD_MODES,
     ExperimentConfig,
+    _config_loader,
     config_from_dict,
     config_to_dict,
-    format_angle_pi,
     load_config,
-    main,
-    read_dataset,
-    write_dataset,
-    write_fit_report,
+    parse_json,
 )
-from mbqcrb.config import AFTER_EACH_STEP, CLIFFORD_MODES, _config_loader, parse_json
+from mbqcrb.files import _PLAIN_STRINGS, _yaml_scalar, read_dataset, write_dataset, write_fit_report
 from mbqcrb.engine import (
     _BIAS_WARNING,
     PROTOCOLS,
@@ -360,11 +359,9 @@ class TestVerifyCommand:
         assert "acos(1/sqrt3)" in out
 
     def test_corrupted_table_fails(self, monkeypatch, capsys):
-        import mbqcrb.cli as cli
-
-        table = dict(cli.CLIFFORD_ANGLE_TABLE)
+        table = dict(mbqcrb.verify.CLIFFORD_ANGLE_TABLE)
         table["H"] = (0, 0, 1)
-        monkeypatch.setattr(cli, "CLIFFORD_ANGLE_TABLE", table)
+        monkeypatch.setattr(mbqcrb.verify, "CLIFFORD_ANGLE_TABLE", table)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL clifford-angle-table" in out
@@ -372,20 +369,18 @@ class TestVerifyCommand:
         assert out.count("PASS") == 4
 
     def test_pauli_design_fails(self, monkeypatch, capsys):
-        import mbqcrb.cli as cli
-
         paulis = SimpleNamespace(elements=(I2, X, Y, Z))
-        monkeypatch.setattr(cli, "derandomized_design", lambda: paulis)
+        design = mbqcrb.verify.derandomized_design
+        # the 2-design check gets the Paulis; the reference check, which names its phis, the design
+        monkeypatch.setattr(mbqcrb.verify, "derandomized_design", lambda *phis: design(*phis) if phis else paulis)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL derandomized-2design" in out
         assert out.count("PASS") == 4
 
     def test_wrong_byproduct_formula_fails(self, monkeypatch, capsys):
-        import mbqcrb.gatesets as gatesets
-
-        right = gatesets.byproduct_bits
-        monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+        right = mbqcrb.verify.byproduct_bits
+        monkeypatch.setattr(mbqcrb.verify, "byproduct_bits", lambda n, m: right(n, m)[::-1])
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL byproduct-bits" in out
@@ -550,15 +545,12 @@ class TestRunCommand:
         "broken", [("clifford-angle-table",), ("clifford-angle-table", "byproduct-bits")], ids=["one", "two"]
     )
     def test_verify_first_stops_the_run_on_failed_checks(self, tmp_path, monkeypatch, capsys, broken):
-        import mbqcrb.cli as cli
-        import mbqcrb.gatesets as gatesets
-
-        table = dict(cli.CLIFFORD_ANGLE_TABLE)
+        table = dict(mbqcrb.verify.CLIFFORD_ANGLE_TABLE)
         table["H"] = (0, 0, 1)
-        monkeypatch.setattr(cli, "CLIFFORD_ANGLE_TABLE", table)
+        monkeypatch.setattr(mbqcrb.verify, "CLIFFORD_ANGLE_TABLE", table)
         if "byproduct-bits" in broken:
-            right = gatesets.byproduct_bits
-            monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+            right = mbqcrb.verify.byproduct_bits
+            monkeypatch.setattr(mbqcrb.verify, "byproduct_bits", lambda n, m: right(n, m)[::-1])
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path, verify_first=True)
         out = tmp_path / "ds.csv"
@@ -1165,7 +1157,7 @@ class TestFitReportFile:
             reports.append(report)
             write_fit_report(path, report)
 
-        monkeypatch.setattr(mbqcrb.cli, "write_fit_report", record)
+        monkeypatch.setattr(mbqcrb.files, "write_fit_report", record)
         dataset, out = tmp_path / "ds.csv", tmp_path / "ds.fit.yaml"
         write_dataset(run_protocol(rb), str(dataset))
         assert main(["--quiet", "fit", str(dataset), "--resamples", resamples, "--out", str(out)]) == 0
@@ -1383,27 +1375,34 @@ RECORD_LAPACK = (
 # not build although each step first builds the Clifford group and the
 # derandomized design, and "lapack" for a call to LAPACK during the step,
 # whose first call maps about 1 MB of OpenBLAS pages into a process. No step
-# loads the literal wire, mbqcrb.wire.
-RUN_AND_FIT = ("hashlib", "_hashlib", "numpy.random", "csv", "_csv")
+# loads the literal wire, mbqcrb.wire. Only run and fit compile the file
+# formats, mbqcrb.files, and only verify and a verify_first run compile the
+# verification suite, mbqcrb.verify.
+RUN_AND_FIT = ("hashlib", "_hashlib", "numpy.random", "csv", "_csv", "mbqcrb.files")
 LOADING = {
     "import mbqcrb": (["lapack", *(f"mbqcrb.{m.name}" for m in pkgutil.iter_modules(mbqcrb.__path__))], []),
-    "verify": (["lapack", "mbqcrb.fitting", "yaml", "clifford_table", *RUN_AND_FIT], []),
-    "oracle JSON": (["lapack", "mbqcrb.fitting", "yaml", *RUN_AND_FIT], []),
-    "oracle YAML": (["lapack", "mbqcrb.fitting", *RUN_AND_FIT], ["yaml"]),
-    "run JSON": (["lapack", "mbqcrb.fitting", "yaml"], ["hashlib", "csv"]),
-    "run YAML": (["lapack", "mbqcrb.fitting"], ["hashlib", "csv"]),
-    "fit JSON": (["lapack", "yaml", "numpy.ma"], ["mbqcrb.fitting"]),
-    "fit YAML": (["lapack", "numpy.ma"], ["mbqcrb.fitting"]),
+    "verify": (["lapack", "mbqcrb.fitting", "yaml", "clifford_table", *RUN_AND_FIT], ["mbqcrb.verify"]),
+    "oracle JSON": (["lapack", "mbqcrb.fitting", "mbqcrb.verify", "yaml", *RUN_AND_FIT], []),
+    "oracle YAML": (["lapack", "mbqcrb.fitting", "mbqcrb.verify", *RUN_AND_FIT], ["yaml"]),
+    "run JSON": (["lapack", "mbqcrb.fitting", "mbqcrb.verify", "yaml"], ["hashlib", "csv", "mbqcrb.files"]),
+    "run YAML": (["lapack", "mbqcrb.fitting", "mbqcrb.verify"], ["hashlib", "csv", "mbqcrb.files"]),
+    "run verify_first": (["lapack", "mbqcrb.fitting", "yaml"], ["mbqcrb.verify", "mbqcrb.files"]),
+    "fit JSON": (["lapack", "mbqcrb.verify", "yaml", "numpy.ma"], ["mbqcrb.fitting", "mbqcrb.files"]),
+    "fit YAML": (["lapack", "mbqcrb.verify", "numpy.ma"], ["mbqcrb.fitting", "mbqcrb.files"]),
 }
 EXAMPLES = sorted(CONFIGS.glob("*.yaml"))
 # Each chain's steps, a row and an argv (None stands for ``import mbqcrb``).
 # A step can only add modules, so a chain orders its steps to keep out what a
-# later row forbids. ../<protocol>.yaml is a config of the chain's kind: the
+# later row forbids, and verify, which loads mbqcrb.verify, has a chain of its
+# own. ../<name>.yaml holds YAML in the yaml chain and JSON in the others: the
 # text, not the name, chooses the reader.
 CHAINS = {
+    "verify": [
+        ("verify", ["verify"]),
+        ("run verify_first", ["run", "--config", "../verify_first.yaml", "--out", "checked.csv"]),
+    ],
     "json": [
         ("import mbqcrb", None),
-        ("verify", ["verify"]),
         *[("oracle JSON", ["oracle", "--config", f"../{p}.yaml"]) for p in PROTOCOLS],
         *[("run JSON", ["run", "--config", f"../{p}.yaml", "--out", f"{p}.csv"]) for p in PROTOCOLS],
         *[("fit JSON", ["fit", "circuit.csv", "--resamples", r, "--out", f"{r}.yaml"]) for r in ("0", "200")],
@@ -1450,9 +1449,9 @@ class TestColdLoading:
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_chain(self, tmp_path, monkeypatch, capsys, chain):
-        for protocol in PROTOCOLS:
-            data = {**SAMPLE, "protocol": protocol}
-            (tmp_path / f"{protocol}.yaml").write_text(json.dumps(data) if chain == "json" else yaml.safe_dump(data))
+        configs = {**{p: {**SAMPLE, "protocol": p} for p in PROTOCOLS}, "verify_first": {**SAMPLE, "verify_first": True}}
+        for name, data in configs.items():
+            (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(data) if chain == "yaml" else json.dumps(data))
         plain, patched = tmp_path / "plain", tmp_path / "patched"
         plain.mkdir()
         patched.mkdir()
@@ -1637,16 +1636,19 @@ REJECTED = {
         "fit ds.csv --resamples 0 --out r.yaml", 2,
         line("cannot write report: r.yaml.curve.csv exists and is not a regular file"), {"r.yaml.curve.csv": None},
     ),
+    # the help, too, is printed to stdout
     **{
-        f"{command.split()[0]}-closed-stdout-{buffering}": Rejected(
+        f"{name}-closed-stdout-{buffering}": Rejected(
             command, 2, "", closed_stdout={"PYTHONUNBUFFERED": unbuffered}, writes=writes
         )
         for buffering, unbuffered in [("unbuffered", "1"), ("buffered", "")]
-        for command, writes in [
-            ("verify", ()),
-            ("oracle --config cfg.json", ()),
-            ("run --config cfg.json --out out.csv", ("out.csv",)),
-            ("fit ds.csv --resamples 0 --out r.yaml", ("r.yaml", "r.yaml.curve.csv")),
+        for name, command, writes in [
+            ("verify", "verify", ()),
+            ("oracle", "oracle --config cfg.json", ()),
+            ("run", "run --config cfg.json --out out.csv", ("out.csv",)),
+            ("fit", "fit ds.csv --resamples 0 --out r.yaml", ("r.yaml", "r.yaml.curve.csv")),
+            ("help", "--help", ()),
+            ("run-help", "run --help", ()),
         ]
     },
 }

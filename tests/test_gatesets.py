@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mbqcrb import gatesets
+from mbqcrb import gatesets, verify
 from mbqcrb.channels import H, I2, P, Unitary2, X, Y, Z, frame_potential, phase_distances, avg_gate_fidelity, twirl, random_cptp_channel, amplitude_damping, channel_from_unitary, z_rotation
 from mbqcrb.gatesets import (
     CLIFFORD_ANGLE_TABLE,
@@ -22,11 +22,9 @@ from mbqcrb.gatesets import (
     element_from_outcomes,
     frame_unitary,
     outcome_index,
-    verify_2design,
     verify_angle_table,
-    verify_byproduct_bits,
-    verify_design_reference,
 )
+from mbqcrb.verify import verify_2design, verify_byproduct_bits, verify_design_reference
 from mbqcrb.wire import step_unitary
 
 from conftest import haar_unitaries
@@ -260,10 +258,8 @@ class TestByproductBits:
                 assert (b1[i, j], b2[i, j]) == byproduct_bits(triple, m)
 
     def test_verify_catches_a_wrong_formula(self, monkeypatch):
-        import mbqcrb.gatesets as gatesets
-
-        right = gatesets.byproduct_bits
-        monkeypatch.setattr(gatesets, "byproduct_bits", lambda n, m: right(n, m)[::-1])
+        right = verify.byproduct_bits
+        monkeypatch.setattr(verify, "byproduct_bits", lambda n, m: right(n, m)[::-1])
         with pytest.raises(VerificationError, match="byproduct formulas failed"):
             verify_byproduct_bits()
 
@@ -464,9 +460,9 @@ class TestVerify2Design:
     def test_twirl_check_alone_rejects(self, monkeypatch, gateset, deviation):
         # with the frame potential passing, only the twirl check stands between
         # these sets and certification
-        monkeypatch.setattr(gatesets, "frame_potential", lambda gates, t: 2.0)
+        monkeypatch.setattr(verify, "frame_potential", lambda gates, t: 2.0)
         assert not verify_2design(gateset, 1e-9)
-        off = np.max(np.abs(gatesets._twirl_superoperator(gateset) - gatesets._HAAR_TWIRL))
+        off = np.max(np.abs(verify._twirl_superoperator(gateset) - verify._HAAR_TWIRL))
         assert off == pytest.approx(deviation, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["clifford", "derandomized", "haar-random"])
@@ -478,7 +474,7 @@ class TestVerify2Design:
             "derandomized": lambda: list(derandomized_design().elements),
             "haar-random": lambda: list(Unitary2.from_stack(haar_unitaries(rng, 5))),
         }[name]()
-        sup = gatesets._twirl_superoperator(gates)
+        sup = verify._twirl_superoperator(gates)
         for _ in range(20):
             ch = random_cptp_channel(rng, kraus_rank=2)
             got = (sup @ ch.ptm.ravel()).reshape(4, 4)
