@@ -227,10 +227,6 @@ class Effect:
         self._coeffs = _frozen(np.real(np.trace(_PAULIS @ op, axis1=1, axis2=2)) / 2.0)
 
     @property
-    def operator(self) -> np.ndarray:
-        return self._op
-
-    @property
     def bloch_coeffs(self) -> np.ndarray:
         return self._coeffs
 

@@ -65,6 +65,12 @@ def _read_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig |
         return None, EXIT_VALIDATION
 
 
+def _reason(exc: Exception) -> str:
+    """The message of ``exc``, or its type's name where it has none, as a
+    MemoryError raised while building many small objects."""
+    return str(exc) or type(exc).__name__
+
+
 def cmd_run(args) -> int:
     from .files import _replaces_input, write_dataset
 
@@ -82,7 +88,7 @@ def cmd_run(args) -> int:
     try:
         dataset = run_protocol(config.rb)
     except (ValueError, MemoryError) as exc:
-        print(f"invalid experiment: {exc}", file=sys.stderr)
+        print(f"invalid experiment: {_reason(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         write_dataset(dataset, out, output_name=config.output)
@@ -128,7 +134,7 @@ def cmd_fit(args) -> int:
             seed = np.random.SeedSequence((dataset.config.seed, 0xB007, args.resamples))
             ci = bootstrap_ci(dataset, args.resamples, np.random.Generator(np.random.Philox(seed)))
     except (ValueError, MemoryError) as exc:
-        print(f"cannot fit: {exc}", file=sys.stderr)
+        print(f"cannot fit: {_reason(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
 
     report = {

@@ -261,16 +261,19 @@ def run_protocol(config: RBConfig) -> RBDataset:
     else:
         operators = _gate_operators(*key[:5])
     pool = _gate_pool(config.protocol, config.clifford_mode)
-    shots = config.shots_per_sequence
+    n, shots = config.sequences_per_length, config.shots_per_sequence
     records = []
     for s in config.lengths:
-        rngs = [_item_rng(config.seed, config.protocol, s, i) for i in range(config.sequences_per_length)]
+        # allocated before the streams: a survivals array too large to hold
+        # fails before any stream is built
+        survival = np.empty(n)
+        rngs = [_item_rng(config.seed, config.protocol, s, i) for i in range(n)]
         if derandomized:
-            gates = np.zeros((len(rngs), 0), dtype=np.int64)
-            survival = np.full(len(rngs), _transfer_value(operator, s))
+            gates = np.zeros((n, 0), dtype=np.int64)
+            survival[:] = _transfer_value(operator, s)
         else:
             gates = np.array([_draw_gates(s, pool, rng) for rng in rngs])
-            survival = _outcome_averaged_survival(operators, gates)
+            survival[:] = _outcome_averaged_survival(operators, gates)
         records += [
             SequenceRecord(s, i, int((rng.random(shots) < p).sum()), shots, _digest(gates[i]))
             for i, (rng, p) in enumerate(zip(rngs, survival))

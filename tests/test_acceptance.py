@@ -16,9 +16,8 @@ from mbqcrb.channels import (
     random_cptp_channel,
     twirl,
 )
+from mbqcrb.config import InstrumentConfig, NoiseModel, RBConfig, SpamModel
 from mbqcrb.engine import (
-    RBConfig,
-    SpamModel,
     exact_sequence_fidelity,
     run_protocol,
     sequence_fidelity_estimate,
@@ -31,7 +30,7 @@ from mbqcrb.gatesets import (
     verify_angle_table,
 )
 from mbqcrb.verify import verify_byproduct_bits, verify_design_reference
-from mbqcrb.wire import InstrumentConfig, NoiseModel, WireRun, measure_step, run_gate_block
+from mbqcrb.wire import WireRun, measure_step, run_gate_block
 
 
 def report(criterion: int, detail: str):

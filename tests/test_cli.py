@@ -27,9 +27,16 @@ from mbqcrb import __version__
 from mbqcrb.channels import I2, X, Y, Z
 from mbqcrb.cli import format_angle_pi, main
 from mbqcrb.config import (
+    AFTER_EACH_GATE_BLOCK,
     AFTER_EACH_STEP,
     CLIFFORD_MODES,
+    NOISE_KINDS,
+    PROTOCOLS,
     ExperimentConfig,
+    InstrumentConfig,
+    NoiseModel,
+    RBConfig,
+    SpamModel,
     _config_loader,
     config_from_dict,
     config_to_dict,
@@ -39,16 +46,12 @@ from mbqcrb.config import (
 from mbqcrb.files import _PLAIN_STRINGS, _yaml_scalar, read_dataset, write_dataset, write_fit_report
 from mbqcrb.engine import (
     _BIAS_WARNING,
-    PROTOCOLS,
-    RBConfig,
     RBDataset,
     SequenceRecord,
-    SpamModel,
     exact_sequence_fidelity,
     run_protocol,
     sequence_fidelity_estimate,
 )
-from mbqcrb.wire import InstrumentConfig, NoiseModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,22 +93,55 @@ DEEP_LENGTHS = "[" * 600 + "1" + "]" * 600
 DEEP_JSON = "[" * 2000 + "]" * 2000
 DEEP_NOISE = json.dumps({**SAMPLE, "noise": nested_composite(200)})
 
-UNPARSABLE_YAML = "protocol: [circuit\n"
 
-
-def yaml_syntax_error(path) -> str:
-    """The message that reading ``UNPARSABLE_YAML`` at ``path`` gives."""
-    return (
-        "while parsing a flow sequence\n"
-        f'  in "{path}", line 1, column 11\n'
-        "expected ',' or ']', but got '<stream end>'\n"
-        f'  in "{path}", line 2, column 1'
-    )
+# Edits of a dataset's text, for a REJECTED row's files or a test's dataset.
+COLUMNS = "s,sequence_index,survivals,shots,gate_digest\n"
 
 
 def preamble_line(key: str, value: str):
-    """An edit of a dataset's text that gives its ``# <key>:`` line ``value``."""
-    return lambda text: re.sub(f"(?m)^# {key}: .*", lambda _: f"# {key}: {value}", text, count=1)
+    """An edit that gives the ``# <key>:`` line ``value``."""
+
+    def edited(text):
+        text, n = re.subn(f"(?m)^# {key}: .*", lambda _: f"# {key}: {value}", text, count=1)
+        assert n == 1, key
+        return text
+    return edited
+
+
+def replaced(old: str, new: str):
+    """An edit that replaces the first ``old``, which the text must hold, with ``new``."""
+
+    def edited(text):
+        assert old in text, old
+        return text.replace(old, new, 1)
+    return edited
+
+
+def edit_rows(edit):
+    """An edit that applies ``edit`` to the list of data rows, each with its newline."""
+
+    def edited(text):
+        head, columns, rows = text.partition(COLUMNS)
+        assert columns, "no column header"
+        return head + columns + "".join(edit(rows.splitlines(keepends=True)))
+    return edited
+
+
+def without(*starts: str):
+    """An edit that drops every line that begins with one of ``starts``, of which the text must hold one."""
+
+    def edited(text):
+        lines = text.splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(starts)]
+        assert len(kept) < len(lines), starts
+        return "".join(kept)
+    return edited
+
+
+def row_at(k: int, *lines: str):
+    """An edit that puts ``lines`` before the data row at index ``k``."""
+    return edit_rows(lambda rows: rows[:k] + [f"{new}\n" for new in lines] + rows[k:])
+
 
 # A float spelled with an exponent, which the config loader reads as a float
 # where YAML 1.1 reads a string.
@@ -154,28 +190,14 @@ EXPERIMENT_CONFIGS = st.builds(
     verify_first=st.booleans(),
 )
 
-# Each config-file section and the type whose fields are its keys.
-SECTIONS = {
-    None: RBConfig,
-    "noise": NoiseModel,
-    "noise_inv": NoiseModel,
-    "instrument": InstrumentConfig,
-    "spam": SpamModel,
-}
-
-
-def wrong_type_cases():
-    """(section, field, value) for every field of every section and a value of the wrong type.
-
-    A numeric string is a string: it must not be read as the number it spells.
-    """
-    for section, cls in SECTIONS.items():
-        for f in fields(cls):
-            if f.name == "dependence":  # a callable, which no file can hold
-                continue
-            values = [None, "1", ["1"]] + ([] if f.type in ("bool", bool) else [True])
-            for value in values:
-                yield pytest.param(section, f.name, value, id=f"{section or 'config'}-{f.name}-{value!r}")
+# a config whose noise has a dependence map, which no file can hold
+DEPENDENT = RBConfig(
+    protocol="clifford-mbqc",
+    lengths=(1,),
+    sequences_per_length=1,
+    shots_per_sequence=1,
+    noise=NoiseModel(kind="depolarizing", strength=0.9, dependence=lambda t, m: NoiseModel()),
+)
 
 
 class TestConfigRoundTrip:
@@ -228,35 +250,9 @@ class TestConfigRoundTrip:
         else:
             assert load_config(str(path)) == config
 
-    def test_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="lengths"):
-            config_from_dict({"protocol": "circuit"})
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"sequences": 8},
-            {"spam": {"prep_shrink": 1.0, "effect_bais": 0.0}},
-            {"instrument": {"bias": 0.0, "inject": True}},
-            {"noise_inv": {"kind": "none", "placment": "after-each-step"}},
-            {"noise": {"kind": "composite", "parts": [{"kind": "dephasing", "strengh": 0.1}]}},
-            {"spam": 0.98},
-        ],
-    )
-    def test_unknown_keys_rejected_at_every_level(self, overrides):
-        with pytest.raises(ValueError):
-            config_from_dict({**SAMPLE, **overrides})
-
     def test_dependence_not_serializable(self):
-        rb = RBConfig(
-            protocol="clifford-mbqc",
-            lengths=(1,),
-            sequences_per_length=1,
-            shots_per_sequence=1,
-            noise=NoiseModel(kind="depolarizing", strength=0.9, dependence=lambda t, m: NoiseModel()),
-        )
         with pytest.raises(ValueError):
-            config_to_dict(ExperimentConfig(rb=rb))
+            config_to_dict(ExperimentConfig(rb=DEPENDENT))
 
 
 class TestAngleFormatting:
@@ -310,17 +306,9 @@ class TestDatasetFile:
         assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"] and not path.is_file()
 
     def test_unserializable_config_leaves_no_file(self, tmp_path):
-        rb = RBConfig(
-            protocol="clifford-mbqc",
-            lengths=(1,),
-            sequences_per_length=1,
-            shots_per_sequence=1,
-            noise=NoiseModel(kind="depolarizing", strength=0.9, dependence=lambda t, m: NoiseModel()),
-        )
-        ds = run_protocol(rb)
         path = tmp_path / "ds.csv"
         with pytest.raises(ValueError, match="dependence map cannot be serialized"):
-            write_dataset(ds, str(path))
+            write_dataset(run_protocol(DEPENDENT), str(path))
         assert not path.exists()
 
     def test_reading_keeps_each_row_once(self, tmp_path):
@@ -343,13 +331,6 @@ class TestDatasetFile:
             tracemalloc.stop()
         assert dataset.records == records
         assert peak <= 3 * kept, (peak, kept)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_dataset(str(path))
-
 
 class TestVerifyCommand:
     def test_passes(self, capsys):
@@ -403,14 +384,6 @@ class TestRunCommand:
         assert ds.lengths() == (1, 2, 3, 4, 5, 6)
         assert len(ds.records) == 6 * 8
 
-    def test_deterministic_bytes(self, tmp_path):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_seed_override_changes_data(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -418,120 +391,6 @@ class TestRunCommand:
         main(["run", "--config", str(cfg_path), "--out", str(out1)])
         main(["run", "--config", str(cfg_path), "--seed", "12345", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
-
-    @pytest.mark.parametrize(
-        "overrides, key",
-        [
-            ({"lengths": 5}, "lengths"),
-            ({"lengths": [1, None]}, "lengths entry"),
-            ({"sequences_per_length": None}, "sequences_per_length"),
-            ({"shots_per_sequence": "many"}, "shots_per_sequence"),
-            ({"noise": {"kind": "depolarizing", "strength": None}}, "noise strength"),
-            ({"noise": {"kind": "composite", "parts": 3}}, "noise parts"),
-            ({"design_phis": [None, 0.0]}, "design_phis entry"),
-            ({"sequences_per_length": 2.5}, "sequences_per_length"),
-            ({"noise": {"kind": "depolarizing", "strength": True}}, "noise strength"),
-            ({"instrument": {"inject_randomness": "false"}}, "instrument inject_randomness"),
-            ({"output": 5}, "output"),
-        ],
-        ids=[
-            "lengths", "length-entry", "sequences", "shots", "strength", "parts", "phis",
-            "fractional-count", "flag-as-number", "string-flag", "output",
-        ],
-    )
-    def test_wrong_value_type_rejected(self, tmp_path, capsys, overrides, key):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path, **overrides)
-        out = tmp_path / "ds.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid config: ") and key in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "overrides, key",
-        [
-            ({"design_phis": [0.0, 0.0, 0.0]}, "design_phis"),
-            ({"design_phis": []}, "design_phis"),
-            # finite in the file's units of pi, but not in radians
-            (
-                {"design_phis": [1.0e308, 0.0]},
-                "design_phis entry 1 is 1e+308 (units of pi), too large to convert to radians\n",
-            ),
-            (
-                {
-                    "noise": {
-                        "kind": "depolarizing",
-                        "strength": 0.9,
-                        "parts": [{"kind": "dephasing", "strength": 0.1}],
-                    }
-                },
-                "parts",
-            ),
-            ({"noise": {"kind": "none", "strength": 0.3}}, "strength"),
-            (
-                {
-                    "noise_inv": {
-                        "kind": "composite",
-                        "strength": 0.3,
-                        "parts": [{"kind": "dephasing", "strength": 0.1}],
-                    }
-                },
-                "strength",
-            ),
-            # checked where the NoiseModel is built, not first by run or oracle
-            (
-                {"noise": {"kind": "depolarizing", "strength": 1.5}},
-                "noise depolarizing parameter must lie in [0, 1], got 1.5\n",
-            ),
-            (
-                {"noise": {"kind": "dephasing", "strength": -0.2}},
-                "noise flip probability must lie in [0, 1], got -0.2\n",
-            ),
-            (
-                {"noise": {"kind": "amplitude-damping", "strength": 1.01}},
-                "noise damping probability must lie in [0, 1], got 1.01\n",
-            ),
-            (
-                {
-                    "noise": {
-                        "kind": "composite",
-                        "parts": [{"kind": "dephasing", "strength": 0.1}, {"kind": "depolarizing", "strength": 2}],
-                    }
-                },
-                "noise parts entry 2 depolarizing parameter must lie in [0, 1], got 2.0\n",
-            ),
-        ],
-        ids=[
-            "three-phis", "no-phis", "overflowing-phi", "parts-without-composite", "none-strength",
-            "composite-strength", "depolarizing-range", "dephasing-range", "damping-range", "part-range",
-        ],
-    )
-    def test_value_the_config_cannot_use_rejected(self, tmp_path, capsys, overrides, key):
-        cfg_path = tmp_path / "cfg.yaml"
-        write_sample_config(cfg_path, protocol="derandomized-mbqc", **overrides)
-        out = tmp_path / "ds.csv"
-        for argv in (["run", "--out", str(out)], ["oracle"]):
-            assert main([*argv, "--config", str(cfg_path)]) == 1
-            captured = capsys.readouterr()
-            assert captured.err.startswith("invalid config: ") and key in captured.err
-            assert captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("section, name, value", wrong_type_cases())
-    def test_every_field_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, section, name, value):
-        data = dict(SAMPLE)
-        if section is None:
-            data[name] = value
-        else:
-            data[section] = {**SAMPLE[section], name: value}
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(data))
-        out = tmp_path / "ds.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid config: ") and name in err
-        assert not out.exists()
 
     def test_verify_first_runs_on_the_intact_package(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
@@ -561,17 +420,6 @@ class TestRunCommand:
         assert [line.partition(": ")[0] for line in captured.err.splitlines()] == [f"FAIL {n}" for n in broken]
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
-    def test_seed_outside_range_rejected(self, tmp_path, capsys, seed):
-        # a seed outside [0, 2**64) used to alias a seed inside it; for --seed see REJECTED
-        cfg_path = tmp_path / "cfg.yaml"
-        out = tmp_path / "ds.csv"
-        write_sample_config(cfg_path, seed=seed)
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid config: ") and f"seed must lie in [0, 2**64), got {seed}" in err
-        assert not out.exists()
-
     def test_seeds_at_both_ends_of_the_range_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         write_sample_config(cfg_path)
@@ -579,48 +427,6 @@ class TestRunCommand:
             out = tmp_path / f"{seed}.csv"
             assert main(["run", "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]) == 0
             assert read_dataset(str(out)).config.seed == seed
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (
-                "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\n"
-                "shots_per_sequence: 10\nseed: 1\nseed: 7\n",
-                "duplicate key 'seed' (line 6)",
-            ),
-            (
-                "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\n"
-                "shots_per_sequence: 10\nnoise:\n  kind: depolarizing\n"
-                "  strength: 0.9\n  strength: 0.8\n",
-                "duplicate key 'strength' (line 8)",
-            ),
-        ],
-        ids=["top-level", "nested"],
-    )
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_duplicate_key_rejected(self, tmp_path, capsys, text, message, command):
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(text)
-        out = tmp_path / "ds.csv"
-        argv = [command, "--config", str(cfg_path)]
-        if command == "run":
-            argv += ["--out", str(out)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"invalid config: {message}\n"
-        assert captured.out == ""
-        assert not out.exists()
-        with pytest.raises(ValueError) as raised:
-            load_config(str(cfg_path))
-        assert str(raised.value) == message
-
-    def test_yaml_syntax_error_rejected(self, tmp_path):
-        # run and oracle print this message: see REJECTED
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(UNPARSABLE_YAML)
-        with pytest.raises(ValueError) as raised:
-            load_config(str(cfg_path))
-        assert str(raised.value) == yaml_syntax_error(cfg_path)
 
     @pytest.mark.parametrize(
         "spelling, value",
@@ -644,41 +450,6 @@ class TestRunCommand:
         assert '"strength": 1e-05' in cfg_path.read_text()
         assert main(["oracle", "--config", str(cfg_path)]) == 0
         assert load_config(str(cfg_path)).rb.noise.strength == 1e-05
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (json.dumps(SAMPLE)[:-1] + ', "seed": 8}', "duplicate key 'seed' (line 1)"),
-            (
-                json.dumps({**SAMPLE, "noise": {"kind": "dephasing", "strength": 0.5}}).replace("0.5", "NaN"),
-                "noise strength must be a finite float, got 'NaN'",
-            ),
-            (
-                json.dumps({**SAMPLE, "noise": {"kind": "dephasing", "strength": 0.5}}).replace("0.5", "-Infinity"),
-                "noise strength must be a finite float, got '-Infinity'",
-            ),
-        ],
-        ids=["repeated-key", "nan", "infinity"],
-    )
-    def test_text_the_json_rule_rejects_is_read_as_yaml(self, tmp_path, capsys, text, message):
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(text)
-        with pytest.raises(ValueError):
-            parse_json(text)
-        assert main(["oracle", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-
-    @pytest.mark.parametrize(
-        "text",
-        [f"protocol: circuit\nlengths: {DEEP_LENGTHS}\n", DEEP_NOISE],
-        ids=["lengths-600-lists", "noise-200-composites"],
-    )
-    def test_config_nested_too_deeply_rejected(self, tmp_path, text):
-        # run and oracle print this message: see REJECTED
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(text)
-        with pytest.raises(ValueError, match="^the file is nested too deeply to read$"):
-            load_config(str(cfg_path))
 
     def test_merged_key_may_be_overridden(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -750,13 +521,6 @@ class TestFitCommand:
         assert curve[3] == "s,mean,stderr,model"
         assert len(curve) == 4 + 6
 
-    def test_pipeline_deterministic(self, tmp_path):
-        out = self._make_dataset(tmp_path)
-        r1, r2 = tmp_path / "r1.yaml", tmp_path / "r2.yaml"
-        assert main(["fit", str(out), "--out", str(r1), "--resamples", "100"]) == 0
-        assert main(["fit", str(out), "--out", str(r2), "--resamples", "100"]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
-
     def test_noiseless_dataset_flags_degenerate(self, tmp_path):
         out = self._make_dataset(tmp_path, noise={"kind": "none"})
         assert main(["fit", str(out), "--resamples", "0"]) == 0
@@ -764,23 +528,6 @@ class TestFitCommand:
             report = yaml.safe_load(fh)
         assert report["p"] == 1.0
         assert report["degenerate"] or report["clamped"]
-
-    def test_insufficient_lengths(self, tmp_path):
-        out = self._make_dataset(tmp_path, lengths=[1, 2])
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-
-    @pytest.mark.parametrize(
-        "key, line",
-        [("config", DEEP_JSON), ("config", DEEP_NOISE), ("warnings", DEEP_JSON)],
-        ids=["2000-lists", "noise-200-composites", "warnings-2000-lists"],
-    )
-    def test_config_line_nested_too_deeply_rejected(self, tmp_path, key, line):
-        # fit prints this message: see REJECTED
-        out = self._make_dataset(tmp_path)
-        out.write_text(preamble_line(key, line)(out.read_text()))
-        with pytest.raises(ValueError) as raised:
-            read_dataset(str(out))
-        assert str(raised.value) == f"{out}: the {key} line is nested too deeply to read"
 
     def test_dataset_that_is_not_utf8_named_by_its_path(self, tmp_path, capsys):
         out = self._make_dataset(tmp_path)
@@ -818,6 +565,24 @@ class TestFitCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
 
     @pytest.mark.parametrize(
+        "argv, target, prefix",
+        [("run --config cfg.yaml --out new.csv", "mbqcrb.cli.run_protocol", "invalid experiment"),
+         ("fit ds.csv --resamples 0 --out r.yaml", "mbqcrb.fitting.fit_decay", "cannot fit")],
+        ids=["run", "fit"],
+    )
+    def test_memory_error_without_a_message_named(self, tmp_path, monkeypatch, capsys, argv, target, prefix):
+        # Python's own MemoryError, raised while building many small objects, has no message
+        self._make_dataset(tmp_path)
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(target, out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(shlex.split(argv)) == 1
+        assert capsys.readouterr() == ("", f"{prefix}: MemoryError\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "ds.csv"]
+
+    @pytest.mark.parametrize(
         "dataset, out",
         [("ds.csv", "ds.csv"), ("ds.csv", "link/ds.csv"), ("r.curve.csv", "r")],
         ids=["report", "report-through-a-symlinked-directory", "curve-table"],
@@ -850,7 +615,7 @@ class TestFitCommand:
         assert main(["--quiet", "fit", str(out), "--out", str(first)]) == 0
         order = np.random.default_rng(5).permutation(6 * 8)
         assert np.any(order != np.arange(6 * 8))
-        self._edit_rows(out, lambda rows: [rows[k] for k in order])
+        self._edit(out, edit_rows(lambda rows: [rows[k] for k in order]))
         assert main(["--quiet", "fit", str(out), "--out", str(second)]) == 0
         for suffix in ("", ".curve.csv"):
             assert (tmp_path / f"first.yaml{suffix}").read_bytes() == (tmp_path / f"second.yaml{suffix}").read_bytes()
@@ -872,231 +637,15 @@ class TestFitCommand:
         out.write_text("".join(rest[:k] + ["\n"] + preamble + rest[k:]))
         assert read_dataset(str(out)) == before
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("2,x,10,40,000000000000", " (2,x,10,40,000000000000) field sequence_index is not an integer: 'x'"),
-            (
-                f"2,1,{'9' * (csv.field_size_limit() + 1)},40,000000000000",
-                f": field larger than field limit ({csv.field_size_limit()})",
-            ),
-        ],
-        ids=["non-integer", "over-the-csv-limit"],
-    )
-    @pytest.mark.parametrize(
-        "place, number", [("first", 1), ("after-notes", 4), ("last", 6 * 8 + 1)]
-    )
-    def test_bad_row_named_by_its_data_row(self, tmp_path, capsys, row, message, place, number):
-        # '#' lines and blank lines among the rows are no data rows
-        out = self._make_dataset(tmp_path)
-        notes = ["# a note\n", "\n", " \t\n"]
-        place_row = {
-            "first": lambda rows: [row + "\n"] + rows,
-            "after-notes": lambda rows: rows[:3] + notes + [row + "\n"] + rows[3:],
-            "last": lambda rows: rows + [row + "\n"],
-        }
-        self._edit_rows(out, place_row[place])
-        message = f"{out}: data row {number}{message}"
-        with pytest.raises(ValueError) as raised:
-            read_dataset(str(out))
-        assert str(raised.value) == message
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err == f"invalid dataset: {message}\n"
-
-    @pytest.mark.parametrize(
-        "dropped, message",
-        [
-            (["s,sequence_index"], "is not a recognized dataset file"),
-            (["# config: "], "has no embedded config"),
-            # the column header is checked first
-            (["s,sequence_index", "# config: "], "is not a recognized dataset file"),
-            (["s,sequence_index", "# config: ", "1,", "2,", "3,", "4,", "5,", "6,"], "is not a recognized dataset file"),
-        ],
-        ids=["column-header", "config", "column-header-and-config", "column-header-config-and-rows"],
-    )
-    def test_missing_column_header_or_config_rejected(self, tmp_path, capsys, dropped, message):
-        out = self._make_dataset(tmp_path)
-        lines = out.read_text().splitlines(keepends=True)
-        kept = [line for line in lines if not line.startswith(tuple(dropped))]
-        assert len(kept) < len(lines)
-        out.write_text("".join(kept))
-        with pytest.raises(ValueError) as raised:
-            read_dataset(str(out))
-        assert str(raised.value) == f"{out} {message}"
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err == f"invalid dataset: {out} {message}\n"
-
-    def _edit_rows(self, path, edit):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        body = lines.index("s,sequence_index,survivals,shots,gate_digest\n") + 1
-        path.write_text("".join(lines[:body] + edit(lines[body:])), encoding="utf-8")
-
-    def test_duplicate_rows_rejected(self, tmp_path):
-        out = self._make_dataset(tmp_path)
-        self._edit_rows(out, lambda rows: rows + rows[:3])
-        with pytest.raises(ValueError, match="more than once"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-
-    @pytest.mark.parametrize("row", ["2,1,10", "2,1,10,40,000000000000,7"])
-    def test_row_with_wrong_field_count_rejected(self, tmp_path, capsys, row):
-        out = self._make_dataset(tmp_path)
-        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
-        with pytest.raises(ValueError, match=rf"data row 2 \({row}\) has \d fields, expected 5"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err.startswith("invalid dataset: ")
-
-    @pytest.mark.parametrize(
-        "row, field",
-        [
-            ("2,x,10,40,000000000000", "sequence_index"),
-            ("2,1,10,4.0,000000000000", "shots"),
-            # spellings that int() reads as 10: only ASCII digits are a count
-            ("2,1,1_0,40,000000000000", "survivals"),
-            ("2,1,\uff11\uff10,40,000000000000", "survivals"),
-            ("2,1, 10 ,40,000000000000", "survivals"),
-            ("2,1,+10,40,000000000000", "survivals"),
-        ],
-    )
-    def test_row_with_non_integer_field_rejected(self, tmp_path, capsys, row, field):
-        out = self._make_dataset(tmp_path)
-        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
-        with pytest.raises(ValueError, match=rf"data row 2 \({re.escape(row)}\) field {field} is not an integer"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err.startswith("invalid dataset: ")
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    @pytest.mark.parametrize("survivals", [-1, 41, 999])
-    def test_survivals_outside_shots_name_the_row(self, tmp_path, capsys, survivals):
-        out = self._make_dataset(tmp_path)
-        row = f"2,1,{survivals},40,000000000000"
-        self._edit_rows(out, lambda rows: rows[:1] + [row + "\n"] + rows[1:])
-        with pytest.raises(ValueError, match=rf"data row 2 \({row}\): survival count {survivals} outside \[0, 40\]"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"invalid dataset: {out}: data row 2") and len(err.strip().splitlines()) == 1
-
-    def test_shots_mismatch_rejected(self, tmp_path):
-        out = self._make_dataset(tmp_path)
-        def fewer_shots(rows):
-            s, index, survivals, _, digest = rows[0].split(",")
-            return [f"{s},{index},{min(int(survivals), 39)},39,{digest}"] + rows[1:]
-
-        self._edit_rows(out, fewer_shots)
-        with pytest.raises(ValueError, match="shots_per_sequence"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-
-    def test_length_outside_config_rejected(self, tmp_path):
-        out = self._make_dataset(tmp_path)
-        self._edit_rows(out, lambda rows: rows + ["99,0,20,40,000000000000\n"])
-        with pytest.raises(ValueError, match="not in the config"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-
-    @pytest.mark.parametrize(
-        "index", [-1, SAMPLE["sequences_per_length"], 10**12], ids=["negative", "count", "huge"]
-    )
-    def test_sequence_index_outside_config_rejected(self, tmp_path, capsys, index):
-        out = self._make_dataset(tmp_path)
-        self._edit_rows(out, lambda rows: rows + [f"2,{index},20,40,000000000000\n"])
-        where = rf"row s=2, sequence_index={index}: sequence_index outside \[0, 8\)"
-        with pytest.raises(ValueError, match=where):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
-        assert f"sequence_index={index}:" in err
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    @pytest.mark.parametrize("line", ["null", "5", '"abc"'], ids=["null", "number", "string"])
-    def test_warnings_line_must_hold_a_list_of_strings(self, tmp_path, capsys, line):
-        out = self._make_dataset(tmp_path)
-        text = out.read_text().splitlines(keepends=True)
-        k = next(i for i, row in enumerate(text) if row.startswith("# warnings: "))
-        out.write_text("".join(text[:k] + [f"# warnings: {line}\n"] + text[k + 1 :]))
-        with pytest.raises(ValueError, match="warnings line must hold a JSON list of strings"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("# config: {", '# config: {"seed": 99, ', "the config line: duplicate key 'seed'"),
-            ('"noise": {', '"noise": {"strength": 0.5, ', "the config line: duplicate key 'strength'"),
-            ("# warnings:", "# config: {}\n# warnings:", "the config line appears more than once"),
-            ("# warnings: []\n", "# warnings: []\n# warnings: []\n", "the warnings line appears more than once"),
-            (
-                "# warnings: []\n",
-                "# warnings: [,]\n",
-                "the warnings line: Expecting value: line 1 column 2 (char 1)",
-            ),
-            # valid JSON, but a setting the config rejects
-            ('"lengths": [1, ', '"lengths": [1, 1, ', "the config line: lengths must be distinct"),
-            # the rule of config files, which allows no NaN or Infinity
-            ('"strength": 0.9', '"strength": NaN', "the config line: NaN is not a JSON number"),
-            (
-                "# config: {",
-                '# config: {"output": "", ',
-                "the config line: output must be a non-empty file name the file system can encode, "
-                "with no NUL; got ''",
-            ),
-        ],
-        ids=[
-            "top-level-key",
-            "nested-key",
-            "config-line",
-            "warnings-line",
-            "warnings-json",
-            "config-setting",
-            "config-nan",
-            "config-empty-output",
-        ],
-    )
-    def test_repeated_key_or_preamble_line_rejected(self, tmp_path, capsys, old, new, message):
-        # json.loads and the preamble dict would otherwise keep the last value
-        out = self._make_dataset(tmp_path)
-        text = out.read_text()
-        assert old in text
-        out.write_text(text.replace(old, new, 1))
-        with pytest.raises(ValueError) as raised:
-            read_dataset(str(out))
-        assert str(raised.value) == f"{out}: {message}"
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        assert capsys.readouterr().err == f"invalid dataset: {out}: {message}\n"
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
-
-    def _replace_header(self, path, lines):
-        text = path.read_text().splitlines(keepends=True)
-        assert text[0] == "# mbqcrb-dataset-v2\n"
-        path.write_text("".join(lines + text[1:]))
+    @staticmethod
+    def _edit(path, edit):
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
 
     @pytest.mark.parametrize("header", ["# mbqcrb-dataset-v1", "# mbqcrb-dataset-v2"])
     def test_both_dataset_headers_read(self, tmp_path, header):
         out = self._make_dataset(tmp_path)
-        self._replace_header(out, [header + "\n"])
+        self._edit(out, replaced("# mbqcrb-dataset-v2\n", header + "\n"))
         assert len(read_dataset(str(out)).records) == 6 * 8
-
-    @pytest.mark.parametrize(
-        "lines",
-        [["# something-else-entirely\n"], ["# mbqcrb-dataset-v3\n"], []],
-        ids=["foreign", "future", "missing"],
-    )
-    def test_unknown_or_missing_header_rejected(self, tmp_path, capsys, lines):
-        out = self._make_dataset(tmp_path)
-        self._replace_header(out, lines)
-        with pytest.raises(ValueError, match="does not start with a dataset header"):
-            read_dataset(str(out))
-        assert main(["fit", str(out), "--resamples", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid dataset: ") and len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "ds.csv.fit.yaml").exists()
 
     def test_missing_row_and_single_sequence_length_fitted(self, tmp_path, capsys):
         out = self._make_dataset(tmp_path)
@@ -1108,7 +657,7 @@ class TestFitCommand:
                 if not (s == "2" and index == "3") and (s != "6" or index == "0")
             ]
 
-        self._edit_rows(out, thin)
+        self._edit(out, edit_rows(thin))
         ds = read_dataset(str(out))
         assert [ds.survival_fractions(s).size for s in ds.lengths()] == [8, 7, 8, 8, 8, 1]
         assert main(["fit", str(out), "--resamples", "100"]) == 0
@@ -1340,7 +889,10 @@ class TestUsageErrors:
 
 
 # A cold process imports the mbqcrb that this file imports, and writes UTF-8.
+# Every warning is an error in it, so a warning, such as a numpy
+# RuntimeWarning or an unclosed file, fails the command that gave it.
 COLD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mbqcrb.__file__)), PYTHONIOENCODING="utf-8")
+COLD_PYTHON = [sys.executable, "-W", "error"]
 
 # numpy.linalg's decompositions and solvers, each of which calls LAPACK: its
 # first call maps about 1 MB of OpenBLAS pages into the process.
@@ -1391,6 +943,16 @@ LOADING = {
     "fit YAML": (["lapack", "mbqcrb.verify", "numpy.ma"], ["mbqcrb.fitting", "mbqcrb.files"]),
 }
 EXAMPLES = sorted(CONFIGS.glob("*.yaml"))
+# A run of which about half of fit's 200 bootstrap resamples fit with a0 = 1 or b0 = 0.
+BOUND = {
+    "protocol": "clifford-mbqc",
+    "lengths": [1, 2, 4, 8],
+    "sequences_per_length": 20,
+    "shots_per_sequence": 50,
+    "seed": 2016,
+    "noise": {"kind": "depolarizing", "strength": 0.9},
+    "noise_inv": {"kind": "none"},
+}
 # Each chain's steps, a row and an argv (None stands for ``import mbqcrb``).
 # A step can only add modules, so a chain orders its steps to keep out what a
 # later row forbids, and verify, which loads mbqcrb.verify, has a chain of its
@@ -1404,11 +966,18 @@ CHAINS = {
     "json": [
         ("import mbqcrb", None),
         *[("oracle JSON", ["oracle", "--config", f"../{p}.yaml"]) for p in PROTOCOLS],
-        *[("run JSON", ["run", "--config", f"../{p}.yaml", "--out", f"{p}.csv"]) for p in PROTOCOLS],
+        *[("run JSON", ["run", "--config", f"../{p}.yaml", "--out", f"{p}.csv"]) for p in (*PROTOCOLS, "bound")],
         *[("fit JSON", ["fit", "circuit.csv", "--resamples", r, "--out", f"{r}.yaml"]) for r in ("0", "200")],
+        ("fit JSON", ["fit", "bound.csv", "--resamples", "200", "--out", "bound.yaml"]),
     ],
     "yaml": [
         *[("oracle YAML", ["oracle", "--config", f"../{p}.yaml"]) for p in PROTOCOLS],
+        # every configured length, and lengths far past the enumerable ones
+        *[
+            ("oracle YAML", ["oracle", "--config", str(c), *length])
+            for c in EXAMPLES
+            for length in ([], ["--length", "200"], ["--length", "10000"])
+        ],
         *[("run YAML", ["run", "--config", str(c), "--out", f"{c.stem}.csv"]) for c in EXAMPLES],
         *[("fit YAML", ["fit", f"{c.stem}.csv"]) for c in EXAMPLES],
     ],
@@ -1449,27 +1018,34 @@ class TestColdLoading:
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_chain(self, tmp_path, monkeypatch, capsys, chain):
-        configs = {**{p: {**SAMPLE, "protocol": p} for p in PROTOCOLS}, "verify_first": {**SAMPLE, "verify_first": True}}
+        configs = {**{p: {**SAMPLE, "protocol": p} for p in PROTOCOLS}, "bound": BOUND}
+        configs["verify_first"] = {**SAMPLE, "verify_first": True}
         for name, data in configs.items():
             (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(data) if chain == "yaml" else json.dumps(data))
         plain, patched = tmp_path / "plain", tmp_path / "patched"
         plain.mkdir()
         patched.mkdir()
-        argvs = json.dumps([argv for _, argv in CHAINS[chain]])
-        child = subprocess.run([sys.executable, "-c", CHILD, argvs], cwd=patched, env=COLD_ENV, capture_output=True, text=True)
-        assert child.returncode == 0, child.stderr
-        eager, records = json.loads(child.stdout)
-        monkeypatch.chdir(plain)
-        for (row, argv), (modules, built, called, printed) in zip(CHAINS[chain], records, strict=True):
+        cold = [*COLD_PYTHON, "-c", CHILD, json.dumps([argv for _, argv in CHAINS[chain]])]
+        with subprocess.Popen(
+            cold, cwd=patched, env=COLD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as child:
+            # the same steps in this process while the child runs
+            monkeypatch.chdir(plain)
+            here = []
+            for _, argv in CHAINS[chain]:
+                capsys.readouterr()
+                assert argv is None or main(argv) == 0, argv
+                here.append(capsys.readouterr().out)
+            out, err = child.communicate()
+        assert (child.returncode, err) == (0, "")
+        eager, records = json.loads(out)
+        for (row, argv), (modules, built, called, printed), kept in zip(CHAINS[chain], records, here, strict=True):
             loaded = {*modules, *(["clifford_table"] if built else []), *(["lapack"] if called else [])}
             # what a bare ``import numpy`` loads (numpy 1.x: numpy.random, hashlib) cannot be kept out
             forbidden = {*LOADING[row][0], "mbqcrb.wire"}.difference(eager)
             assert sorted(loaded & forbidden) == [], (row, argv)
             assert loaded.issuperset(LOADING[row][1]), (row, argv)
-            if argv is not None:
-                capsys.readouterr()
-                assert main(argv) == 0
-                assert capsys.readouterr().out == printed, argv
+            assert kept == printed, argv
         assert entries(plain) == entries(patched)
 
 
@@ -1495,6 +1071,64 @@ def line(message: str) -> str:
 NESTED = "the file is nested too deeply to read"
 ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
 UNUSABLE_OUTPUT = "output must be a non-empty file name the file system can encode, with no NUL; got "
+# What each field of a config file must hold, in the words of its rejection:
+# a phrase, a tuple of choices, or a list of one phrase for a list of those.
+MUST_HOLD = {
+    **dict.fromkeys(["sequences_per_length", "shots_per_sequence", "seed"], "int"),
+    **dict.fromkeys(["noise", "noise_inv", "instrument", "spam"], "a key/value mapping"),
+    **dict.fromkeys(["strength", "bias", "prep_shrink", "effect_bias"], "a finite float"),
+    "inject_randomness": "a bool",
+    "lengths": ["int"],
+    "design_phis": ["a finite float"],
+    "parts": ["a key/value mapping"],
+    "protocol": PROTOCOLS,
+    "clifford_mode": CLIFFORD_MODES,
+    "kind": NOISE_KINDS,
+    "placement": (AFTER_EACH_STEP, AFTER_EACH_GATE_BLOCK),
+}
+
+
+def must_hold(what: str, holds, value) -> str:
+    """The message that refuses ``value`` for the field ``what``, which must hold ``holds``."""
+    if isinstance(holds, list):
+        if isinstance(value, list):
+            return must_hold(f"{what} entry 1", holds[0], value[0])
+        holds = "a list"
+    if isinstance(holds, tuple):
+        return f"{what} must be one of {', '.join(holds)}; got {value!r}"
+    return f"{what} must be {holds}, got {value!r}"
+
+
+def wrong_types():
+    """(name, YAML text, message) for every field of every config section given a
+    value of the wrong type. A numeric string is a string, not the number it spells."""
+    sections = [
+        ("config", RBConfig), ("noise", NoiseModel), ("noise_inv", NoiseModel), ("instrument", InstrumentConfig),
+        ("spam", SpamModel),
+    ]
+    for section, cls in sections:
+        for f in fields(cls):
+            if f.name == "dependence":  # a callable, which no file can hold
+                continue
+            for label, value in [("null", None), ("string", "1"), ("list", ["1"]), ("flag", True)]:
+                if label == "flag" and f.type in ("bool", bool):
+                    continue
+                if section == "config":
+                    data, what = {**SAMPLE, f.name: value}, f.name
+                else:
+                    data, what = {**SAMPLE, section: {**SAMPLE[section], f.name: value}}, f"{section} {f.name}"
+                yield f"{section}-{f.name}-{label}", yaml.safe_dump(data), must_hold(what, MUST_HOLD[f.name], value)
+
+
+DEPOLARIZING = {"kind": "depolarizing", "strength": 0.9}
+DEPHASING = {"kind": "dephasing", "strength": 0.1}
+
+
+def bad_config(command: str, text: str, message: str) -> Rejected:
+    """``command`` refusing cfg.yaml, which holds ``text``."""
+    return Rejected(f"{command} --config cfg.yaml", 1, line(f"invalid config: {message}"), {"cfg.yaml": text})
+
+
 # The command contract. A row is a command that must be refused. It runs in a
 # directory of its own, which holds cfg.json (SAMPLE, with an output name),
 # ds.csv (a run of SAMPLE) and the row's files: text, an edit of the
@@ -1540,12 +1174,16 @@ REJECTED = {
         for side, seed in [("below", -1), ("above", 2**64)]
     },
     **{
-        f"{command.split()[0]}-{name}": Rejected(
-            f"{command} --config cfg.yaml", 1, line(f"invalid config: {message}"), {"cfg.yaml": text}
-        )
+        f"{command.split()[0]}-{name}": bad_config(command, text, message)
         for command in ("run --out out.csv", "oracle")
         for name, text, message in [
-            ("unparsable-yaml", UNPARSABLE_YAML, yaml_syntax_error("cfg.yaml")),
+            (
+                "unparsable-yaml", "protocol: [circuit\n",
+                "while parsing a flow sequence\n"
+                '  in "cfg.yaml", line 1, column 11\n'
+                "expected ',' or ']', but got '<stream end>'\n"
+                '  in "cfg.yaml", line 2, column 1',
+            ),
             ("lengths-600-lists", f"protocol: circuit\nlengths: {DEEP_LENGTHS}\n", NESTED),
             ("noise-200-composites", DEEP_NOISE, NESTED),
             (
@@ -1566,6 +1204,93 @@ REJECTED = {
                     ("empty", json.dumps({**SAMPLE, "output": ""}), ""),
                 ]
             ],
+            # a key repeated in one mapping, at any depth
+            *[
+                (
+                    f"duplicate-key-{name}",
+                    "protocol: clifford-mbqc\nlengths: [1, 2]\nsequences_per_length: 2\nshots_per_sequence: 10\n" + text,
+                    message,
+                )
+                for name, text, message in [
+                    ("top-level", "seed: 1\nseed: 7\n", "duplicate key 'seed' (line 6)"),
+                    ("nested", "noise:\n  kind: depolarizing\n  strength: 0.9\n  strength: 0.8\n",
+                     "duplicate key 'strength' (line 8)"),
+                ]
+            ],
+            # values of the right type that a setting cannot take, each refused
+            # where its type is built
+            *[
+                (name, yaml.safe_dump({**SAMPLE, "protocol": "derandomized-mbqc", **overrides}), message)
+                for name, overrides, message in [
+                    ("three-phis", {"design_phis": [0.0, 0.0, 0.0]}, "design_phis must hold exactly two angles, got 3"),
+                    ("no-phis", {"design_phis": []}, "design_phis must hold exactly two angles, got 0"),
+                    # finite in the file's units of pi, but not in radians
+                    ("overflowing-phi", {"design_phis": [1.0e308, 0.0]},
+                     "design_phis entry 1 is 1e+308 (units of pi), too large to convert to radians"),
+                    ("parts-without-composite", {"noise": {**DEPOLARIZING, "parts": [DEPHASING]}},
+                     "noise parts are taken only by composite noise, not by depolarizing"),
+                    ("none-strength", {"noise": {"kind": "none", "strength": 0.3}},
+                     "noise strength is not taken by none noise"),
+                    ("composite-strength", {"noise_inv": {"kind": "composite", "strength": 0.3, "parts": [DEPHASING]}},
+                     "noise_inv strength is not taken by composite noise"),
+                    ("depolarizing-range", {"noise": {"kind": "depolarizing", "strength": 1.5}},
+                     "noise depolarizing parameter must lie in [0, 1], got 1.5"),
+                    ("dephasing-range", {"noise": {"kind": "dephasing", "strength": -0.2}},
+                     "noise flip probability must lie in [0, 1], got -0.2"),
+                    ("damping-range", {"noise": {"kind": "amplitude-damping", "strength": 1.01}},
+                     "noise damping probability must lie in [0, 1], got 1.01"),
+                    ("part-range", {"noise": {"kind": "composite", "parts": [DEPHASING, {**DEPOLARIZING, "strength": 2}]}},
+                     "noise parts entry 2 depolarizing parameter must lie in [0, 1], got 2.0"),
+                ]
+            ],
+        ]
+    },
+    **{
+        f"run-{name}": bad_config("run --out out.csv", text, message)
+        for name, text, message in [
+            *[
+                (name, yaml.safe_dump({**SAMPLE, **overrides}), message)
+                for name, overrides, message in [
+                    ("lengths-a-number", {"lengths": 5}, "lengths must be a list, got 5"),
+                    ("length-entry-null", {"lengths": [1, None]}, "lengths entry 2 must be int, got None"),
+                    ("shots-a-word", {"shots_per_sequence": "many"}, "shots_per_sequence must be int, got 'many'"),
+                    ("fractional-count", {"sequences_per_length": 2.5}, "sequences_per_length must be int, got 2.5"),
+                    ("parts-a-number", {"noise": {"kind": "composite", "parts": 3}}, "noise parts must be a list, got 3"),
+                    ("phi-null", {"design_phis": [None, 0.0]}, "design_phis entry 1 must be a finite float, got None"),
+                    ("string-flag", {"instrument": {"inject_randomness": "false"}},
+                     "instrument inject_randomness must be a bool, got 'false'"),
+                    ("output-a-number", {"output": 5}, "output must be a str, got 5"),
+                    # a seed outside [0, 2**64) used to alias a seed inside it
+                    ("config-seed-below", {"seed": -1}, "seed must lie in [0, 2**64), got -1"),
+                    ("config-seed-above", {"seed": 2**64}, f"seed must lie in [0, 2**64), got {2**64}"),
+                    # a key that a section does not take, at any depth
+                    ("unknown-key-in-config", {"sequences": 8}, "unknown key in config: sequences"),
+                    ("unknown-key-in-spam", {"spam": {"prep_shrink": 1.0, "effect_bais": 0.0}},
+                     "unknown key in spam: effect_bais"),
+                    ("unknown-key-in-instrument", {"instrument": {"bias": 0.0, "inject": True}},
+                     "unknown key in instrument: inject"),
+                    ("unknown-key-in-noise-inv", {"noise_inv": {"kind": "none", "placment": "after-each-step"}},
+                     "unknown key in noise_inv: placment"),
+                    ("unknown-key-in-a-part", {"noise": {"kind": "composite", "parts": [{**DEPHASING, "strengh": 0.1}]}},
+                     "unknown key in noise parts entry 1: strengh"),
+                    ("spam-a-number", {"spam": 0.98}, "spam must be a key/value mapping, got 0.98"),
+                ]
+            ],
+            *wrong_types(),
+            ("keys-missing", "protocol: circuit\n",
+             "config is missing required keys: lengths, sequences_per_length, shots_per_sequence"),
+        ]
+    },
+    # text that the JSON rule refuses is read as YAML, whose messages differ
+    **{
+        f"oracle-json-{name}-read-as-yaml": bad_config("oracle", text, message)
+        for name, text, message in [
+            ("repeated-key", json.dumps(SAMPLE)[:-1] + ', "seed": 8}', "duplicate key 'seed' (line 1)"),
+            *[
+                (name, json.dumps({**SAMPLE, "noise": {**DEPHASING, "strength": 0.5}}).replace("0.5", constant),
+                 f"noise strength must be a finite float, got {constant!r}")
+                for name, constant in [("nan", "NaN"), ("infinity", "-Infinity")]
+            ],
         ]
     },
     # 10**15 elements need more address space than a 64-bit process has, so
@@ -1579,6 +1304,10 @@ REJECTED = {
             ("clifford-length", {"lengths": [1, 10**15]}),
             ("derandomized-shots", {"protocol": "derandomized-mbqc", "shots_per_sequence": 10**15}),
             ("circuit-shots", {"protocol": "circuit", "shots_per_sequence": 10**15}),
+            *[
+                (f"{protocol.split('-')[0]}-sequences", {"protocol": protocol, "sequences_per_length": 10**15})
+                for protocol in PROTOCOLS
+            ],
         ]
     },
     **{
@@ -1597,27 +1326,107 @@ REJECTED = {
     "fit-resamples-too-many": Rejected(
         f"fit ds.csv --resamples {10**15} --out out.yaml", 1, r"cannot fit: Unable to allocate [^\n]*\n"
     ),
-    "fit-warnings-null": Rejected(
-        "fit ds.csv --resamples 0", 1,
-        line("invalid dataset: ds.csv: the warnings line must hold a JSON list of strings, got 'null'"),
-        {"ds.csv": preamble_line("warnings", "null")},
+    "fit-rows-at-two-lengths": Rejected(
+        "fit ds.csv --resamples 0", 1, line("cannot fit: fitting requires at least 3 distinct sequence lengths"),
+        {"ds.csv": edit_rows(lambda rows: [row for row in rows if row.startswith(("1,", "2,"))])},
     ),
     **{
-        f"fit-{key}-{name}": Rejected(
-            "fit ds.csv --resamples 0", 1, line(f"invalid dataset: ds.csv: the {key} line is nested too deeply to read"),
-            {"ds.csv": preamble_line(key, text)},
-        )
-        for key, name, text in [
-            ("config", "2000-lists", DEEP_JSON),
-            ("config", "noise-200-composites", DEEP_NOISE),
-            ("warnings", "2000-lists", DEEP_JSON),
+        # fit refusing ds.csv after an edit, with a message after the file's name
+        f"fit-{name}": Rejected("fit ds.csv --resamples 0", 1, line(f"invalid dataset: ds.csv{message}"), {"ds.csv": edit})
+        for name, edit, message in [
+            # the header, the column header and the config line
+            *[
+                (f"header-{name}", replaced("# mbqcrb-dataset-v2\n", header),
+                 f" does not start with a dataset header (# mbqcrb-dataset-v1 or # mbqcrb-dataset-v2): {first!r}")
+                for name, header, first in [
+                    ("foreign", "# something-else-entirely\n", "# something-else-entirely"),
+                    ("future", "# mbqcrb-dataset-v3\n", "# mbqcrb-dataset-v3"),
+                    ("missing", "", f"# version: {__version__}"),
+                ]
+            ],
+            ("without-column-header", without("s,sequence_index"), " is not a recognized dataset file"),
+            ("without-config", without("# config: "), " has no embedded config"),
+            # the column header is checked first
+            *[
+                (f"without-column-header-{name}", without("s,sequence_index", "# config: ", *rows),
+                 " is not a recognized dataset file")
+                for name, rows in [("and-config", ()), ("config-and-rows", [f"{s}," for s in range(1, 7)])]
+            ],
+            # the JSON lines, by the rule of config files: json.loads and the
+            # preamble would keep the last of a repeated key or line
+            *[
+                (f"{key}-{name}", replaced(old, new), f": the {key} line{message}")
+                for key, name, old, new, message in [
+                    ("config", "key-twice", "# config: {", '# config: {"seed": 99, ', ": duplicate key 'seed'"),
+                    ("config", "inner-key-twice", '"noise": {', '"noise": {"strength": 0.5, ', ": duplicate key 'strength'"),
+                    ("config", "line-twice", "# warnings:", "# config: {}\n# warnings:", " appears more than once"),
+                    ("warnings", "line-twice", "# warnings: []", "# warnings: []\n# warnings: []", " appears more than once"),
+                    ("warnings", "json", "# warnings: []", "# warnings: [,]", ": Expecting value: line 1 column 2 (char 1)"),
+                    # valid JSON, but a setting the config refuses
+                    ("config", "lengths-repeated", '"lengths": [1, ', '"lengths": [1, 1, ', ": lengths must be distinct"),
+                    ("config", "nan", '"strength": 0.9', '"strength": NaN', ": NaN is not a JSON number"),
+                    ("config", "empty-output", "# config: {", '# config: {"output": "", ', f": {UNUSABLE_OUTPUT}''"),
+                ]
+            ],
+            *[
+                (f"warnings-{name}", preamble_line("warnings", text),
+                 f": the warnings line must hold a JSON list of strings, got {text!r}")
+                for name, text in [("null", "null"), ("number", "5"), ("string", '"abc"')]
+            ],
+            *[
+                (f"{key}-{name}", preamble_line(key, text), f": the {key} line is nested too deeply to read")
+                for key, name, text in [
+                    ("config", "2000-lists", DEEP_JSON),
+                    ("config", "noise-200-composites", DEEP_NOISE),
+                    ("warnings", "2000-lists", DEEP_JSON),
+                ]
+            ],
+            # a row is named by its data row, the column header being row 0:
+            # '#' lines and blank lines among the rows are no data rows
+            *[
+                (f"{name}-row-{place}", row_at(k, *notes, row), f": data row {k + 1}{message}")
+                for name, row, message in [
+                    ("non-integer", "2,x,10,40,000000000000",
+                     " (2,x,10,40,000000000000) field sequence_index is not an integer: 'x'"),
+                    ("over-the-csv-limit", f"2,1,{'9' * (csv.field_size_limit() + 1)},40,000000000000",
+                     f": field larger than field limit ({csv.field_size_limit()})"),
+                ]
+                for place, k, notes in [("first", 0, ()), ("after-notes", 3, ("# a note", "", " \t")), ("last", 6 * 8, ())]
+            ],
+            *[
+                (f"row-with-{n}-fields", row_at(1, row), f": data row 2 ({row}) has {n} fields, expected 5")
+                for n, row in [(3, "2,1,10"), (6, "2,1,10,40,000000000000,7")]
+            ],
+            # spellings that int() reads as 10: only ASCII digits are a count
+            *[
+                (f"{field}-{name}", row_at(1, row), f": data row 2 ({row}) field {field} is not an integer: {text!r}")
+                for name, row, field, text in [
+                    ("x", "2,x,10,40,000000000000", "sequence_index", "x"),
+                    ("fractional", "2,1,10,4.0,000000000000", "shots", "4.0"),
+                    *[
+                        (name, f"2,1,{text},40,000000000000", "survivals", text)
+                        for name, text in [("underscore", "1_0"), ("full-width", "１０"), ("spaces", " 10 "), ("plus", "+10")]
+                    ],
+                ]
+            ],
+            *[
+                (f"survivals-{name}", row_at(1, f"2,1,{n},40,000000000000"),
+                 f": data row 2 (2,1,{n},40,000000000000): survival count {n} outside [0, 40]")
+                for name, n in [("negative", -1), ("above-shots", 41), ("far-above-shots", 999)]
+            ],
+            # a row checked against the config and the rows before it
+            ("rows-repeated", edit_rows(lambda rows: rows + rows[:3]), ": row s=1, sequence_index=0 appears more than once"),
+            ("shots-mismatch", edit_rows(lambda rows: ["1,0,20,39,000000000000\n", *rows[1:]]),
+             ": row s=1, sequence_index=0: 39 shots, config has shots_per_sequence 40"),
+            ("length-outside-the-config", row_at(6 * 8, "99,0,20,40,000000000000"),
+             ": row s=99, sequence_index=0: length 99 is not in the config lengths"),
+            *[
+                (f"sequence-index-{name}", row_at(6 * 8, f"2,{index},20,40,000000000000"),
+                 f": row s=2, sequence_index={index}: sequence_index outside [0, 8)")
+                for name, index in [("negative", -1), ("count", 8), ("huge", 10**12)]
+            ],
         ]
     },
-    "fit-field-over-the-csv-limit": Rejected(
-        "fit ds.csv --resamples 0", 1,
-        line(f"invalid dataset: ds.csv: data row {6 * 8 + 1}: field larger than field limit ({csv.field_size_limit()})"),
-        {"ds.csv": lambda text: text + f"2,1,{'9' * (csv.field_size_limit() + 1)},40,000000000000\n"},
-    ),
     "fit-out-is-the-dataset": Rejected(
         "fit ds.csv --out ds.csv", 1, line("invalid output: ds.csv would replace the input ds.csv")
     ),
@@ -1661,21 +1470,22 @@ from mbqcrb import cli
 ended = []
 for directory, argv in json.loads(sys.argv[1]):
     os.chdir(directory)
-    files, kept = [tempfile.TemporaryFile() for fd in (1, 2)], [os.dup(fd) for fd in (1, 2)]
-    for fd, f in zip((1, 2), files):
-        os.dup2(f.fileno(), fd)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception:
-        code = None
-        traceback.print_exc()
-    sys.stdout.flush(), sys.stderr.flush()
-    for fd, k in zip((1, 2), kept):
-        os.dup2(k, fd)
-        os.close(k)
-    ended.append([code, *(f.seek(0) or f.read().decode("utf-8") for f in files)])
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        kept = [os.dup(fd) for fd in (1, 2)]
+        for fd, f in zip((1, 2), (out, err)):
+            os.dup2(f.fileno(), fd)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = None
+            traceback.print_exc()
+        sys.stdout.flush(), sys.stderr.flush()
+        for fd, k in zip((1, 2), kept):
+            os.dup2(k, fd)
+            os.close(k)
+        ended.append([code, *(f.seek(0) or f.read().decode("utf-8") for f in (out, err))])
 print(json.dumps(ended))
 """
 
@@ -1699,7 +1509,7 @@ def make_row(directory, row, dataset) -> dict:
         if content is None:
             (directory / name).mkdir()
         else:
-            (directory / name).write_text(content(dataset) if callable(content) else content)
+            (directory / name).write_text(content(dataset) if callable(content) else content, encoding="utf-8")
     return entries(directory)
 
 
@@ -1730,19 +1540,21 @@ class TestRejected:
         before = {name: make_row(directories[name], row, dataset_text) for name, row in REJECTED.items()}
         in_child = [name for name, row in REJECTED.items() if row.closed_stdout is None]
         rows = json.dumps([[str(directories[name]), shlex.split(REJECTED[name].command)] for name in in_child])
-        child = subprocess.Popen([sys.executable, "-c", REJECTING_CHILD, rows], env=COLD_ENV, stdout=subprocess.PIPE, text=True)
+        child = subprocess.Popen(
+            [*COLD_PYTHON, "-c", REJECTING_CHILD, rows], env=COLD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
         piped = {}
         for name, row in REJECTED.items():
             if row.closed_stdout is not None:
                 read, write = os.pipe()
                 os.close(read)
                 piped[name] = subprocess.Popen(
-                    [sys.executable, "-m", "mbqcrb.cli", *shlex.split(row.command)], cwd=directories[name],
+                    [*COLD_PYTHON, "-m", "mbqcrb.cli", *shlex.split(row.command)], cwd=directories[name],
                     env={**COLD_ENV, **row.closed_stdout}, stdout=write, stderr=subprocess.PIPE, text=True,
                 )
                 os.close(write)
-        printed = child.communicate()[0]
-        assert child.returncode == 0
+        printed, leaked = child.communicate()
+        assert (child.returncode, leaked) == (0, "")  # nothing outside the rows, such as an unclosed file
         ended = dict(zip(in_child, json.loads(printed), strict=True))
         for name, process in piped.items():
             err = process.communicate()[1]
@@ -1809,14 +1621,9 @@ GOLDEN_RUNS = {
 }
 
 
-def golden_run_digest(tmp_path, name) -> str:
-    cfg_path = tmp_path / f"{name}.yaml"
-    write_sample_config(cfg_path, **{**GOLDEN_BASE, **GOLDEN_RUNS[name][0]})
-    out = tmp_path / f"{name}.csv"
-    assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_dataset_bytes(tmp_path, name):
-    assert golden_run_digest(tmp_path, name) == GOLDEN_RUNS[name][1]
+    cfg_path, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.csv"
+    write_sample_config(cfg_path, **{**GOLDEN_BASE, **GOLDEN_RUNS[name][0]})
+    assert main(["--quiet", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RUNS[name][1]

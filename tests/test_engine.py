@@ -8,10 +8,8 @@ import pytest
 
 from mbqcrb import engine
 from mbqcrb.channels import Channel, I2, Unitary2, plus_state
+from mbqcrb.config import AFTER_EACH_STEP, NO_NOISE, PROTOCOLS, InstrumentConfig, NoiseModel, RBConfig, SpamModel
 from mbqcrb.engine import (
-    PROTOCOLS,
-    RBConfig,
-    SpamModel,
     exact_sequence_fidelity,
     run_protocol,
     sequence_fidelity_estimate,
@@ -26,15 +24,7 @@ from mbqcrb.gatesets import (
     element_from_outcomes,
     frame_unitary,
 )
-from mbqcrb.wire import (
-    AFTER_EACH_STEP,
-    NO_NOISE,
-    InstrumentConfig,
-    NoiseModel,
-    WireRun,
-    run_gate_block,
-    survival_probability,
-)
+from mbqcrb.wire import WireRun, run_gate_block, survival_probability
 
 from conftest import ScriptedRng
 

@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from mbqcrb.cli import main
-from mbqcrb.engine import RBConfig, SpamModel, exact_sequence_fidelity, run_protocol
+from mbqcrb.config import NoiseModel, RBConfig, SpamModel
+from mbqcrb.engine import exact_sequence_fidelity, run_protocol
 from mbqcrb.fitting import (
     _central_95,
     _fit_rows,
@@ -17,7 +18,6 @@ from mbqcrb.fitting import (
     fidelity_from_p,
     fit_decay,
 )
-from mbqcrb.wire import NoiseModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

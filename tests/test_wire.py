@@ -10,27 +10,22 @@ from mbqcrb.channels import (
     X,
     Z,
     channel_from_unitary,
-    dephasing,
     depolarizing,
     measure,
     plus_state,
     projector_effect,
 )
+from mbqcrb.config import AFTER_EACH_GATE_BLOCK, AFTER_EACH_STEP, NO_NOISE, InstrumentConfig, NoiseModel
 from mbqcrb.gatesets import (
     block_gates,
     clifford_group,
+    conjugation_bits,
     derandomized_design,
     element_from_outcomes,
     frame_unitary,
 )
 from mbqcrb.wire import (
-    AFTER_EACH_GATE_BLOCK,
-    AFTER_EACH_STEP,
-    NO_NOISE,
-    InstrumentConfig,
-    NoiseModel,
     WireRun,
-    conjugation_bits,
     measure_step,
     run_gate_block,
     step_unitary,
